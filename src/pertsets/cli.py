@@ -497,7 +497,7 @@ def cmd_eval_set(cfg: dict) -> dict:
                                      "eps_selected_from": select_from, "steps": steps,
                                      "n_expected": n_expected, "limit": limit})
     report.to_csv(stage.file("eval.csv"))
-    report.to_summary_json(stage.file("summary.json"))
+    stage.write_json("summary.json", report.summary())
     stage.finish()
     log.info("eval-set: %d pairs at eps %.4g -> %s", len(pairs), eps, out_dir)
     return report.summary()
@@ -535,7 +535,7 @@ def cmd_bounds(cfg: dict) -> dict:
         records.append({"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
                         "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
                         "ln_h": tb.ln_h,
-                        "theorem2_bound": theory.theorem2_bound(est, alpha=alpha)})
+                        "theorem2_bound": theory.theorem2_bound(tb)})
 
     stage = ArtifactDir(out_dir)
     stage.write_json("config.json", {"out_dir": out_dir, "seed": seed, "model": model_dir,

@@ -233,6 +233,52 @@ def _chi_ball_cdf(k: int, eps: float):
     return grid, cdf
 
 
+def project_ball(u, eps: float) -> np.ndarray:
+    """Project each row of u onto the l2 ball of radius eps (float64)."""
+    u = np.asarray(u, dtype=np.float64)
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    scale = np.where(norms > eps, eps / np.where(norms == 0, 1.0, norms), 1.0)
+    return u * scale
+
+
+def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: bool,
+               transcript: list = None):
+    """Projected gradient search over the l2 ball of radius eps, one problem
+    per row of u0.
+
+    objective(u) takes the (B, k) latents as a Var and returns the per-row
+    values (B,) to compare and the scalar Var to differentiate. The search
+    starts at u0 projected into the ball and takes `steps` steps of length
+    `step` along each row's normalized gradient (ascent when maximize), rows
+    with zero gradient staying put. The best iterate per row is kept and the
+    start counts as one, so no row ends worse than its start. Returns
+    (best values, best u); transcript, when given, gets one entry per iterate.
+    """
+    u = project_ball(u0, eps)
+    sign = 1.0 if maximize else -1.0
+    for t in range(steps + 1):
+        uvar = nn.Var(u)
+        val, loss = objective(uvar)
+        if t == 0:
+            best_val, best_u = val.copy(), u.copy()
+        else:
+            better = val > best_val if maximize else val < best_val
+            best_val[better] = val[better]
+            best_u[better] = u[better]
+        if transcript is not None:
+            transcript.append({"iteration": t, "loss": float(val.mean()),
+                               "u_norm": float(np.linalg.norm(u, axis=1).mean())})
+        if t == steps:
+            break
+        nn.backward(loss)
+        g = uvar.grad
+        del uvar, loss      # free this iterate's tape before the next is built
+        gn = np.linalg.norm(g, axis=1, keepdims=True)
+        direction = np.where(gn > 0, g / np.where(gn == 0, 1.0, gn), 0.0)
+        u = project_ball(u + sign * step * direction, eps)
+    return best_val, best_u
+
+
 # ---------------------------------------------------------------------------
 # Objective
 

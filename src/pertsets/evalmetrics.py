@@ -14,25 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .cvae import CvaeModel, PairSet, PerturbationPair, kl_diag, sample_truncated_ball
+from .cvae import (CvaeModel, PairSet, PerturbationPair, kl_diag, latent_pgd, project_ball,
+                   sample_truncated_ball)
 
 METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
 
 
 # ---------------------------------------------------------------------------
-# Batched internals; the public per-pair ops wrap these with B = 1
-
-
-def _rows(pair: PerturbationPair):
-    return pair.perturbed[None, :], pair.conditioned[None, :]
-
-
-def _project_rows(u, eps):
-    """Project each row of u onto the l2 ball of radius eps."""
-    u = np.asarray(u, dtype=np.float64)
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    scale = np.where(norms > eps, eps / np.where(norms == 0, 1.0, norms), 1.0)
-    return u * scale
+# Batched internals
 
 
 def _encoder_points(model: CvaeModel, x, y):
@@ -44,51 +33,28 @@ def _encoder_points(model: CvaeModel, x, y):
 
 
 def _mse_rows(model: CvaeModel, u, y, x, prior):
-    # f64 throughout so values agree exactly with the gradient path in
-    # _mse_and_grad (the best-iterate invariants compare across the two)
+    # f64 throughout so values agree exactly with the objective in _pgd_best
+    # (the best-iterate invariants compare across the two)
     z = np.asarray(u, dtype=np.float64) * prior.std() + np.asarray(prior.mean)
     out = np.asarray(model.decode(z, y))
     diff = out - np.asarray(x, dtype=np.float64)
     return np.sum(diff * diff, axis=1) / x.shape[1]
 
 
-def _mse_and_grad(model: CvaeModel, u, y, x, prior):
-    """Per-row per-pixel MSE and its gradient w.r.t. the standardized latent."""
-    uvar = nn.Var(np.asarray(u, dtype=np.float64))
-    z = nn.add(nn.mul(uvar, prior.std()), np.asarray(prior.mean, dtype=np.float64))
-    out = model.decode(z, y)
-    diff = nn.add(out, -np.asarray(x, dtype=np.float64))
-    sse = nn.row_sum(nn.mul(diff, diff))
-    nn.backward(nn.sum_all(sse))
-    return np.asarray(nn._val(sse)) / x.shape[1], uvar.grad
-
-
 def _pgd_best(model, x, y, eps, steps, step, start_u, maximize=False):
-    """Projected gradient descent/ascent on reconstruction error in u-space.
+    """Latent PGD on per-pixel reconstruction error, descent or ascent.
 
-    Normalized-gradient steps, best iterate kept (the start point counts as
-    an iterate, so the result never loses to the warm start). Returns per-row
-    (best per-pixel MSE, best u).
-    """
+    Returns per-row (best per-pixel MSE, best u); never worse than start_u."""
     prior = model.encode_prior(y)
-    u = _project_rows(start_u, eps)
-    sign = 1.0 if maximize else -1.0
-    best_err = None
-    best_u = None
-    for t in range(steps + 1):
-        mse, g = _mse_and_grad(model, u, y, x, prior)
-        if best_err is None:
-            best_err, best_u = mse.copy(), u.copy()
-        else:
-            better = mse > best_err if maximize else mse < best_err
-            best_err = np.where(better, mse, best_err)
-            best_u[better] = u[better]
-        if t == steps:
-            break
-        gn = np.linalg.norm(g, axis=1, keepdims=True)
-        direction = np.where(gn > 0, g / np.where(gn == 0, 1.0, gn), 0.0)
-        u = _project_rows(u + sign * step * direction, eps)
-    return best_err, best_u
+    sd, mu = prior.std(), np.asarray(prior.mean, dtype=np.float64)
+    neg_x = -np.asarray(x, dtype=np.float64)
+
+    def recon_error(u):
+        diff = nn.add(model.decode(nn.add(nn.mul(u, sd), mu), y), neg_x)
+        sse = nn.row_sum(nn.mul(diff, diff))
+        return np.asarray(nn._val(sse)) / x.shape[1], nn.sum_all(sse)
+
+    return latent_pgd(recon_error, start_u, eps, steps, step, maximize)
 
 
 # ---------------------------------------------------------------------------
@@ -109,27 +75,17 @@ def select_radius(model: CvaeModel, pairs: PairSet, batch_size: int = 512) -> fl
     return best
 
 
-def encoder_ae(model: CvaeModel, pair: PerturbationPair, eps: float) -> float:
-    """Per-pixel MSE at the encoder's standardized mean, projected into the
-    eps ball."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    x, y = _rows(pair)
-    u, _, _, prior = _encoder_points(model, x, y)
-    return float(_mse_rows(model, _project_rows(u, eps), y, x, prior)[0])
-
-
 def pgd_ae(model: CvaeModel, pair: PerturbationPair, eps: float, steps: int = 50,
            step: float = None, start_u=None, return_point: bool = False):
     """Best per-pixel MSE found by projected gradient descent in the ball.
 
     Warm-started at the projected encoder point (or start_u when given), so
-    the result never exceeds encoder_ae / the error at start_u."""
+    the result never exceeds the error there (evaluate_set's enc_ae)."""
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if step is None:
         step = eps / 20.0
-    x, y = _rows(pair)
+    x, y = pair.perturbed[None, :], pair.conditioned[None, :]
     if start_u is None:
         u0, _, _, _ = _encoder_points(model, x, y)
     else:
@@ -138,62 +94,6 @@ def pgd_ae(model: CvaeModel, pair: PerturbationPair, eps: float, steps: int = 50
     if return_point:
         return float(err[0]), u[0]
     return float(err[0])
-
-
-def expected_ae(model: CvaeModel, pair: PerturbationPair, eps: float, n: int = 5,
-                rng: np.random.Generator = None) -> float:
-    """Monte-Carlo mean per-pixel MSE over n truncated-normal draws in the
-    ball; eps = 0 degenerates to the error at the prior mean."""
-    if eps < 0 or n < 1:
-        raise ValueError("need eps >= 0 and n >= 1")
-    x, y = _rows(pair)
-    prior = model.encode_prior(y)
-    if eps == 0:
-        return float(_mse_rows(model, np.zeros((1, model.k)), y, x, prior)[0])
-    if rng is None:
-        rng = np.random.default_rng()
-    us = sample_truncated_ball(model.k, eps, n, rng)
-    total = 0.0
-    for j in range(n):
-        total += float(_mse_rows(model, us[j:j + 1], y, x, prior)[0])
-    return total / n
-
-
-def over_ae(model: CvaeModel, pair: PerturbationPair, eps: float, steps: int = 50,
-            step: float = None, rng: np.random.Generator = None) -> float:
-    """Best (largest) per-pixel MSE found by projected gradient ascent from a
-    random point in the ball; never below the error at its initialization."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    x, y = _rows(pair)
-    prior = model.encode_prior(y)
-    if eps == 0:
-        return float(_mse_rows(model, np.zeros((1, model.k)), y, x, prior)[0])
-    if step is None:
-        step = eps / 20.0
-    if rng is None:
-        rng = np.random.default_rng()
-    u0 = sample_truncated_ball(model.k, eps, 1, rng)
-    err, _ = _pgd_best(model, x, y, eps, steps, step, u0, maximize=True)
-    return float(err[0])
-
-
-def recon_error(model: CvaeModel, pair: PerturbationPair,
-                rng: np.random.Generator) -> float:
-    """Per-pixel MSE with one full posterior sample z ~ q(z|x,y)."""
-    x, y = _rows(pair)
-    q = model.encode_posterior(x, y)
-    prior = model.encode_prior(y)
-    z = np.asarray(q.mean) + q.std() * rng.standard_normal((1, model.k))
-    u = (z - np.asarray(prior.mean)) / prior.std()
-    return float(_mse_rows(model, u, y, x, prior)[0])
-
-
-def kl_metric(model: CvaeModel, pair: PerturbationPair) -> float:
-    x, y = _rows(pair)
-    q = model.encode_posterior(x, y)
-    prior = model.encode_prior(y)
-    return float(np.asarray(kl_diag(q, prior))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +129,6 @@ class EvalReport:
             for i in range(len(self)):
                 w.writerow([i] + [repr(float(self.records[n][i])) for n in names])
 
-    def to_summary_json(self, path: str):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.summary(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
 
 def _pair_seeds(x, y, base: int):
     """Content-keyed per-pair seeds: metrics travel with the pair, so the
@@ -264,7 +159,7 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         out["latent_norm"].append(norms)
         out["kl"].append(np.asarray(kl_diag(q, prior), dtype=np.float64))
 
-        u_proj = _project_rows(u_enc, eps)
+        u_proj = project_ball(u_enc, eps)
         out["enc_ae"].append(_mse_rows(model, u_proj, y, x, prior))
 
         pgd_err, _ = _pgd_best(model, x, y, eps, steps, step, u_proj, maximize=False)

@@ -13,7 +13,7 @@ import logging
 import numpy as np
 
 from . import nn
-from .cvae import CvaeModel, sample_truncated_ball
+from .cvae import CvaeModel, latent_pgd, sample_truncated_ball
 
 log = logging.getLogger(__name__)
 
@@ -91,78 +91,47 @@ def load_classifier(stem: str) -> Classifier:
 # Attack
 
 
-def _per_example_ce(logits, labels):
-    lv = np.asarray(logits, dtype=np.float64)
-    m = lv.max(axis=-1, keepdims=True)
-    z = lv - m
-    lse = np.log(np.exp(z).sum(axis=-1)) + m[..., 0]
-    return lse - np.take_along_axis(lv, labels[:, None], axis=-1)[:, 0]
-
-
-def _project_ball(u, eps):
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    scale = np.where(norms > eps, eps / np.where(norms == 0, 1.0, norms), 1.0)
-    return u * scale
-
-
-def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
-                      cfg: AttackConfig, rng: np.random.Generator = None,
-                      init_u=None, transcript: list = None):
-    """Loss-maximizing perturbation in the latent ball for a batch.
-
-    Starts at u = 0 (or init_u, projected), takes cfg.steps normalized
-    gradient-ascent steps with projection, and returns the best iterate:
-    (adversarial examples (B, m), latent points (B, k)). Rows with zero
-    gradient skip their step and the loop continues. rng is accepted for
-    interface stability; the zero initialization needs no randomness.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float32))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+def _check_dims(h: Classifier, model: CvaeModel, x):
+    """Inputs, generator and classifier must share one pixel width."""
     if x.shape[1] != model.m or x.shape[1] != h.m:
         raise ValueError(f"dimension mismatch: inputs {x.shape[1]}, "
                          f"generator {model.m}, classifier {h.m}")
+
+
+def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
+                      cfg: AttackConfig, init_u=None, transcript: list = None):
+    """Loss-maximizing perturbation in the latent ball for a batch.
+
+    Starts at u = 0 (or init_u, projected), takes cfg.steps normalized
+    gradient-ascent steps on the cross-entropy with projection, and returns
+    the best iterate: (adversarial examples (B, m), latent points (B, k)).
+    Rows with zero gradient skip their step and the loop continues.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float32))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    _check_dims(h, model, x)
     B = x.shape[0]
     prior = model.encode_prior(x)
     mu = np.asarray(prior.mean, dtype=np.float64)
     sd = prior.std().astype(np.float64)
     if init_u is None:
-        u = np.zeros((B, model.k))
+        u0 = np.zeros((B, model.k))
     else:
-        u = _project_ball(np.asarray(init_u, dtype=np.float64).reshape(B, -1),
-                          cfg.eps)
-    best_loss = np.full(B, -np.inf)
-    best_u = u.copy()
+        u0 = np.asarray(init_u, dtype=np.float64).reshape(B, -1)
+
+    def cross_entropy(u):
+        ce = nn.cross_entropy(h.logits(model.decode(nn.add(nn.mul(u, sd), mu), x)), labels)
+        return np.asarray(nn._val(ce), dtype=np.float64), nn.sum_all(ce)
+
     steps = cfg.steps if cfg.eps > 0 else 0
-    for t in range(steps + 1):
-        uvar = nn.Var(u)
-        adv = model.decode(nn.add(nn.mul(uvar, sd), mu), x)
-        ce = nn.cross_entropy(h.logits(adv), labels)
-        loss = np.asarray(nn._val(ce), dtype=np.float64)
-        better = loss > best_loss
-        best_loss[better] = loss[better]
-        best_u[better] = u[better]
-        if transcript is not None:
-            transcript.append({"iteration": t, "loss": float(loss.mean()),
-                               "u_norm": float(np.linalg.norm(u, axis=1).mean())})
-        if t == steps:
-            break
-        nn.backward(nn.sum_all(ce))
-        g = uvar.grad
-        gn = np.linalg.norm(g, axis=1, keepdims=True)
-        direction = np.where(gn > 0, g / np.where(gn == 0, 1.0, gn), 0.0)
-        u = _project_ball(u + cfg.step * direction, cfg.eps)
+    _, best_u = latent_pgd(cross_entropy, u0, cfg.eps, steps, cfg.step, maximize=True,
+                           transcript=transcript)
     adv_best = np.asarray(model.decode(best_u * sd + mu, x))
     return adv_best.astype(np.float32), best_u
 
 
 # ---------------------------------------------------------------------------
 # Training epochs
-
-
-def _check_dims(h: Classifier, model: CvaeModel, x):
-    if x.shape[1] != model.m or x.shape[1] != h.m:
-        raise ValueError(f"dimension mismatch: inputs {x.shape[1]}, "
-                         f"generator {model.m}, classifier {h.m}")
 
 
 def _train_step(h: Classifier, inputs, labels, opt: dict):

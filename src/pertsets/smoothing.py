@@ -1,10 +1,9 @@
 """Randomized smoothing over a learned perturbation set.
 
 The smoothed classifier votes over decodes of Gaussian latents u ~ N(0, s^2 I)
-in the standardized prior space (the same space the attacks use). Prediction
-runs a two-sided binomial test on the top two vote counts; certification
-lower-bounds the top-class probability with a Clopper-Pearson interval and
-converts it to a certified l2 latent radius sigma * quantile(p_a).
+in the standardized prior space (the same space the attacks use).
+Certification lower-bounds the top-class probability with a Clopper-Pearson
+interval and converts it to a certified l2 latent radius sigma * quantile(p_a).
 """
 
 import logging
@@ -13,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvae import CvaeModel
-from .robust import Classifier, _epoch_batches, _train_step
-from .specialfn import binom_two_sided_pvalue, clopper_pearson_lower, std_normal_quantile
+from .robust import Classifier, _check_dims, _epoch_batches, _train_step
+from .specialfn import clopper_pearson_lower, std_normal_quantile
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +39,7 @@ def sample_under_noise(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.float32).reshape(1, -1)
-    if x.shape[1] != model.m or x.shape[1] != h.m:
-        raise ValueError(f"dimension mismatch: input {x.shape[1]}, "
-                         f"generator {model.m}, classifier {h.m}")
+    _check_dims(h, model, x)
     prior = model.encode_prior(x)
     mu = np.asarray(prior.mean, dtype=np.float64)
     sd = prior.std().astype(np.float64)
@@ -62,24 +59,6 @@ def _top_two(counts):
     """Indices of the two largest counts, ties broken by lowest class id."""
     order = np.lexsort((np.arange(len(counts)), -np.asarray(counts)))
     return int(order[0]), int(order[1])
-
-
-def _predict_from_counts(counts, alpha: float) -> int:
-    a, b = _top_two(counts)
-    na, nb = int(counts[a]), int(counts[b])
-    if na + nb == 0:
-        return ABSTAIN
-    p = binom_two_sided_pvalue(na, na + nb, 0.5)
-    return a if p <= alpha else ABSTAIN
-
-
-def smoothed_predict(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
-                     alpha: float, rng: np.random.Generator) -> int:
-    """Top class when the two-sided test rejects a top-two tie, else ABSTAIN."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    counts = sample_under_noise(h, model, x, n, sigma, rng)
-    return _predict_from_counts(counts, alpha)
 
 
 def certify(h: Classifier, model: CvaeModel, x, sigma: float,
@@ -119,9 +98,7 @@ def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    if x.shape[1] != model.m or x.shape[1] != h.m:
-        raise ValueError(f"dimension mismatch: inputs {x.shape[1]}, "
-                         f"generator {model.m}, classifier {h.m}")
+    _check_dims(h, model, x)
     losses = []
     for idx in _epoch_batches(len(x), batch_size, rng):
         xb = x[idx]

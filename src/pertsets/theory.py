@@ -9,6 +9,7 @@ models almost immediately.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,19 @@ def lemma3_interval(K: float) -> tuple:
     """Interval [a, b] containing every x > 0 with x - ln x <= K + 1.
 
     a = -W_0(-e^-(K+1)), b = -W_-1(-e^-(K+1)); the endpoints collapse to 1
-    at K = 0.
+    at K = 0. Past K ~ 707, e^-(K+1) is subnormal (and past ~744 it is 0),
+    where lambert_w loses precision: there a (about e^-(K+1)) is taken as
+    0 and b solves b - ln b = K + 1 directly.
     """
     if K < 0:
         raise ValueError(f"K must be non-negative, got {K}")
     arg = -math.exp(-(K + 1.0))
+    if -arg < sys.float_info.min:
+        # b <- K + 1 + ln b contracts by 1/b < 1/700 per pass
+        b = K + 1.0
+        for _ in range(10):
+            b = K + 1.0 + math.log(b)
+        return 0.0, b
     a = -lambert_w(arg, branch="principal")
     b = -lambert_w(arg, branch="lower")
     return min(a, 1.0), max(b, 1.0)
@@ -92,9 +101,10 @@ def theorem1_bounds(est: ObjectiveEstimate, alpha: float = 0.01) -> TheoryBounds
     eps = B * r + math.sqrt(float(est.K.sum()))
     delta = max(0.0, -(2.0 * est.R + est.m * LN_2PI) / (1.0 - alpha))
     ln_h = 0.0
-    for (a, b), K in zip(intervals, est.K):
+    # python floats: a c2 past float range (a tiny or 0) is inf, not a warning
+    for (a, b), K in zip(intervals.tolist(), est.K.tolist()):
         c1 = (b - 1.0) * r * r - K
-        c2 = ((1.0 - a) * r * r + 2.0 * r * math.sqrt(K) + K) / a
+        c2 = ((1.0 - a) * r * r + 2.0 * r * math.sqrt(K) + K) / a if a > 0.0 else math.inf
         ln_h += 0.5 * math.log(b) + max(c1, c2)
     h = math.exp(ln_h) if ln_h <= _LN_HUGE else math.inf
     return TheoryBounds(r=r, alpha=alpha, eps=eps, delta_sse=delta,
@@ -102,20 +112,19 @@ def theorem1_bounds(est: ObjectiveEstimate, alpha: float = 0.01) -> TheoryBounds
                         intervals=intervals, ln_h=ln_h, h=h)
 
 
-def theorem2_bound(est: ObjectiveEstimate, alpha: float = 0.01) -> float:
+def theorem2_bound(bounds: TheoryBounds) -> float:
     """Bound on the truncated expected reconstruction SSE under the prior:
-    delta * H. Returns inf once the product leaves float64 range; use
-    theorem2_ln_bound for comparisons at that scale."""
-    bounds = theorem1_bounds(est, alpha)
+    delta * H, from theorem1_bounds' result. Returns inf once the product
+    leaves float64 range; use theorem2_ln_bound for comparisons at that
+    scale."""
     if bounds.delta_sse == 0.0:
         return 0.0
     ln_total = math.log(bounds.delta_sse) + bounds.ln_h
     return math.exp(ln_total) if ln_total <= _LN_HUGE else math.inf
 
 
-def theorem2_ln_bound(est: ObjectiveEstimate, alpha: float = 0.01) -> float:
-    """ln(delta * H), finite whenever delta > 0; -inf at delta = 0."""
-    bounds = theorem1_bounds(est, alpha)
+def theorem2_ln_bound(bounds: TheoryBounds) -> float:
+    """ln(delta * H), finite whenever delta > 0 and H is; -inf at delta = 0."""
     if bounds.delta_sse == 0.0:
         return -math.inf
     return math.log(bounds.delta_sse) + bounds.ln_h

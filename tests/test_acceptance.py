@@ -207,8 +207,8 @@ def test_criterion_4_theorem2_validity(desk):
         pair = test.pair(i)
         est = theory.estimate_R_K(model, pair, rng, samples=64)
         tb = theory.theorem1_bounds(est, alpha=0.01)
-        bound = theory.theorem2_bound(est, alpha=0.01)
-        ln_bound = theory.theorem2_ln_bound(est, alpha=0.01)
+        bound = theory.theorem2_bound(tb)
+        ln_bound = theory.theorem2_ln_bound(tb)
         u = sample_truncated_ball(model.k, tb.r, n_samples, rng)
         prior = model.encode_prior(pair.conditioned[None, :])
         z = u * prior.std().astype(np.float64) + np.asarray(prior.mean, np.float64)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,21 @@ def test_gen_data_files_exist_and_reload(tmp_path):
     assert np.array_equal(a.perturbed, b.perturbed)
     assert np.array_equal(a.conditioned, b.conditioned)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_readme_json_examples_run(tmp_path, monkeypatch):
+    # each ```json block in the README is a stage config introduced by a
+    # line naming its stage, as in "Example stage config (`gen-data`):"
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        text = f.read()
+    examples = re.findall(r"\(`([a-z-]+)`\):\n\n```json\n(.*?)^```", text, flags=re.M | re.S)
+    assert examples and len(examples) == text.count("```json")
+    monkeypatch.chdir(tmp_path)
+    for i, (stage, block) in enumerate(examples):
+        cfg = tmp_path / f"readme{i}.json"
+        cfg.write_text(block, encoding="utf-8")
+        assert cli.main([stage, "--config", str(cfg)]) == 0, stage
 
 
 def test_gen_data_manifest_hashes_verify(pipeline):

@@ -1,5 +1,6 @@
 """Tests for the conditional VAE: KL, reparameterization, truncated sampling,
-the variational objective and its gradients, and training determinism."""
+the latent-ball PGD engine, the variational objective and its gradients, and
+training determinism."""
 
 import math
 
@@ -15,7 +16,9 @@ from pertsets.cvae import (
     TrainConfig,
     elbo_loss,
     kl_diag,
+    latent_pgd,
     load_cvae,
+    project_ball,
     reparameterize,
     sample_truncated_ball,
     standardize,
@@ -133,6 +136,75 @@ def test_truncated_ball_domain_errors():
         sample_truncated_ball(4, 0.0, 10, rng)
     with pytest.raises(ValueError):
         sample_truncated_ball(0, 1.0, 10, rng)
+
+
+# ---------------------------------------------------------------------------
+# Latent-ball PGD engine
+
+
+def test_project_ball():
+    u = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
+    p = project_ball(u, 1.0)
+    np.testing.assert_allclose(p[0], [0.6, 0.8], atol=1e-12)
+    np.testing.assert_allclose(p[1], u[1])
+    np.testing.assert_allclose(p[2], 0.0)
+    np.testing.assert_allclose(project_ball(p, 1.0), p, atol=1e-12)
+    np.testing.assert_array_equal(project_ball(u, 0.0), 0.0)
+
+
+def sq_dist(target):
+    """Per-row squared distance to target rows, and its sum to differentiate."""
+    def objective(u):
+        d = nn.add(u, -target)
+        sq = nn.row_sum(nn.mul(d, d))
+        return np.asarray(nn._val(sq)), nn.sum_all(sq)
+    return objective
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_latent_pgd_never_worse_than_start(maximize):
+    rng = np.random.default_rng(40)
+    target = rng.normal(0.0, 2.0, (12, 3))
+    u0 = rng.normal(0.0, 1.0, (12, 3))
+    start, _ = sq_dist(target)(nn.Var(project_ball(u0, 1.5)))
+    best, u = latent_pgd(sq_dist(target), u0, 1.5, 10, 0.3, maximize)
+    assert (np.linalg.norm(u, axis=1) <= 1.5 + 1e-12).all()
+    np.testing.assert_array_equal(best, sq_dist(target)(nn.Var(u))[0])
+    if maximize:
+        assert (best >= start).all() and (best > start).any()
+    else:
+        assert (best <= start).all() and (best < start).any()
+
+
+def test_latent_pgd_reaches_ball_boundary_optimum():
+    # nearest point of the ball to an outside target is eps * target / |target|
+    target = np.array([[3.0, 4.0], [0.0, -2.0]])
+    _, u = latent_pgd(sq_dist(target), np.zeros((2, 2)), 1.0, 40, 0.05, maximize=False)
+    want = target / np.linalg.norm(target, axis=1, keepdims=True)
+    np.testing.assert_allclose(u, want, atol=0.05)
+
+
+def test_latent_pgd_keeps_start_and_skips_last_backward(monkeypatch):
+    # steps overshoot the optimum at the start point, so the start stays best;
+    # the last iterate is scored but never differentiated
+    calls = []
+    real_backward = nn.backward
+    monkeypatch.setattr(nn, "backward", lambda loss: calls.append(1) or real_backward(loss))
+    target = np.array([[0.5, 0.0], [0.0, 0.5]])
+    u0 = target + 1e-3
+    rows = []
+    best, u = latent_pgd(sq_dist(target), u0, 1.0, 4, 0.5, maximize=False, transcript=rows)
+    np.testing.assert_array_equal(u, u0)
+    np.testing.assert_allclose(best, 2e-6, rtol=1e-9)
+    assert len(calls) == 4
+    assert [r["iteration"] for r in rows] == list(range(5))
+
+
+def test_latent_pgd_zero_steps_scores_projected_start():
+    target = np.zeros((1, 2))
+    best, u = latent_pgd(sq_dist(target), np.array([[3.0, 4.0]]), 2.0, 0, 1.0, maximize=True)
+    np.testing.assert_allclose(u, [[1.2, 1.6]])
+    np.testing.assert_allclose(best, [4.0])
 
 
 # ---------------------------------------------------------------------------

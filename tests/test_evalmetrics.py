@@ -6,18 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from pertsets.cvae import CvaeModel, PairSet, sample_truncated_ball
+from pertsets.cli import ArtifactDir
+from pertsets.cvae import CvaeModel, PairSet, kl_diag, sample_truncated_ball
 from pertsets.evalmetrics import (
     METRICS,
     _mse_rows,
-    _project_rows,
-    encoder_ae,
+    _pgd_best,
     evaluate_set,
-    expected_ae,
-    kl_metric,
-    over_ae,
     pgd_ae,
-    recon_error,
     select_radius,
 )
 
@@ -84,45 +80,36 @@ def test_select_radius_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# Projection helper
+# Per-pair metrics, each read off evaluate_set
 
 
-def test_project_rows():
-    u = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
-    p = _project_rows(u, 1.0)
-    np.testing.assert_allclose(p[0], [0.6, 0.8], atol=1e-12)
-    np.testing.assert_allclose(p[1], u[1])
-    np.testing.assert_allclose(p[2], 0.0)
-    np.testing.assert_allclose(_project_rows(p, 1.0), p, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Per-pair metrics
+def gap_to_half(pairs):
+    """Per-pixel MSE against a decoder that emits 0.5 everywhere."""
+    return np.mean((pairs.perturbed.astype(np.float64) - 0.5) ** 2, axis=1)
 
 
 def test_encoder_ae_constant_decoder():
     # decoder emits 0.5; error is the per-pixel gap to 0.5 regardless of u
-    model = const_model(bq=[5.0, 0.0])
-    pair = rand_pairs(1, seed=7).pair(0)
-    want = float(np.mean((pair.perturbed.astype(np.float64) - 0.5) ** 2))
-    assert math.isclose(encoder_ae(model, pair, 1.0), want, rel_tol=1e-6)
+    pairs = rand_pairs(3, seed=7)
+    report = evaluate_set(const_model(bq=[5.0, 0.0]), pairs, 1.0,
+                          np.random.default_rng(0), steps=3)
+    np.testing.assert_allclose(report.records["enc_ae"], gap_to_half(pairs), rtol=1e-6)
 
 
 def test_encoder_ae_zero_on_exact_match():
-    model = const_model()
-    x = np.full(M, 0.5, dtype=np.float32)
-    pair = PairSet(x[None], x[None]).pair(0)
-    assert encoder_ae(model, pair, 1.0) == 0.0
+    x = np.full((1, M), 0.5, dtype=np.float32)
+    report = evaluate_set(const_model(), PairSet(x, x), 1.0, np.random.default_rng(0),
+                          steps=3)
+    assert report.records["enc_ae"][0] == 0.0
 
 
 def test_pgd_never_exceeds_encoder():
     model = rand_model(11)
     pairs = rand_pairs(6, seed=12)
+    enc = evaluate_set(model, pairs, 2.0, np.random.default_rng(0), steps=1).records["enc_ae"]
     for i in range(len(pairs)):
-        pair = pairs.pair(i)
-        enc = encoder_ae(model, pair, 2.0)
-        pgd = pgd_ae(model, pair, 2.0, steps=20)
-        assert pgd <= enc + 1e-12
+        pgd = pgd_ae(model, pairs.pair(i), 2.0, steps=20)
+        assert pgd <= enc[i] + 1e-12
         assert pgd >= 0.0
 
 
@@ -151,58 +138,70 @@ def test_pgd_rejects_nonpositive_eps():
 
 
 def test_expected_ae_constant_decoder_matches_encoder():
-    model = const_model()
-    pair = rand_pairs(1, seed=20).pair(0)
-    want = float(np.mean((pair.perturbed.astype(np.float64) - 0.5) ** 2))
-    got = expected_ae(model, pair, 1.0, n=3, rng=np.random.default_rng(0))
-    assert math.isclose(got, want, rel_tol=1e-6)
+    pairs = rand_pairs(3, seed=20)
+    report = evaluate_set(const_model(), pairs, 1.0, np.random.default_rng(0), steps=3,
+                          n_expected=3)
+    np.testing.assert_allclose(report.records["eae"], gap_to_half(pairs), rtol=1e-6)
+    np.testing.assert_allclose(report.records["eae"], report.records["enc_ae"], rtol=1e-6)
 
 
 def test_expected_ae_variance_shrinks_with_n():
     model = rand_model(21)
-    pair = rand_pairs(1, seed=22).pair(0)
+    pairs = rand_pairs(1, seed=22)
     rng = np.random.default_rng(23)
-    lo = [expected_ae(model, pair, 1.5, n=2, rng=rng) for _ in range(80)]
-    hi = [expected_ae(model, pair, 1.5, n=40, rng=rng) for _ in range(80)]
+
+    def eae(n):
+        return evaluate_set(model, pairs, 1.5, rng, steps=0, n_expected=n).records["eae"][0]
+
+    lo = [eae(2) for _ in range(80)]
+    hi = [eae(40) for _ in range(80)]
     assert np.var(hi) < np.var(lo) / 3.0
 
 
 def test_expected_ae_eps_zero_is_prior_mean_error():
+    # evaluate_set needs eps > 0; at eps = 1e-14 every draw decodes the
+    # prior mean to within float rounding
     model = rand_model(24)
-    pair = rand_pairs(1, seed=25).pair(0)
-    got = expected_ae(model, pair, 0.0, n=5, rng=np.random.default_rng(0))
-    prior = model.encode_prior(pair.conditioned[None])
-    want = float(_mse_rows(model, np.zeros((1, K)), pair.conditioned[None],
-                           pair.perturbed[None].astype(np.float64), prior)[0])
-    assert math.isclose(got, want, rel_tol=1e-12)
+    pairs = rand_pairs(3, seed=25)
+    got = evaluate_set(model, pairs, 1e-14, np.random.default_rng(0), steps=0,
+                       n_expected=5).records["eae"]
+    prior = model.encode_prior(pairs.conditioned)
+    want = _mse_rows(model, np.zeros((3, K)), pairs.conditioned,
+                     pairs.perturbed.astype(np.float64), prior)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_over_ae_at_least_init_error():
+    # the ascent oae runs in evaluate_set: the best iterate never falls
+    # below the error at its random start
     model = rand_model(26)
-    pair = rand_pairs(1, seed=27).pair(0)
-    init_rng = np.random.default_rng(28)
-    u0 = sample_truncated_ball(K, 1.0, 1, init_rng)
-    prior = model.encode_prior(pair.conditioned[None])
-    init_err = float(_mse_rows(model, u0, pair.conditioned[None],
-                               pair.perturbed[None].astype(np.float64), prior)[0])
-    got = over_ae(model, pair, 1.0, steps=15, rng=np.random.default_rng(28))
-    assert got >= init_err - 1e-12
+    pairs = rand_pairs(4, seed=27)
+    u0 = sample_truncated_ball(K, 1.0, 4, np.random.default_rng(28))
+    prior = model.encode_prior(pairs.conditioned)
+    x = pairs.perturbed.astype(np.float64)
+    init_err = _mse_rows(model, u0, pairs.conditioned, x, prior)
+    got, u = _pgd_best(model, pairs.perturbed, pairs.conditioned, 1.0, 15, 0.05, u0,
+                       maximize=True)
+    assert (got >= init_err - 1e-12).all()
+    assert (np.linalg.norm(u, axis=1) <= 1.0 + 1e-12).all()
+    np.testing.assert_array_equal(got, _mse_rows(model, u, pairs.conditioned, x, prior))
 
 
 def test_recon_error_constant_decoder():
-    model = const_model()
-    pair = rand_pairs(1, seed=30).pair(0)
-    want = float(np.mean((pair.perturbed.astype(np.float64) - 0.5) ** 2))
-    got = recon_error(model, pair, np.random.default_rng(0))
-    assert math.isclose(got, want, rel_tol=1e-6)
+    pairs = rand_pairs(3, seed=30)
+    report = evaluate_set(const_model(), pairs, 1.0, np.random.default_rng(0), steps=3)
+    np.testing.assert_allclose(report.records["recon_err"], gap_to_half(pairs), rtol=1e-6)
 
 
 def test_kl_metric_closed_form():
     # equal clamped variances, mean gap norm 1: KL = 0.5 * 1 / 0.1 = 5
-    model = const_model(bq=[0.6, 0.8], bp=[0.0, 0.0])
-    assert math.isclose(kl_metric(model, rand_pairs(1).pair(0)), 5.0, rel_tol=1e-5)
-    tied = const_model(bq=[0.4, 0.4], bp=[0.4, 0.4])
-    assert abs(kl_metric(tied, rand_pairs(1).pair(0))) < 1e-12
+    rng = lambda: np.random.default_rng(0)
+    report = evaluate_set(const_model(bq=[0.6, 0.8], bp=[0.0, 0.0]), rand_pairs(2), 1.0,
+                          rng(), steps=3)
+    np.testing.assert_allclose(report.records["kl"], 5.0, rtol=1e-5)
+    tied = evaluate_set(const_model(bq=[0.4, 0.4], bp=[0.4, 0.4]), rand_pairs(2), 1.0,
+                        rng(), steps=3)
+    assert (np.abs(tied.records["kl"]) < 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +228,15 @@ def test_evaluate_set_invariants():
 
 def test_evaluate_set_single_pair_matches_ops():
     report, model, pairs = small_report(1)
-    pair = pairs.pair(0)
-    assert math.isclose(report.records["enc_ae"][0],
-                        encoder_ae(model, pair, 1.0), rel_tol=1e-10)
+    x, y = pairs.perturbed, pairs.conditioned
+    q, prior = model.encode_posterior(x, y), model.encode_prior(y)
+    u = (np.asarray(q.mean, np.float64) - np.asarray(prior.mean)) / prior.std()
+    u = u * min(1.0, 1.0 / float(np.linalg.norm(u)))
+    dec = np.asarray(model.decode(u * prior.std() + np.asarray(prior.mean), y))
+    enc = float(np.mean((dec - x.astype(np.float64)) ** 2))
+    assert math.isclose(report.records["enc_ae"][0], enc, rel_tol=1e-10)
     assert math.isclose(report.records["kl"][0],
-                        kl_metric(model, pair), rel_tol=1e-6)
+                        float(np.asarray(kl_diag(q, prior))[0]), rel_tol=1e-6)
     s = report.summary()
     assert s["metrics"]["enc_ae"]["mean"] == pytest.approx(report.records["enc_ae"][0])
     assert s["metrics"]["oae"]["std"] == 0.0
@@ -282,7 +285,7 @@ def test_report_serialization(tmp_path):
     csv_path = tmp_path / "per_pair.csv"
     json_path = tmp_path / "summary.json"
     report.to_csv(str(csv_path))
-    report.to_summary_json(str(json_path))
+    ArtifactDir(str(tmp_path)).write_json("summary.json", report.summary())
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "pair," + ",".join(METRICS + ("latent_norm",))
     assert len(lines) == 4

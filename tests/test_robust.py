@@ -10,7 +10,6 @@ from pertsets.cvae import CvaeModel
 from pertsets.robust import (
     AttackConfig,
     Classifier,
-    _per_example_ce,
     accuracy,
     adv_train_epoch,
     augment_train_epoch,
@@ -41,7 +40,8 @@ def ce_at(h, model, x, labels, u):
     prior = model.encode_prior(x)
     z = u * prior.std().astype(np.float64) + np.asarray(prior.mean, np.float64)
     adv = np.asarray(model.decode(z, x))
-    return _per_example_ce(h.logits(adv.astype(np.float32)), labels)
+    logits = np.asarray(h.logits(adv.astype(np.float32)), dtype=np.float64)
+    return nn.cross_entropy(logits, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for smoothed prediction, certification and the noise back-solve."""
+"""Tests for vote counting, certification and the noise back-solve."""
 
 import math
 
@@ -9,13 +9,11 @@ from pertsets.cvae import CvaeModel
 from pertsets.robust import Classifier, clean_train_epoch
 from pertsets.smoothing import (
     ABSTAIN,
-    _predict_from_counts,
     _top_two,
     certify,
     noise_train_epoch,
     sample_under_noise,
     sigma_for_radius,
-    smoothed_predict,
 )
 from pertsets.specialfn import clopper_pearson_lower, std_normal_cdf, std_normal_quantile
 
@@ -109,30 +107,13 @@ def test_counts_validation():
 
 
 # ---------------------------------------------------------------------------
-# Prediction decision rule
-
-
-def test_predict_decision_rule():
-    assert _predict_from_counts(np.array([11, 0, 0]), 0.001) == 0
-    # 2 * 0.5^10 misses the 0.001 level
-    assert _predict_from_counts(np.array([10, 0, 0]), 0.001) == ABSTAIN
-    assert _predict_from_counts(np.array([5, 5, 0]), 0.5) == ABSTAIN
-    assert _predict_from_counts(np.array([0, 30, 2]), 0.001) == 1
+# Top-class selection
 
 
 def test_top_two_tie_break_lowest_id():
     assert _top_two(np.array([0, 8, 8, 1])) == (1, 2)
     assert _top_two(np.array([8, 3, 8])) == (0, 2)
     assert _top_two(np.array([4, 9, 1])) == (1, 0)
-
-
-def test_smoothed_predict_constant_classifier():
-    model, h = rand_model(), const_clf(2)
-    x = np.full(M, 0.5, np.float32)
-    got = smoothed_predict(h, model, x, 20, 1.0, 0.001, np.random.default_rng(12))
-    assert got == 2
-    with pytest.raises(ValueError):
-        smoothed_predict(h, model, x, 1, 1.0, 0.001, np.random.default_rng(12))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the guarantee calculators and threshold measurement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ def test_lemma3_monotone_and_bracketing():
         prev_a, prev_b = a, b
 
 
+@pytest.mark.parametrize("K", [744.0, 745.0, 800.0, 1e4])
+def test_lemma3_past_underflow(K):
+    # e^-(K+1) is subnormal or 0 here; a collapses to 0 and H to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = lemma3_interval(K)
+        got = theorem1_bounds(ObjectiveEstimate(R=-10.0, K=np.array([K, 1.0]), m=4))
+    assert a == 0.0
+    assert math.isclose(b - math.log(b), K + 1.0, rel_tol=1e-12)
+    assert math.isfinite(got.eps)
+    assert got.ln_h == math.inf and got.h == math.inf
+    assert theorem2_bound(got) == math.inf and theorem2_ln_bound(got) == math.inf
+
+
 def test_lemma3_domain():
     with pytest.raises(ValueError):
         lemma3_interval(-0.1)
@@ -154,7 +169,7 @@ def test_theorem1_invariants_on_grid():
 def test_theorem2_equals_delta_without_kl():
     est = ObjectiveEstimate(R=-0.5 * 9 * LN_2PI - 2.0, K=np.zeros(4), m=9)
     t1 = theorem1_bounds(est, alpha=0.02)
-    assert math.isclose(theorem2_bound(est, alpha=0.02), t1.delta_sse,
+    assert math.isclose(theorem2_bound(t1), t1.delta_sse,
                         rel_tol=1e-6)
 
 
@@ -168,10 +183,11 @@ def test_theorem2_hand_composed_oracle():
     c1 = (b - 1.0) * r * r - 1.0
     c2 = ((1.0 - a) * r * r + 2.0 * r + 1.0) / a
     want = (1.0 / (1.0 - alpha)) * math.sqrt(b) * math.exp(max(c1, c2))
-    got = theorem2_bound(est, alpha=alpha)
+    t1 = theorem1_bounds(est, alpha=alpha)
+    got = theorem2_bound(t1)
     # r carries the quantile solver tolerance into the exponent
     assert math.isclose(got, want, rel_tol=1e-4)
-    assert math.isclose(theorem2_ln_bound(est, alpha=alpha), math.log(want),
+    assert math.isclose(theorem2_ln_bound(t1), math.log(want),
                         rel_tol=1e-6)
 
 
@@ -183,7 +199,7 @@ def test_theorem2_never_below_delta():
                                 K=rng.uniform(0, 3, k), m=7)
         alpha = float(rng.uniform(0.01, 0.3))
         t1 = theorem1_bounds(est, alpha)
-        ln2 = theorem2_ln_bound(est, alpha)
+        ln2 = theorem2_ln_bound(t1)
         assert ln2 >= math.log(t1.delta_sse) - 1e-12
 
 
@@ -192,8 +208,8 @@ def test_theorem2_overflow_reports_ln_scale():
                             K=np.array([600.0, 600.0]), m=4)
     t1 = theorem1_bounds(est, alpha=0.01)
     assert t1.h == math.inf and math.isfinite(t1.ln_h)
-    assert theorem2_bound(est, alpha=0.01) == math.inf
-    assert math.isfinite(theorem2_ln_bound(est, alpha=0.01))
+    assert theorem2_bound(t1) == math.inf
+    assert math.isfinite(theorem2_ln_bound(t1))
 
 
 def test_objective_estimate_validation():
