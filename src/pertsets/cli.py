@@ -26,7 +26,6 @@ import logging
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -116,6 +115,24 @@ class ArtifactDir:
     def write_json(self, name: str, obj):
         _dump_json(self.file(name), obj)
 
+    def write_jsonl(self, name: str, records):
+        with open(self.file(name), "w", encoding="utf-8") as f:
+            for rec in records:
+                f.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+
+    def write_csv(self, name: str, header, rows):
+        with open(self.file(name), "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+
+    def checkpoint(self, stem: str) -> str:
+        """Register the three files of an nn checkpoint; returns the path stem
+        to save it under."""
+        for suffix in (".json", ".bin", ".meta.json"):
+            self.file(stem + suffix)
+        return os.path.join(self.path, stem)
+
     def finish(self):
         manifest = {"files": {n: _sha256(os.path.join(self.path, n))
                               for n in sorted(self.files)}}
@@ -124,6 +141,9 @@ class ArtifactDir:
 
 # ---------------------------------------------------------------------------
 # Schema validation
+#
+# A converter takes (value, where) and returns the checked value or raises
+# ConfigError naming `where`, the key's full path.
 
 _REQUIRED = object()
 
@@ -135,9 +155,9 @@ def _as_int(v, where):
 
 
 def _as_float(v, where):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    if not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ConfigError(f"{where}: expected a finite number, got {v!r}")
 
 
 def _as_str(v, where):
@@ -146,72 +166,87 @@ def _as_str(v, where):
     return v
 
 
-def _as_bool(v, where):
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}: expected true/false, got {v!r}")
-    return v
+def _list_of(conv):
+    def convert(v, where):
+        if not isinstance(v, list):
+            raise ConfigError(f"{where}: expected a list, got {v!r}")
+        return [conv(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    return convert
 
 
-def _as_int_list(v, where):
-    if not isinstance(v, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in v):
-        raise ConfigError(f"{where}: expected a list of integers, got {v!r}")
-    return [int(x) for x in v]
+def _checked(conv, ok, expect):
+    """conv, then a range check: the value must be `expect`."""
+    def convert(v, where):
+        x = conv(v, where)
+        if not ok(x):
+            raise ConfigError(f"{where}: must be {expect}, got {x!r}")
+        return x
+    return convert
+
+
+def _int_at_least(lo):
+    return _checked(_as_int, lambda x: x >= lo, f">= {lo}")
+
+
+def _choice(*options):
+    return _checked(_as_str, lambda x: x in options, "one of " + ", ".join(options))
+
+
+_SEED = _int_at_least(0)   # SeedSequence entropy is non-negative
+_COUNT = _int_at_least(1)
+_FRACTION = _checked(_as_float, lambda x: 0 < x < 1, "in (0, 1)")
+_POSITIVE = _checked(_as_float, lambda x: x > 0, "> 0")
+_NONNEGATIVE = _checked(_as_float, lambda x: x >= 0, ">= 0")
+
+
+def _number_or_section(conv):
+    """A key that holds either a number (checked by conv) or a sub-object,
+    returned as a Section for the caller to read."""
+    def convert(v, where):
+        return Section(v, where) if isinstance(v, dict) else conv(v, where)
+    return convert
 
 
 class Section:
     """One level of a config document: typed key extraction with unknown-key
-    rejection. Every key must be taken (or listed optional) before done()."""
+    rejection. `take` records each key's converted value or its default, and
+    `done()` returns that record, which is what a stage's config.json holds."""
 
     def __init__(self, obj, where: str = "config"):
         if not isinstance(obj, dict):
             raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
         self.obj = obj
         self.where = where
-        self.seen = set()
-
-    def _key(self, key):
-        return f"{self.where}.{key}"
+        self.resolved = {}
 
     def take(self, key, conv, default=_REQUIRED):
-        self.seen.add(key)
-        if key not in self.obj:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self._key(key)}: required key missing")
-            return default
-        return conv(self.obj[key], self._key(key))
+        where = f"{self.where}.{key}"
+        if key in self.obj:
+            value = conv(self.obj[key], where)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}: required key missing")
+        else:
+            value = default
+        self.resolved[key] = value.resolved if isinstance(value, Section) else value
+        return value
 
-    def sub(self, key, default=_REQUIRED) -> "Section":
-        self.seen.add(key)
-        if key not in self.obj:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self._key(key)}: required section missing")
-            return Section(dict(default), self._key(key))
-        return Section(self.obj[key], self._key(key))
+    def sub(self, key) -> "Section":
+        return self.take(key, Section)
 
-    def raw(self, key, default=_REQUIRED):
-        self.seen.add(key)
-        if key not in self.obj:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self._key(key)}: required key missing")
-            return default
-        return self.obj[key]
-
-    def done(self):
-        unknown = sorted(set(self.obj) - self.seen)
+    def done(self) -> dict:
+        unknown = sorted(set(self.obj) - set(self.resolved))
         if unknown:
-            raise ConfigError(f"unknown config key {self._key(unknown[0])}")
+            raise ConfigError(f"unknown config key {self.where}.{unknown[0]}")
+        return self.resolved
 
 
 def _parse_schedule(v, where) -> nn.Schedule:
     s = Section(v, where)
-    epochs = s.raw("epochs")
-    values = s.raw("values")
+    epochs = s.take("epochs", _list_of(_as_float))
+    values = s.take("values", _list_of(_as_float))
     s.done()
-    if (not isinstance(epochs, list) or not isinstance(values, list)
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in epochs + values)):
-        raise ConfigError(f"{where}: epochs and values must be numeric lists")
     try:
-        return nn.Schedule([float(e) for e in epochs], [float(x) for x in values])
+        return nn.Schedule(epochs, values)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -246,6 +281,8 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
             raise MissingArtifactError(f"missing file: {os.path.join(dirpath, name)}")
     perturbed = np.load(os.path.join(dirpath, "perturbed.npy"))
     conditioned = np.load(os.path.join(dirpath, "conditioned.npy"))
+    if len(perturbed) == 0:
+        raise MissingArtifactError(f"pair set at {dirpath} holds no pairs")
     labels = None
     if meta.get("labels"):
         lp = os.path.join(dirpath, "labels.npy")
@@ -255,18 +292,19 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
     return PairSet(perturbed, conditioned, labels), meta
 
 
+def _load_checkpoint(dirpath: str, stem: str, load):
+    path = os.path.join(dirpath, stem)
+    if not os.path.isfile(path + ".meta.json"):
+        raise MissingArtifactError(f"missing {stem} checkpoint: {path}.meta.json")
+    return load(path)
+
+
 def _load_model_dir(dirpath: str) -> tuple[CvaeModel, dict]:
-    stem = os.path.join(dirpath, "model")
-    if not os.path.isfile(stem + ".meta.json"):
-        raise MissingArtifactError(f"missing generator checkpoint: {stem}.meta.json")
-    return load_cvae(stem)
+    return _load_checkpoint(dirpath, "model", load_cvae)
 
 
 def _load_classifier_dir(dirpath: str) -> Classifier:
-    stem = os.path.join(dirpath, "classifier")
-    if not os.path.isfile(stem + ".meta.json"):
-        raise MissingArtifactError(f"missing classifier checkpoint: {stem}.meta.json")
-    return load_classifier(stem)
+    return _load_checkpoint(dirpath, "classifier", load_classifier)
 
 
 def _labeled(pairs: PairSet, dirpath: str) -> PairSet:
@@ -289,62 +327,41 @@ def _limit(pairs: PairSet, n) -> PairSet:
 def cmd_gen_data(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _as_int, 0)
+    seed = top.take("seed", _SEED, 0)
 
     src = top.sub("source")
-    kind = src.take("kind", _as_str)
+    kind = src.take("kind", _choice("synth-shapes", "idx"))
     if kind == "synth-shapes":
-        n = src.take("n", _as_int)
-        size = src.take("size", _as_int)
-        src.done()
-        if n < 2 or size < 8:
-            raise ConfigError("config.source: need n >= 2 and size >= 8")
-        source_resolved = {"kind": kind, "n": n, "size": size}
-    elif kind == "idx":
+        n = src.take("n", _int_at_least(2))
+        size = src.take("size", _int_at_least(8))
+    else:
         images = src.take("images", _as_str)
         labels_path = src.take("labels", _as_str, None)
-        limit = src.take("limit", _as_int, None)
-        src.done()
-        source_resolved = {"kind": kind, "images": images, "labels": labels_path,
-                           "limit": limit}
-    else:
-        raise ConfigError(f"config.source.kind: unknown source kind {kind!r}")
+        limit = src.take("limit", _COUNT, None)
+    src.done()
 
     ps = top.sub("pairs")
-    pkind = ps.take("kind", _as_str)
-    pairing = ps.take("pairing", _as_str, "centered")
-    if pairing not in ("centered", "perturbed_only"):
-        raise ConfigError(f"config.pairs.pairing: unknown pairing {pairing!r}")
+    pkind = ps.take("kind", _choice("linf", "rts"))
+    pairing = ps.take("pairing", _choice("centered", "perturbed_only"), "centered")
     if pkind == "linf":
-        eps = ps.take("eps", _as_float)
-        ps.done()
-        if eps <= 0:
-            raise ConfigError("config.pairs.eps: must be > 0")
-        pairs_resolved = {"kind": pkind, "eps": eps, "pairing": pairing}
-    elif pkind == "rts":
+        eps = ps.take("eps", _POSITIVE)
+    else:
         rotation = ps.take("rotation", _as_float, 45.0)
-        scale = ps.raw("scale", [0.7, 1.3])
+        scale = ps.take("scale", _list_of(_as_float), [0.7, 1.3])
         canvas = ps.take("canvas", _as_int, 42)
-        ps.done()
-        if (not isinstance(scale, list) or len(scale) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in scale)):
+        if len(scale) != 2:
             raise ConfigError("config.pairs.scale: expected [lo, hi]")
         try:
-            rts = RtsParams(rotation=rotation, scale_lo=float(scale[0]),
-                            scale_hi=float(scale[1]), canvas=canvas)
+            rts = RtsParams(rotation=rotation, scale_lo=scale[0], scale_hi=scale[1],
+                            canvas=canvas)
         except ValueError as e:
             raise ConfigError(f"config.pairs: {e}") from e
-        pairs_resolved = {"kind": pkind, "rotation": rotation, "scale": list(map(float, scale)),
-                          "canvas": canvas, "pairing": pairing}
-    else:
-        raise ConfigError(f"config.pairs.kind: unknown pair kind {pkind!r}")
+    ps.done()
 
     sp = top.sub("split")
-    n_test = sp.take("test", _as_int)
+    n_test = sp.take("test", _int_at_least(0))
     sp.done()
-    if n_test < 0:
-        raise ConfigError("config.split.test: must be >= 0")
-    top.done()
+    resolved = top.done()
 
     # validation done; now generate
     rng_data, rng_pairs = [np.random.default_rng(s)
@@ -381,12 +398,10 @@ def cmd_gen_data(cfg: dict) -> dict:
     test = allpairs.subset(np.arange(total - n_test, total))
 
     stage = ArtifactDir(out_dir)
-    resolved = {"out_dir": out_dir, "seed": seed, "source": source_resolved,
-                "pairs": pairs_resolved, "split": {"test": n_test}}
     stage.write_json("config.json", resolved)
     for name, subset in (("train", train), ("test", test)):
         for f in _save_pairs(os.path.join(out_dir, name), subset,
-                             {"pairs": pairs_resolved, "seed": seed, "split": name}):
+                             {"pairs": resolved["pairs"], "seed": seed, "split": name}):
             stage.file(os.path.join(name, f))
     stage.finish()
     log.info("gen-data: %d train / %d test pairs of dim %d -> %s",
@@ -401,26 +416,22 @@ def cmd_gen_data(cfg: dict) -> dict:
 def cmd_train_cvae(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _as_int, 0)
+    seed = top.take("seed", _SEED, 0)
     data_dir = top.take("data", _as_str)
 
     ms = top.sub("model")
-    k = ms.take("k", _as_int)
-    hidden = ms.take("hidden", _as_int)
+    k = ms.take("k", _COUNT)
+    hidden = ms.take("hidden", _COUNT)
     logvar_lo = ms.take("logvar_lo", _as_float, None)
     logvar_hi = ms.take("logvar_hi", _as_float, None)
     ms.done()
-    if k < 1 or hidden < 1:
-        raise ConfigError("config.model: k and hidden must be >= 1")
 
     ts = top.sub("train")
-    epochs = ts.take("epochs", _as_int)
-    batch_size = ts.take("batch_size", _as_int, 128)
+    epochs = ts.take("epochs", _COUNT)
+    batch_size = ts.take("batch_size", _COUNT, 128)
     lr = ts.take("lr", _parse_schedule, None)
     beta = ts.take("beta", _parse_schedule, None)
     ts.done()
-    if epochs < 1 or batch_size < 1:
-        raise ConfigError("config.train: epochs and batch_size must be >= 1")
     top.done()
 
     pairs, meta = _load_pairs(data_dir)
@@ -441,9 +452,7 @@ def cmd_train_cvae(cfg: dict) -> dict:
     stage = ArtifactDir(out_dir)
     stage.write_json("config.json", {"out_dir": out_dir, "seed": seed,
                                      "data": data_dir, "train_config": tc.to_json()})
-    model.save(os.path.join(out_dir, "model"), extra_meta={"train_pairs": len(pairs)})
-    for name in ("model.json", "model.bin", "model.meta.json"):
-        stage.file(name)
+    model.save(stage.checkpoint("model"), extra_meta={"train_pairs": len(pairs)})
     stage.write_json("history.json", {"epochs": history})
     stage.finish()
     log.info("train-cvae: %d epochs on %d pairs -> %s", epochs, len(pairs), out_dir)
@@ -457,26 +466,18 @@ def cmd_train_cvae(cfg: dict) -> dict:
 def cmd_eval_set(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _as_int, 0)
+    seed = top.take("seed", _SEED, 0)
     model_dir = top.take("model", _as_str)
     data_dir = top.take("data", _as_str)
-    eps_raw = top.raw("eps")
-    steps = top.take("steps", _as_int, 50)
-    n_expected = top.take("n_expected", _as_int, 5)
-    limit = top.take("limit", _as_int, None)
-    top.done()
-    if steps < 1 or n_expected < 1:
-        raise ConfigError("config: steps and n_expected must be >= 1")
-
+    eps = top.take("eps", _number_or_section(_POSITIVE))
+    steps = top.take("steps", _COUNT, 50)
+    n_expected = top.take("n_expected", _COUNT, 5)
+    limit = top.take("limit", _COUNT, None)
     select_from = None
-    if isinstance(eps_raw, dict):
-        es = Section(eps_raw, "config.eps")
-        select_from = es.take("select_from", _as_str)
-        es.done()
-    else:
-        eps = _as_float(eps_raw, "config.eps")
-        if eps <= 0:
-            raise ConfigError("config.eps: must be > 0")
+    if isinstance(eps, Section):
+        select_from = eps.take("select_from", _as_str)
+        eps.done()
+    resolved = top.done()
 
     model, _ = _load_model_dir(model_dir)
     pairs, _ = _load_pairs(data_dir)
@@ -492,10 +493,7 @@ def cmd_eval_set(cfg: dict) -> dict:
     report = evaluate_set(model, pairs, eps, rng, steps=steps, n_expected=n_expected)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {"out_dir": out_dir, "seed": seed, "model": model_dir,
-                                     "data": data_dir, "eps": eps,
-                                     "eps_selected_from": select_from, "steps": steps,
-                                     "n_expected": n_expected, "limit": limit})
+    stage.write_json("config.json", {**resolved, "eps": eps, "eps_selected_from": select_from})
     report.to_csv(stage.file("eval.csv"))
     stage.write_json("summary.json", report.summary())
     stage.finish()
@@ -510,17 +508,13 @@ def cmd_eval_set(cfg: dict) -> dict:
 def cmd_bounds(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _as_int, 0)
+    seed = top.take("seed", _SEED, 0)
     model_dir = top.take("model", _as_str)
     data_dir = top.take("data", _as_str)
-    alpha = top.take("alpha", _as_float, 0.01)
-    samples = top.take("samples", _as_int, 64)
-    limit = top.take("limit", _as_int, None)
-    top.done()
-    if not 0 < alpha < 1:
-        raise ConfigError("config.alpha: must be in (0, 1)")
-    if samples < 2:
-        raise ConfigError("config.samples: must be >= 2")
+    alpha = top.take("alpha", _FRACTION, 0.01)
+    samples = top.take("samples", _int_at_least(2), 64)
+    limit = top.take("limit", _COUNT, None)
+    resolved = top.done()
 
     model, _ = _load_model_dir(model_dir)
     pairs, _ = _load_pairs(data_dir)
@@ -538,12 +532,8 @@ def cmd_bounds(cfg: dict) -> dict:
                         "theorem2_bound": theory.theorem2_bound(tb)})
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {"out_dir": out_dir, "seed": seed, "model": model_dir,
-                                     "data": data_dir, "alpha": alpha,
-                                     "samples": samples, "limit": limit})
-    with open(stage.file("bounds.jsonl"), "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+    stage.write_json("config.json", resolved)
+    stage.write_jsonl("bounds.jsonl", records)
     agg = {"pairs": len(records), "alpha": alpha,
            "mean_eps": float(np.mean([r["eps"] for r in records])),
            "mean_delta_per_pixel": float(np.mean([r["delta_per_pixel"] for r in records])),
@@ -561,21 +551,19 @@ def cmd_bounds(cfg: dict) -> dict:
 def cmd_attack(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    top.take("seed", _as_int, 0)  # accepted for interface uniformity; attack is deterministic
+    # every stage accepts the run seed (--seed, reproduce); the attack is
+    # deterministic, so its config.json leaves it out
+    top.take("seed", _SEED, 0)
     model_dir = top.take("model", _as_str)
     clf_dir = top.take("classifier", _as_str)
     data_dir = top.take("data", _as_str)
     at = top.sub("attack")
-    eps = at.take("eps", _as_float)
-    steps = at.take("steps", _as_int, 50)
-    step = at.take("step", _as_float, None)
+    acfg = AttackConfig(eps=at.take("eps", _NONNEGATIVE), steps=at.take("steps", _COUNT, 50),
+                        step=at.take("step", _POSITIVE, None))
     at.done()
-    limit = top.take("limit", _as_int, None)
-    top.done()
-    try:
-        acfg = AttackConfig(eps=eps, steps=steps, step=step)
-    except ValueError as e:
-        raise ConfigError(f"config.attack: {e}") from e
+    limit = top.take("limit", _COUNT, None)
+    resolved = top.done()
+    del resolved["seed"]
 
     model, _ = _load_model_dir(model_dir)
     h = _load_classifier_dir(clf_dir)
@@ -598,13 +586,8 @@ def cmd_attack(cfg: dict) -> dict:
     perturbed_acc = robust.accuracy(h, pairs.perturbed, pairs.labels)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {"out_dir": out_dir, "model": model_dir,
-                                     "classifier": clf_dir, "data": data_dir,
-                                     "attack": acfg.to_json(), "limit": limit})
-    with open(stage.file("attack.csv"), "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(("example", "label", "clean_pred", "adv_pred"))
-        w.writerows(rows)
+    stage.write_json("config.json", {**resolved, "attack": acfg.to_json()})
+    stage.write_csv("attack.csv", ("example", "label", "clean_pred", "adv_pred"), rows)
     agg = {"examples": len(rows), "eps": acfg.eps, "steps": acfg.steps,
            "accuracy": float(clean_ok.mean()),
            "robust_accuracy": float((clean_ok & adv_ok).mean()),
@@ -623,37 +606,29 @@ def cmd_attack(cfg: dict) -> dict:
 def cmd_train_robust(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _as_int, 0)
+    seed = top.take("seed", _SEED, 0)
     model_dir = top.take("model", _as_str)
     data_dir = top.take("data", _as_str)
 
     cs = top.sub("classifier")
-    hidden = cs.take("hidden", _as_int_list, [200])
-    n_classes = cs.take("n_classes", _as_int)
+    hidden = cs.take("hidden", _list_of(_COUNT), [200])
+    n_classes = cs.take("n_classes", _int_at_least(2))
     cs.done()
-    if n_classes < 2:
-        raise ConfigError("config.classifier.n_classes: must be >= 2")
 
     ts = top.sub("train")
-    mode = ts.take("mode", _as_str)
-    epochs = ts.take("epochs", _as_int)
-    batch_size = ts.take("batch_size", _as_int, 128)
-    lr = ts.take("lr", _as_float, 1e-3)
-    eps = ts.take("eps", _as_float, None)
-    sigma = ts.take("sigma", _as_float, None)
-    attack_steps = ts.take("attack_steps", _as_int, 7)
-    attack_step = ts.take("attack_step", _as_float, None)
+    mode = ts.take("mode", _choice("adv", "augment", "clean", "noise"))
+    epochs = ts.take("epochs", _COUNT)
+    batch_size = ts.take("batch_size", _COUNT, 128)
+    lr = ts.take("lr", _POSITIVE, 1e-3)
+    eps = ts.take("eps", _POSITIVE, None)
+    sigma = ts.take("sigma", _NONNEGATIVE, None)
+    attack_steps = ts.take("attack_steps", _COUNT, 7)
+    attack_step = ts.take("attack_step", _POSITIVE, None)
     ts.done()
-    top.done()
-
-    if mode not in ("adv", "augment", "clean", "noise"):
-        raise ConfigError(f"config.train.mode: unknown mode {mode!r}")
-    if epochs < 1 or batch_size < 1:
-        raise ConfigError("config.train: epochs and batch_size must be >= 1")
-    if mode in ("adv", "augment"):
-        if eps is None or eps <= 0:
-            raise ConfigError(f"config.train.eps: mode {mode!r} needs eps > 0")
-    if mode == "noise" and (sigma is None or sigma < 0):
+    resolved = top.done()
+    if mode in ("adv", "augment") and eps is None:
+        raise ConfigError(f"config.train.eps: mode {mode!r} needs eps > 0")
+    if mode == "noise" and sigma is None:
         raise ConfigError("config.train.sigma: mode 'noise' needs sigma >= 0")
 
     model, _ = _load_model_dir(model_dir)
@@ -681,15 +656,8 @@ def cmd_train_robust(cfg: dict) -> dict:
     train_acc = robust.accuracy(h, x, labels)
 
     stage = ArtifactDir(out_dir)
-    resolved = {"out_dir": out_dir, "seed": seed, "model": model_dir, "data": data_dir,
-                "classifier": {"hidden": hidden, "n_classes": n_classes},
-                "train": {"mode": mode, "epochs": epochs, "batch_size": batch_size,
-                          "lr": lr, "eps": eps, "sigma": sigma,
-                          "attack_steps": attack_steps, "attack_step": attack_step}}
     stage.write_json("config.json", resolved)
-    h.save(os.path.join(out_dir, "classifier"))
-    for suffix in ("classifier.json", "classifier.bin", "classifier.meta.json"):
-        stage.file(suffix)
+    h.save(stage.checkpoint("classifier"))
     stage.write_json("summary.json", {"mode": mode, "epochs": epochs,
                                       "train_accuracy": train_acc})
     stage.finish()
@@ -704,35 +672,22 @@ def cmd_train_robust(cfg: dict) -> dict:
 def cmd_certify(cfg: dict) -> dict:
     top = Section(cfg)
     out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _as_int, 0)
+    seed = top.take("seed", _SEED, 0)
     model_dir = top.take("model", _as_str)
     clf_dir = top.take("classifier", _as_str)
     data_dir = top.take("data", _as_str)
-    sigma_raw = top.raw("sigma")
-    n0 = top.take("n0", _as_int, 100)
-    n = top.take("n", _as_int, 10_000)
-    alpha = top.take("alpha", _as_float, 0.001)
-    limit = top.take("limit", _as_int, None)
-    timing = top.take("timing", _as_bool, False)
-    top.done()
-    if n0 < 1 or n < 1:
-        raise ConfigError("config: n0 and n must be >= 1")
-    if not 0 < alpha < 1:
-        raise ConfigError("config.alpha: must be in (0, 1)")
-
-    if isinstance(sigma_raw, dict):
-        sg = Section(sigma_raw, "config.sigma")
-        radius = sg.take("radius", _as_float)
-        sg_n = sg.take("n", _as_int, n)
-        sg_alpha = sg.take("alpha", _as_float, alpha)
-        sg.done()
-        if radius <= 0:
-            raise ConfigError("config.sigma.radius: must be > 0")
-        sigma = smoothing.sigma_for_radius(radius, n=sg_n, alpha=sg_alpha)
-    else:
-        sigma = _as_float(sigma_raw, "config.sigma")
-        if sigma < 0:
-            raise ConfigError("config.sigma: must be >= 0")
+    sigma = top.take("sigma", _number_or_section(_NONNEGATIVE))
+    n0 = top.take("n0", _COUNT, 100)
+    n = top.take("n", _COUNT, 10_000)
+    alpha = top.take("alpha", _FRACTION, 0.001)
+    limit = top.take("limit", _COUNT, None)
+    if isinstance(sigma, Section):
+        radius = sigma.take("radius", _POSITIVE)
+        sigma_n = sigma.take("n", _COUNT, n)
+        sigma_alpha = sigma.take("alpha", _FRACTION, alpha)
+        sigma.done()
+        sigma = smoothing.sigma_for_radius(radius, n=sigma_n, alpha=sigma_alpha)
+    resolved = top.done()
 
     model, _ = _load_model_dir(model_dir)
     h = _load_classifier_dir(clf_dir)
@@ -743,26 +698,17 @@ def cmd_certify(cfg: dict) -> dict:
     rows = []
     certified = []
     for i in range(len(pairs)):
-        t0 = time.perf_counter() if timing else None
         cert = smoothing.certify(h, model, pairs.conditioned[i], sigma,
                                  np.random.default_rng(children[i]),
                                  n0=n0, n=n, alpha=alpha)
-        wall = f"{time.perf_counter() - t0:.3f}" if timing else ""
         abstain = cert.prediction == smoothing.ABSTAIN
-        rows.append((i, cert.prediction, repr(cert.p_a), repr(cert.radius),
-                     int(abstain), wall))
+        rows.append((i, cert.prediction, repr(cert.p_a), repr(cert.radius), int(abstain)))
         if not abstain:
             certified.append(cert.radius)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {"out_dir": out_dir, "seed": seed, "model": model_dir,
-                                     "classifier": clf_dir, "data": data_dir,
-                                     "sigma": sigma, "n0": n0, "n": n, "alpha": alpha,
-                                     "limit": limit, "timing": timing})
-    with open(stage.file("certify.csv"), "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(("example", "guess", "p_a", "radius", "abstain", "wall_time"))
-        w.writerows(rows)
+    stage.write_json("config.json", {**resolved, "sigma": sigma})
+    stage.write_csv("certify.csv", ("example", "guess", "p_a", "radius", "abstain"), rows)
     agg = {"examples": len(rows), "sigma": sigma, "n0": n0, "n": n, "alpha": alpha,
            "non_abstain_rate": float(len(certified) / len(rows)) if rows else 0.0,
            "mean_certified_radius": float(np.mean(certified)) if certified else 0.0}
@@ -799,6 +745,17 @@ def _median_latent_norm(eval_dir: str) -> float:
 
 def _stage_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
+
+
+# Evaluation, bounds, classifier training, attack and certification work
+# shared by the full-scale profiles (mnist-linf and rts).
+_FULL_SCALE = {
+    "eval": {"steps": 50, "n_expected": 5, "limit": 500},
+    "bounds": {"alpha": 0.01, "samples": 64, "limit": 200},
+    "robust": {"epochs": 5, "batch_size": 128, "lr": 1e-3, "attack_steps": 7},
+    "attack_limit": 500,
+    "certify": {"n0": 100, "n": 2000, "alpha": 0.001, "limit": 50},
+}
 
 
 def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
@@ -839,6 +796,7 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
                       "limit": 12_000}
             n_classes = 10
         return {
+            **_FULL_SCALE,
             "synth_fallback": fallback,
             "gen": {"out_dir": p("data"), "seed": seeds[0], "source": source,
                     "pairs": {"kind": "linf", "eps": 0.3, "pairing": "centered"},
@@ -846,12 +804,7 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
             "train": {"out_dir": p("cvae"), "seed": seeds[1], "data": p("data", "train"),
                       "model": {"k": 784, "hidden": 784},
                       "train": {"epochs": 20, "batch_size": 128}},
-            "eval": {"steps": 50, "n_expected": 5, "limit": 500},
-            "bounds": {"alpha": 0.01, "samples": 64, "limit": 200},
             "classifier": {"hidden": [200], "n_classes": n_classes},
-            "robust": {"epochs": 5, "batch_size": 128, "lr": 1e-3, "attack_steps": 7},
-            "attack_limit": 500,
-            "certify": {"n0": 100, "n": 2000, "alpha": 0.001, "limit": 50},
             "seeds": seeds,
         }
 
@@ -861,6 +814,7 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
                 "rts profile needs the four MNIST idx files under --mnist-dir "
                 f"({', '.join(sorted(_MNIST_FILES.values()))})")
         return {
+            **_FULL_SCALE,
             "gen": {"out_dir": p("data"), "seed": seeds[0],
                     "source": {"kind": "idx",
                                "images": os.path.join(mnist_dir, _MNIST_FILES["train_images"]),
@@ -874,12 +828,7 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
                                 "lr": {"epochs": [0, 40, 100], "values": [0.0, 0.0008, 0.0]},
                                 "beta": {"epochs": [0, 10, 50, 100],
                                          "values": [0.0, 0.01, 1.0, 1.0]}}},
-            "eval": {"steps": 50, "n_expected": 5, "limit": 500},
-            "bounds": {"alpha": 0.01, "samples": 64, "limit": 200},
             "classifier": {"hidden": [200], "n_classes": 10},
-            "robust": {"epochs": 5, "batch_size": 128, "lr": 1e-3, "attack_steps": 7},
-            "attack_limit": 500,
-            "certify": {"n0": 100, "n": 2000, "alpha": 0.001, "limit": 50},
             "seeds": seeds,
         }
 
@@ -891,6 +840,7 @@ _TABLE4_REFERENCE = {"enc_ae": 0.31, "pgd_ae": 0.25, "eae": 0.32, "oae": 0.65,
 
 
 def cmd_reproduce(profile: str, out: str, seed: int, mnist_dir) -> dict:
+    _SEED(seed, "--seed")
     spec = _profile_spec(profile, out, seed, mnist_dir)
     seeds = spec["seeds"]
     p = lambda *parts: os.path.join(out, *parts)
@@ -929,7 +879,7 @@ def cmd_reproduce(profile: str, out: str, seed: int, mnist_dir) -> dict:
 
     cert = cmd_certify({"out_dir": p("certify"), "seed": seeds[8], "model": p("cvae"),
                         "classifier": p("robust-noise"), "data": p("data", "test"),
-                        "sigma": sigma, "timing": False, **spec["certify"]})
+                        "sigma": sigma, **spec["certify"]})
 
     report = {
         "profile": profile,

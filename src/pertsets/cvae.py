@@ -197,11 +197,6 @@ def reparameterize(q: GaussianDiag, u):
     return nn.add(q.mean, nn.mul(u, nn.exp(nn.mul(q.logvar, 0.5))))
 
 
-def standardize(p: GaussianDiag, z):
-    """Latent offset in prior units: u = (z - mean) / std (numeric only)."""
-    return (np.asarray(z) - np.asarray(nn._val(p.mean))) / p.std()
-
-
 def sample_truncated_ball(k: int, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n standard-normal latents conditioned on ||u||_2 <= eps.
 
@@ -325,20 +320,6 @@ class TrainConfig:
                 "batch_size": self.batch_size, "lr": self.lr.to_json(),
                 "beta": self.beta.to_json(), "seed": self.seed, "pairing": self.pairing,
                 "logvar_lo": self.logvar_lo, "logvar_hi": self.logvar_hi}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TrainConfig":
-        cfg = TrainConfig(k=int(obj["k"]), hidden=int(obj["hidden"]), epochs=int(obj["epochs"]))
-        if "batch_size" in obj:
-            cfg.batch_size = int(obj["batch_size"])
-        if "lr" in obj:
-            cfg.lr = nn.Schedule.from_json(obj["lr"])
-        if "beta" in obj:
-            cfg.beta = nn.Schedule.from_json(obj["beta"])
-        for key in ("seed", "pairing", "logvar_lo", "logvar_hi"):
-            if key in obj:
-                setattr(cfg, key, obj[key])
-        return cfg
 
 
 def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]:

@@ -475,17 +475,8 @@ class Schedule:
     def value(self, epoch: float) -> float:
         return float(np.interp(epoch, self.epochs, self.values))
 
-    @staticmethod
-    def cyclic(peak_value: float, peak_epoch: float, total_epochs: float) -> "Schedule":
-        """Triangular ramp: 0 at epoch 0, peak at peak_epoch, 0 at total_epochs."""
-        return Schedule([0.0, peak_epoch, total_epochs], [0.0, peak_value, 0.0])
-
     def to_json(self):
         return {"epochs": self.epochs, "values": self.values}
-
-    @staticmethod
-    def from_json(obj):
-        return Schedule(obj["epochs"], obj["values"])
 
 
 # ---------------------------------------------------------------------------

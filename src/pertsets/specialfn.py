@@ -43,7 +43,8 @@ def lambert_w(x: float, branch: str = "principal") -> float:
 
     branch "principal" (W0, w >= -1) accepts x >= -1/e; branch "lower"
     (W-1, w <= -1) accepts -1/e <= x < 0. Halley iteration from a
-    branch-aware start; the returned w satisfies |w*exp(w) - x| <= 1e-12.
+    branch-aware start; the returned w satisfies |w*exp(w) - x| <= 1e-13 |x|,
+    a relative residual that holds down to the smallest normal |x|.
     """
     if branch not in ("principal", "lower"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -63,7 +64,7 @@ def lambert_w(x: float, branch: str = "principal") -> float:
     for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= 1e-13 * max(1.0, abs(x)):
+        if abs(f) <= 1e-13 * abs(x):
             break
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)

@@ -236,16 +236,14 @@ def test_certify_csv_and_sigma_backsolve(pipeline, tmp_path):
     cfg = {"out_dir": str(tmp_path / "c"), "seed": 5, "model": str(pipeline / "cvae"),
            "classifier": str(pipeline / "clf"), "data": str(pipeline / "data" / "test"),
            "sigma": {"radius": 3.19, "n": 10000, "alpha": 0.001},
-           "n0": 10, "n": 50, "alpha": 0.01, "limit": 6, "timing": False}
+           "n0": 10, "n": 50, "alpha": 0.01, "limit": 6}
     assert cli.main(["certify", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 0
     summary = json.load(open(tmp_path / "c" / "summary.json"))
     assert abs(summary["sigma"] - 0.9974) < 0.01   # 3.19 / 3.1986
     with open(tmp_path / "c" / "certify.csv", encoding="utf-8") as f:
         lines = f.read().splitlines()
-    assert lines[0] == "example,guess,p_a,radius,abstain,wall_time"
+    assert lines[0] == "example,guess,p_a,radius,abstain"
     assert len(lines) == 7
-    for line in lines[1:]:
-        assert line.endswith(","), "wall_time column must stay empty when timing is off"
 
 
 def test_certify_labels_not_required(pipeline, tmp_path):
@@ -269,6 +267,87 @@ def test_attack_requires_labels(pipeline, tmp_path, capsys):
     code, err = run_cli(["attack", "--config", write_cfg(tmp_path / "a.json", cfg)], capsys)
     assert code == 3
     assert "labels" in err
+
+
+def test_config_json_records_defaults(pipeline, tmp_path):
+    # every key a stage reads is written to config.json, defaults filled in
+    common = {"out_dir": None, "model": str(pipeline / "cvae")}
+    cases = {
+        "bounds": ({"data": str(pipeline / "data" / "test")},
+                   {"seed": 0, "alpha": 0.01, "samples": 64, "limit": None}),
+        "train-robust": ({"data": str(pipeline / "data" / "train"),
+                          "classifier": {"n_classes": 2},
+                          "train": {"mode": "clean", "epochs": 1}},
+                         {"seed": 0, "classifier": {"hidden": [200], "n_classes": 2},
+                          "train": {"mode": "clean", "epochs": 1, "batch_size": 128,
+                                    "lr": 1e-3, "eps": None, "sigma": None,
+                                    "attack_steps": 7, "attack_step": None}}),
+        "certify": ({"data": str(pipeline / "data" / "test"),
+                     "classifier": str(pipeline / "clf"), "sigma": 0.5},
+                    {"seed": 0, "n0": 100, "n": 10_000, "alpha": 0.001, "limit": None}),
+    }
+    for stage, (cfg, defaults) in cases.items():
+        cfg = {**common, **cfg, "out_dir": str(tmp_path / stage)}
+        assert cli.main([stage, "--config", write_cfg(tmp_path / f"{stage}.json", cfg)]) == 0
+        written = json.load(open(tmp_path / stage / "config.json"))
+        for key, value in {**cfg, **defaults}.items():
+            assert written[key] == value, (stage, key)
+
+
+def _bad_input_cfg(pipeline, out, stage):
+    test, train = str(pipeline / "data" / "test"), str(pipeline / "data" / "train")
+    model, clf = str(pipeline / "cvae"), str(pipeline / "clf")
+    return {
+        "gen-data": {"source": {"kind": "synth-shapes", "n": 20, "size": 12},
+                     "pairs": {"kind": "linf", "eps": 0.3}, "split": {"test": 2}},
+        "eval-set": {"model": model, "data": test, "eps": 2.0, "steps": 2, "limit": 3},
+        "bounds": {"model": model, "data": test, "samples": 4, "limit": 3},
+        "attack": {"model": model, "classifier": clf, "data": test,
+                   "attack": {"eps": 1.0, "steps": 2}, "limit": 3},
+        "train-robust": {"model": model, "data": train,
+                         "classifier": {"hidden": [8], "n_classes": 2},
+                         "train": {"mode": "clean", "epochs": 1}},
+        "certify": {"model": model, "classifier": clf, "data": test, "sigma": 0.5,
+                    "n0": 5, "n": 20, "alpha": 0.01, "limit": 3},
+    }[stage] | {"out_dir": str(out)}
+
+
+@pytest.mark.parametrize("stage, patch, flags, field", [
+    ("gen-data", {"seed": -1}, [], "config.seed"),
+    ("eval-set", {}, ["--seed", "-1"], "config.seed"),
+    ("reproduce", None, ["--seed", "-1"], "--seed"),
+    *[(stage, {"limit": limit}, [], "config.limit")
+      for stage in ("eval-set", "bounds", "attack", "certify") for limit in (0, -3)],
+    ("certify", {"sigma": {"radius": 1.0, "n": 0}}, [], "config.sigma.n"),
+    ("certify", {"sigma": {"radius": 1.0, "alpha": 0}}, [], "config.sigma.alpha"),
+    ("certify", {"sigma": {"radius": 1.0, "alpha": 2}}, [], "config.sigma.alpha"),
+    ("train-robust", {"classifier": {"hidden": [0], "n_classes": 2}}, [],
+     "config.classifier.hidden[0]"),
+    ("train-robust", {"train": {"mode": "adv", "epochs": 1, "eps": 1.0, "attack_steps": 0}},
+     [], "config.train.attack_steps"),
+])
+def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, patch, flags,
+                                           field):
+    if stage == "reproduce":
+        argv = ["reproduce", "--profile", "smoke", "--out", str(tmp_path / "r")]
+    else:
+        cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage) | patch
+        argv = [stage, "--config", write_cfg(tmp_path / "c.json", cfg)]
+    code, err = run_cli(argv + flags, capsys)
+    assert code == 2, err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "r").exists()
+
+
+def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):
+    gen = _bad_input_cfg(pipeline, tmp_path / "d", "gen-data") | {"split": {"test": 0}}
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", gen)]) == 0
+    empty = str(tmp_path / "d" / "test")
+    for stage in ("eval-set", "bounds"):
+        cfg = _bad_input_cfg(pipeline, tmp_path / stage, stage) | {"data": empty}
+        code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+        assert code == 3, (stage, err)
+        assert empty in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

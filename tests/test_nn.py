@@ -266,14 +266,6 @@ def test_schedule_exact_at_knots_and_clamped():
     assert s.value(100) == 1.0
 
 
-def test_schedule_cyclic_constructor():
-    s = nn.Schedule.cyclic(0.0008, 40, 100)
-    assert s.value(0) == 0.0
-    assert s.value(40) == 0.0008
-    assert s.value(100) == 0.0
-    assert s.value(70) == pytest.approx(0.0004)
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError):
         nn.Schedule([0, 5, 5], [1, 2, 3])
@@ -285,7 +277,7 @@ def test_schedule_validation():
 
 def test_schedule_json_roundtrip():
     s = nn.Schedule([0, 10, 15, 20], [0.0, 0.001, 0.0005, 0.0001])
-    s2 = nn.Schedule.from_json(s.to_json())
+    s2 = nn.Schedule(**s.to_json())
     assert s2.epochs == s.epochs and s2.values == s.values
 
 

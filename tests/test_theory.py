@@ -90,6 +90,15 @@ def test_lemma3_monotone_and_bracketing():
         prev_a, prev_b = a, b
 
 
+@pytest.mark.parametrize("K", [0.5, 5.0, 15.0, 20.0, 28.0, 100.0, 700.0])
+def test_lemma3_endpoints_relative_accuracy(K):
+    # where e^-(K+1) is far below 1, an absolute stopping rule in lambert_w
+    # would accept any iterate; both endpoints must still solve the equation
+    a, b = lemma3_interval(K)
+    assert math.isclose(a - math.log(a), K + 1.0, rel_tol=1e-12)
+    assert math.isclose(b - math.log(b), K + 1.0, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("K", [744.0, 745.0, 800.0, 1e4])
 def test_lemma3_past_underflow(K):
     # e^-(K+1) is subnormal or 0 here; a collapses to 0 and H to inf
