@@ -292,19 +292,40 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
     return PairSet(perturbed, conditioned, labels), meta
 
 
-def _load_checkpoint(dirpath: str, stem: str, load):
+def _load_checkpoint(dirpath: str, stem: str, load, nets):
+    """Load the checkpoint `stem` in dirpath with `load` and check it against
+    the architecture its meta file declares: the tensors must be exactly the
+    parameters of nets(loaded), in shape (else exit 3), and finite (else
+    exit 4)."""
     path = os.path.join(dirpath, stem)
     if not os.path.isfile(path + ".meta.json"):
         raise MissingArtifactError(f"missing {stem} checkpoint: {path}.meta.json")
-    return load(path)
+    try:
+        loaded = load(path)
+    except (OSError, KeyError, ValueError) as e:
+        raise MissingArtifactError(f"unreadable {stem} checkpoint {path}: {e}") from e
+    params = loaded.params.values
+    shapes = {name: shape for net in nets(loaded) for name, shape in net.param_shapes().items()}
+    for name in sorted(set(shapes) | set(params)):
+        if name not in params:
+            raise MissingArtifactError(f"{stem} checkpoint {path}: tensor {name!r} missing")
+        if name not in shapes:
+            raise MissingArtifactError(f"{stem} checkpoint {path}: tensor {name!r} "
+                                       "is not a parameter of the declared architecture")
+        if params[name].shape != shapes[name]:
+            raise MissingArtifactError(
+                f"{stem} checkpoint {path}: tensor {name!r} has shape "
+                f"{params[name].shape}, the declared architecture needs {shapes[name]}")
+        nn.finite_or_raise(params[name], f"{stem} checkpoint {path}: tensor {name!r}")
+    return loaded
 
 
-def _load_model_dir(dirpath: str) -> tuple[CvaeModel, dict]:
-    return _load_checkpoint(dirpath, "model", load_cvae)
+def _load_model_dir(dirpath: str) -> CvaeModel:
+    return _load_checkpoint(dirpath, "model", lambda p: load_cvae(p)[0], lambda m: m.nets)
 
 
 def _load_classifier_dir(dirpath: str) -> Classifier:
-    return _load_checkpoint(dirpath, "classifier", load_classifier)
+    return _load_checkpoint(dirpath, "classifier", load_classifier, lambda h: [h.net])
 
 
 def _labeled(pairs: PairSet, dirpath: str) -> PairSet:
@@ -479,7 +500,7 @@ def cmd_eval_set(cfg: dict) -> dict:
         eps.done()
     resolved = top.done()
 
-    model, _ = _load_model_dir(model_dir)
+    model = _load_model_dir(model_dir)
     pairs, _ = _load_pairs(data_dir)
     pairs = _limit(pairs, limit)
     if select_from is not None:
@@ -516,7 +537,7 @@ def cmd_bounds(cfg: dict) -> dict:
     limit = top.take("limit", _COUNT, None)
     resolved = top.done()
 
-    model, _ = _load_model_dir(model_dir)
+    model = _load_model_dir(model_dir)
     pairs, _ = _load_pairs(data_dir)
     pairs = _limit(pairs, limit)
 
@@ -565,7 +586,7 @@ def cmd_attack(cfg: dict) -> dict:
     resolved = top.done()
     del resolved["seed"]
 
-    model, _ = _load_model_dir(model_dir)
+    model = _load_model_dir(model_dir)
     h = _load_classifier_dir(clf_dir)
     pairs, _ = _load_pairs(data_dir)
     pairs = _limit(_labeled(pairs, data_dir), limit)
@@ -631,7 +652,7 @@ def cmd_train_robust(cfg: dict) -> dict:
     if mode == "noise" and sigma is None:
         raise ConfigError("config.train.sigma: mode 'noise' needs sigma >= 0")
 
-    model, _ = _load_model_dir(model_dir)
+    model = _load_model_dir(model_dir)
     pairs, _ = _load_pairs(data_dir)
     pairs = _labeled(pairs, data_dir)
 
@@ -689,7 +710,7 @@ def cmd_certify(cfg: dict) -> dict:
         sigma = smoothing.sigma_for_radius(radius, n=sigma_n, alpha=sigma_alpha)
     resolved = top.done()
 
-    model, _ = _load_model_dir(model_dir)
+    model = _load_model_dir(model_dir)
     h = _load_classifier_dir(clf_dir)
     pairs, _ = _load_pairs(data_dir)
     pairs = _limit(pairs, limit)

@@ -229,8 +229,8 @@ def _chi_ball_cdf(k: int, eps: float):
 
 
 def project_ball(u, eps: float) -> np.ndarray:
-    """Project each row of u onto the l2 ball of radius eps (float64)."""
-    u = np.asarray(u, dtype=np.float64)
+    """Project each row of u onto the l2 ball of radius eps, keeping u's dtype."""
+    u, eps = np.asarray(u), float(eps)
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     scale = np.where(norms > eps, eps / np.where(norms == 0, 1.0, norms), 1.0)
     return u * scale

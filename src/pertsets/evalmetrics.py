@@ -25,19 +25,20 @@ METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
 
 
 def _encoder_points(model: CvaeModel, x, y):
-    """Standardized posterior-mean latents and their norms, plus the prior."""
+    """Standardized posterior-mean latents (float32) and their norms
+    (float64, since they set the reported radius), plus the prior."""
     q = model.encode_posterior(x, y)
     prior = model.encode_prior(y)
-    u = (np.asarray(q.mean, dtype=np.float64) - np.asarray(prior.mean)) / prior.std()
-    return u, np.linalg.norm(u, axis=1), q, prior
+    u = (np.asarray(q.mean) - np.asarray(prior.mean)) / prior.std()
+    return u, np.linalg.norm(u.astype(np.float64), axis=1), q, prior
 
 
 def _mse_rows(model: CvaeModel, u, y, x, prior):
-    # f64 throughout so values agree exactly with the objective in _pgd_best
-    # (the best-iterate invariants compare across the two)
-    z = np.asarray(u, dtype=np.float64) * prior.std() + np.asarray(prior.mean)
+    # float32 throughout, the same arithmetic as the objective in _pgd_best,
+    # so values agree exactly (the best-iterate invariants compare the two)
+    z = np.asarray(u, dtype=np.float32) * prior.std() + np.asarray(prior.mean)
     out = np.asarray(model.decode(z, y))
-    diff = out - np.asarray(x, dtype=np.float64)
+    diff = out - np.asarray(x, dtype=np.float32)
     return np.sum(diff * diff, axis=1) / x.shape[1]
 
 
@@ -46,15 +47,16 @@ def _pgd_best(model, x, y, eps, steps, step, start_u, maximize=False):
 
     Returns per-row (best per-pixel MSE, best u); never worse than start_u."""
     prior = model.encode_prior(y)
-    sd, mu = prior.std(), np.asarray(prior.mean, dtype=np.float64)
-    neg_x = -np.asarray(x, dtype=np.float64)
+    sd, mu = prior.std(), np.asarray(prior.mean)
+    neg_x = -np.asarray(x, dtype=np.float32)
 
     def recon_error(u):
         diff = nn.add(model.decode(nn.add(nn.mul(u, sd), mu), y), neg_x)
         sse = nn.row_sum(nn.mul(diff, diff))
         return np.asarray(nn._val(sse)) / x.shape[1], nn.sum_all(sse)
 
-    return latent_pgd(recon_error, start_u, eps, steps, step, maximize)
+    return latent_pgd(recon_error, np.asarray(start_u, dtype=np.float32), eps, steps, step,
+                      maximize)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def pgd_ae(model: CvaeModel, pair: PerturbationPair, eps: float, steps: int = 50
     if start_u is None:
         u0, _, _, _ = _encoder_points(model, x, y)
     else:
-        u0 = np.asarray(start_u, dtype=np.float64).reshape(1, -1)
+        u0 = np.asarray(start_u).reshape(1, -1)
     err, u = _pgd_best(model, x, y, eps, steps, step, u0, maximize=False)
     if return_point:
         return float(err[0]), u[0]
@@ -157,7 +159,7 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         B = x.shape[0]
         u_enc, norms, q, prior = _encoder_points(model, x, y)
         out["latent_norm"].append(norms)
-        out["kl"].append(np.asarray(kl_diag(q, prior), dtype=np.float64))
+        out["kl"].append(np.asarray(kl_diag(q, prior)))
 
         u_proj = project_ball(u_enc, eps)
         out["enc_ae"].append(_mse_rows(model, u_proj, y, x, prior))
@@ -183,7 +185,8 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         oae_err, _ = _pgd_best(model, x, y, eps, steps, step, u0, maximize=True)
         out["oae"].append(oae_err)
 
-    records = {name: np.concatenate(v) for name, v in out.items()}
+    # float32 network values, widened so the summary and CSV reduce in float64
+    records = {name: np.concatenate(v).astype(np.float64) for name, v in out.items()}
     config = {"eps": eps, "steps": steps, "n_expected": n_expected,
               "model": model.meta()}
     return EvalReport(eps=eps, records=records, config=config)

@@ -3,8 +3,14 @@
 Networks are flat stacks of four layer kinds: dense, relu, scaled_tanh and
 concat. The recorded graph additionally supports the elementwise ops that the
 variational objective and the latent attacks compose on top of network
-outputs (add/sub/mul/exp/tanh/sums/cross-entropy). Network math runs in
-float32; ops preserve dtype so tests can drive the same graph in float64.
+outputs (add/sub/mul/exp/tanh/sums/cross-entropy).
+
+Dtype rule: network math runs in float32, and every op preserves its array
+operands' dtype. Python int and float operands stay Python numbers, so they
+are weak under NumPy's promotion rules and never widen a float32 array; a
+graph fed float64 arrays stays float64 (the tests drive the same ops that
+way). Gradients flow only into recorded operands: a VJP forms no term for a
+plain-array parent such as a frozen weight or a raw input batch.
 """
 
 import json
@@ -64,7 +70,11 @@ class Var:
 
 
 def _val(x):
-    return x.value if isinstance(x, Var) else np.asarray(x)
+    # python scalars pass through unconverted: np.asarray would make them
+    # 0-d float64 arrays, which promote float32 operands to float64
+    if isinstance(x, Var):
+        return x.value
+    return x if isinstance(x, (int, float)) else np.asarray(x)
 
 
 def _is_rec(*xs):
@@ -94,8 +104,10 @@ def add(a, b):
         return out
 
     def vjp(g):
-        _accum(a, _unbroadcast(g, av.shape))
-        _accum(b, _unbroadcast(g, np.shape(bv)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g, av.shape))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(g, bv.shape))
 
     return Var(out, (a, b), vjp)
 
@@ -107,8 +119,10 @@ def mul(a, b):
         return out
 
     def vjp(g):
-        _accum(a, _unbroadcast(g * bv, av.shape))
-        _accum(b, _unbroadcast(g * av, np.shape(bv)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g * bv, av.shape))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(g * av, bv.shape))
 
     return Var(out, (a, b), vjp)
 
@@ -120,8 +134,10 @@ def matmul(a, b):
         return out
 
     def vjp(g):
-        _accum(a, g @ bv.T)
-        _accum(b, av.T @ g)
+        if isinstance(a, Var):
+            _accum(a, g @ bv.T)
+        if isinstance(b, Var):
+            _accum(b, av.T @ g)
 
     return Var(out, (a, b), vjp)
 

@@ -112,22 +112,20 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
     _check_dims(h, model, x)
     B = x.shape[0]
     prior = model.encode_prior(x)
-    mu = np.asarray(prior.mean, dtype=np.float64)
-    sd = prior.std().astype(np.float64)
+    mu, sd = np.asarray(prior.mean), prior.std()
     if init_u is None:
-        u0 = np.zeros((B, model.k))
+        u0 = np.zeros((B, model.k), dtype=np.float32)
     else:
-        u0 = np.asarray(init_u, dtype=np.float64).reshape(B, -1)
+        u0 = np.asarray(init_u, dtype=np.float32).reshape(B, -1)
 
     def cross_entropy(u):
         ce = nn.cross_entropy(h.logits(model.decode(nn.add(nn.mul(u, sd), mu), x)), labels)
-        return np.asarray(nn._val(ce), dtype=np.float64), nn.sum_all(ce)
+        return nn._val(ce), nn.sum_all(ce)
 
     steps = cfg.steps if cfg.eps > 0 else 0
     _, best_u = latent_pgd(cross_entropy, u0, cfg.eps, steps, cfg.step, maximize=True,
                            transcript=transcript)
-    adv_best = np.asarray(model.decode(best_u * sd + mu, x))
-    return adv_best.astype(np.float32), best_u
+    return np.asarray(model.decode(best_u * sd + mu, x)), best_u
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +136,8 @@ def _train_step(h: Classifier, inputs, labels, opt: dict):
     rec = nn.Rec(h.params)
     ce = nn.cross_entropy(h.logits(inputs, rec=rec), labels)
     loss = nn.mean_all(ce)
+    if not np.isfinite(loss.value):
+        raise FloatingPointError("non-finite classifier training loss")
     grads = nn.backprop_gradients(rec, loss)
     nn.adam_step(h.params, grads, opt["lr"],
                  beta1=opt.get("beta1", 0.9), beta2=opt.get("beta2", 0.999),
@@ -182,12 +182,12 @@ def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
     for idx in _epoch_batches(len(x), batch_size, rng):
         xb = x[idx]
         if eps > 0:
-            u = sample_truncated_ball(model.k, eps, len(idx), rng)
+            u = sample_truncated_ball(model.k, eps, len(idx), rng).astype(np.float32)
         else:
-            u = np.zeros((len(idx), model.k))
+            u = np.zeros((len(idx), model.k), dtype=np.float32)
         prior = model.encode_prior(xb)
         z = u * prior.std() + np.asarray(prior.mean)
-        aug = np.asarray(model.decode(z.astype(np.float32), xb))
+        aug = np.asarray(model.decode(z, xb))
         losses.append(_train_step(h, aug, labels[idx], opt))
     log.info("augment epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h

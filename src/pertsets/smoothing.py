@@ -41,15 +41,13 @@ def sample_under_noise(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
     x = np.asarray(x, dtype=np.float32).reshape(1, -1)
     _check_dims(h, model, x)
     prior = model.encode_prior(x)
-    mu = np.asarray(prior.mean, dtype=np.float64)
-    sd = prior.std().astype(np.float64)
+    mu, sd = np.asarray(prior.mean), prior.std()
     counts = np.zeros(h.n_classes, dtype=np.int64)
     done = 0
     while done < n:
         b = min(batch_size, n - done)
-        u = sigma * rng.standard_normal((b, model.k))
-        dec = np.asarray(model.decode(u * sd + mu, np.repeat(x, b, axis=0)))
-        preds = h.predict(dec.astype(np.float32))
+        u = (sigma * rng.standard_normal((b, model.k))).astype(np.float32)
+        preds = h.predict(model.decode(u * sd + mu, np.repeat(x, b, axis=0)))
         counts += np.bincount(preds, minlength=h.n_classes)
         done += b
     return counts
@@ -103,9 +101,9 @@ def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
     for idx in _epoch_batches(len(x), batch_size, rng):
         xb = x[idx]
         prior = model.encode_prior(xb)
-        u = sigma * rng.standard_normal((len(idx), model.k))
-        z = u * prior.std().astype(np.float64) + np.asarray(prior.mean, np.float64)
-        dec = np.asarray(model.decode(z, xb)).astype(np.float32)
+        u = (sigma * rng.standard_normal((len(idx), model.k))).astype(np.float32)
+        z = u * prior.std() + np.asarray(prior.mean)
+        dec = np.asarray(model.decode(z, xb))
         losses.append(_train_step(h, dec, labels[idx], opt))
     log.info("noise epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h

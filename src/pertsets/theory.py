@@ -142,10 +142,11 @@ def estimate_R_K(model: CvaeModel, pair: PerturbationPair,
     y = pair.conditioned[None, :]
     q = model.encode_posterior(x, y)
     p = model.encode_prior(y)
-    z = np.asarray(q.mean, dtype=np.float64) + q.std() * rng.standard_normal(
-        (samples, model.k))
+    noise = rng.standard_normal((samples, model.k)).astype(np.float32)
+    z = np.asarray(q.mean) + q.std() * noise
     out = np.asarray(model.decode(z, np.repeat(y, samples, axis=0)))
-    diff = out - x.astype(np.float64)
+    # R and K in float64 from the float32 network outputs
+    diff = out.astype(np.float64) - x
     sse = np.sum(diff * diff, axis=1)
     R = float(np.mean(-0.5 * sse)) - 0.5 * model.m * LN_2PI
 

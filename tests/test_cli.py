@@ -350,6 +350,81 @@ def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):
         assert empty in err and "Traceback" not in err
 
 
+def _copy_checkpoint(src_dir, dst_dir, stem, edit_meta=None, edit_blob=None):
+    os.makedirs(dst_dir)
+    for suffix in (".json", ".bin", ".meta.json"):
+        with open(os.path.join(src_dir, stem + suffix), "rb") as f:
+            blob = f.read()
+        if suffix == ".bin" and edit_blob is not None:
+            blob = edit_blob(np.frombuffer(blob, dtype="<f4").copy()).tobytes()
+        if suffix == ".meta.json" and edit_meta is not None:
+            blob = json.dumps(edit_meta(json.loads(blob))).encode("utf-8")
+        with open(os.path.join(dst_dir, stem + suffix), "wb") as f:
+            f.write(blob)
+    return str(dst_dir)
+
+
+@pytest.mark.parametrize("stage, stem", [
+    ("attack", "classifier"), ("certify", "classifier"),
+    ("eval-set", "model"), ("bounds", "model")])
+def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem):
+    src = pipeline / ("cvae" if stem == "model" else "clf")
+    bad = _copy_checkpoint(src, tmp_path / "bad", stem,
+                           edit_blob=lambda raw: np.where(np.arange(raw.size) == 5, np.nan, raw))
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage)
+    cfg["model" if stem == "model" else "classifier"] = bad
+    code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 4, err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage, stem, edit, message", [
+    ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": 64}}, "'decoder/b0'"),
+    ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": [8]}}, "'classifier/b0'"),
+    ("certify", "classifier", {"edit_blob": lambda raw: raw[:-1]}, "too short")])
+def test_mismatched_or_unreadable_checkpoint_exits_3(pipeline, tmp_path, capsys, stage, stem,
+                                                     edit, message):
+    src = pipeline / ("cvae" if stem == "model" else "clf")
+    bad = _copy_checkpoint(src, tmp_path / "bad", stem, **edit)
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage)
+    cfg["model" if stem == "model" else "classifier"] = bad
+    code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 3, err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_stage_feeds_matmul_float32(pipeline, tmp_path, monkeypatch):
+    # float32 weights and float32 latents on every path: no operand reaching
+    # the network's matmul is widened to float64
+    widened = []
+    matmul = cli.nn.matmul
+
+    def checked(a, b):
+        for v in (a, b):
+            if cli.nn._val(v).dtype != np.float32:
+                widened.append(cli.nn._val(v).dtype)
+        return matmul(a, b)
+
+    monkeypatch.setattr(cli.nn, "matmul", checked)
+    train = {"out_dir": str(tmp_path / "cvae"), "seed": 1,
+             "data": str(pipeline / "data" / "train"), "model": {"k": 4, "hidden": 16},
+             "train": {"epochs": 1, "batch_size": 32,
+                       "lr": {"epochs": [0, 1], "values": [0.002, 0.002]},
+                       "beta": {"epochs": [0, 1], "values": [0.01, 0.01]}}}
+    assert cli.main(["train-cvae", "--config", write_cfg(tmp_path / "t.json", train)]) == 0
+    for mode, extra in (("adv", {"eps": 1.0, "attack_steps": 2}), ("augment", {"eps": 1.0}),
+                        ("noise", {"sigma": 0.5})):
+        cfg = _bad_input_cfg(pipeline, tmp_path / mode, "train-robust")
+        cfg["train"] = {"mode": mode, "epochs": 1, **extra}
+        assert cli.main(["train-robust", "--config", write_cfg(tmp_path / "r.json", cfg)]) == 0
+    for stage in ("eval-set", "bounds", "attack", "certify"):
+        cfg = _bad_input_cfg(pipeline, tmp_path / stage, stage)
+        assert cli.main([stage, "--config", write_cfg(tmp_path / "c.json", cfg)]) == 0
+    assert widened == []
+
+
 # ---------------------------------------------------------------------------
 # flag overrides, reproduce, script entry
 

@@ -230,10 +230,10 @@ def test_evaluate_set_single_pair_matches_ops():
     report, model, pairs = small_report(1)
     x, y = pairs.perturbed, pairs.conditioned
     q, prior = model.encode_posterior(x, y), model.encode_prior(y)
-    u = (np.asarray(q.mean, np.float64) - np.asarray(prior.mean)) / prior.std()
-    u = u * min(1.0, 1.0 / float(np.linalg.norm(u)))
+    u = (np.asarray(q.mean) - np.asarray(prior.mean)) / prior.std()
+    u = u * min(1.0, 1.0 / float(np.linalg.norm(u, axis=1)[0]))
     dec = np.asarray(model.decode(u * prior.std() + np.asarray(prior.mean), y))
-    enc = float(np.mean((dec - x.astype(np.float64)) ** 2))
+    enc = float(np.mean((dec - x) ** 2))
     assert math.isclose(report.records["enc_ae"][0], enc, rel_tol=1e-10)
     assert math.isclose(report.records["kl"][0],
                         float(np.asarray(kl_diag(q, prior))[0]), rel_tol=1e-6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pertsets import nn
+from pertsets.cvae import CvaeModel
 
 
 def make_net(name, in_dims, layers, rng, dtype=np.float64):
@@ -195,6 +196,58 @@ def test_unused_parameter_gets_zero_gradient():
     out = net.apply(params, np.ones((1, 2)), rec=rec)
     grads = nn.backprop_gradients(rec, nn.sum_all(out))
     np.testing.assert_array_equal(grads["orphan"], np.zeros(3))
+
+
+def test_float32_params_keep_network_outputs_float32():
+    model = CvaeModel(6, 3, 5, rng=np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    y = rng.uniform(0, 1, (4, 6)).astype(np.float32)
+    z = rng.normal(size=(4, 3)).astype(np.float32)
+    prior = model.encode_prior(y)
+    post = model.encode_posterior(y, y)
+    for out in (model.decode(z, y), prior.std(), prior.logvar, post.logvar,
+                nn.mean_all(nn.mul(nn.Var(z), 0.5)).value):
+        assert out.dtype == np.float32
+    # a float64 graph stays float64
+    model.params.values = {k: v.astype(np.float64) for k, v in model.params.values.items()}
+    y64, z64 = y.astype(np.float64), z.astype(np.float64)
+    for out in (model.decode(z64, y64), model.encode_prior(y64).std(),
+                model.encode_posterior(y64, y64).logvar):
+        assert out.dtype == np.float64
+
+
+class _UfuncLog(np.ndarray):
+    """Array that logs every ufunc call it takes part in."""
+
+    calls = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _UfuncLog.calls.append((ufunc.__name__, method))
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("op, frozen_first", [
+    (nn.matmul, False), (nn.matmul, True), (nn.mul, False), (nn.add, False)])
+def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch):
+    # the VJP computes one term per recorded operand only: no gradient for a
+    # frozen weight, a constant scale or bias, or a raw input batch
+    rng = np.random.default_rng(4)
+    shapes = {nn.matmul: ((5, 3), (3, 2)), nn.mul: ((5, 3), (3,)), nn.add: ((5, 3), (3,))}[op]
+    frozen_shape, var_shape = shapes if frozen_first else shapes[::-1]
+    frozen, var = rng.normal(size=frozen_shape), nn.Var(rng.normal(size=var_shape))
+    out = op(frozen, var) if frozen_first else op(var, frozen)
+    reduced_to = []
+    unbroadcast = nn._unbroadcast
+    monkeypatch.setattr(nn, "_unbroadcast",
+                        lambda g, shape: reduced_to.append(shape) or unbroadcast(g, shape))
+    _UfuncLog.calls = []
+    out._vjp(np.ones_like(out.value).view(_UfuncLog))
+    assert var.grad.shape == var.value.shape
+    expected = {nn.matmul: [("matmul", "__call__")], nn.mul: [("multiply", "__call__")],
+                nn.add: []}[op]
+    assert _UfuncLog.calls == expected
+    assert reduced_to == ([] if op is nn.matmul else [var.value.shape])
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,8 @@ def test_adv_epoch_zero_eps_equals_clean_on_decoded():
     adv_train_epoch(ha, model, x, labels, AttackConfig(0.0), {"lr": 1e-3},
                     np.random.default_rng(23), batch_size=10)
     prior = model.encode_prior(x)
-    dec = np.asarray(model.decode(np.asarray(prior.mean, np.float64), x))
-    clean_train_epoch(hc, dec.astype(np.float32), labels, {"lr": 1e-3},
+    dec = np.asarray(model.decode(np.asarray(prior.mean), x))
+    clean_train_epoch(hc, dec, labels, {"lr": 1e-3},
                       np.random.default_rng(23), batch_size=10)
     for name in ha.params.values:
         np.testing.assert_array_equal(ha.params.values[name], hc.params.values[name])
@@ -224,6 +224,14 @@ def test_augment_epoch_runs_and_is_deterministic():
     with pytest.raises(ValueError):
         augment_train_epoch(h1, model, x, labels, -0.5, {"lr": 1e-3},
                             np.random.default_rng(0))
+
+
+def test_training_step_rejects_non_finite_loss():
+    h = rand_clf(30)
+    h.params.values["classifier/w0"][0, 0] = np.nan
+    x, labels = rand_data(10, seed=31)
+    with pytest.raises(FloatingPointError):
+        clean_train_epoch(h, x, labels, {"lr": 1e-3}, np.random.default_rng(0))
 
 
 def test_clean_training_learns_separable_task():

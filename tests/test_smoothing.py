@@ -210,8 +210,8 @@ def test_noise_epoch_deterministic_and_sigma_zero():
     noise_train_epoch(hz, model, x, labels, 0.0, {"lr": 1e-3},
                       np.random.default_rng(22), batch_size=10)
     prior = model.encode_prior(x)
-    dec = np.asarray(model.decode(np.asarray(prior.mean, np.float64), x))
-    clean_train_epoch(hc, dec.astype(np.float32), labels, {"lr": 1e-3},
+    dec = np.asarray(model.decode(np.asarray(prior.mean), x))
+    clean_train_epoch(hc, dec, labels, {"lr": 1e-3},
                       np.random.default_rng(22), batch_size=10)
     for name in hz.params.values:
         np.testing.assert_array_equal(hz.params.values[name], hc.params.values[name])
