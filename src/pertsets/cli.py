@@ -272,23 +272,40 @@ def _save_pairs(dirpath: str, pairs: PairSet, extra_meta: dict) -> list:
     return names
 
 
+def _load_array(path: str, dtype) -> np.ndarray:
+    if not os.path.isfile(path):
+        raise MissingArtifactError(f"missing file: {path}")
+    try:
+        return np.load(path).astype(dtype, copy=False)
+    except (OSError, EOFError, TypeError, ValueError) as e:
+        raise MissingArtifactError(f"unreadable array {path}: {e}") from e
+
+
 def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
+    """Read a pair set and check it: two equal (N, m) arrays of pixels in
+    [0, 1] with N > 0, and N labels when the meta declares them (else exit
+    3); NaN or inf pixels exit 4."""
     if not os.path.isdir(dirpath):
         raise MissingArtifactError(f"missing pair-set directory: {dirpath}")
     meta = _load_json(os.path.join(dirpath, _PAIRS_META))
-    for name in ("perturbed.npy", "conditioned.npy"):
-        if not os.path.isfile(os.path.join(dirpath, name)):
-            raise MissingArtifactError(f"missing file: {os.path.join(dirpath, name)}")
-    perturbed = np.load(os.path.join(dirpath, "perturbed.npy"))
-    conditioned = np.load(os.path.join(dirpath, "conditioned.npy"))
+    paths = [os.path.join(dirpath, name) for name in ("perturbed.npy", "conditioned.npy")]
+    perturbed, conditioned = (_load_array(path, np.float32) for path in paths)
+    if perturbed.ndim != 2 or perturbed.shape != conditioned.shape:
+        raise MissingArtifactError(f"{paths[0]} {perturbed.shape} and {paths[1]} "
+                                   f"{conditioned.shape} are not two equal (N, m) arrays")
     if len(perturbed) == 0:
         raise MissingArtifactError(f"pair set at {dirpath} holds no pairs")
+    for path, arr in zip(paths, (perturbed, conditioned)):
+        nn.finite_or_raise(arr, path)
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise MissingArtifactError(f"{path}: pixels outside [0, 1]")
     labels = None
     if meta.get("labels"):
         lp = os.path.join(dirpath, "labels.npy")
-        if not os.path.isfile(lp):
-            raise MissingArtifactError(f"missing file: {lp}")
-        labels = np.load(lp)
+        labels = _load_array(lp, np.int64)
+        if labels.shape != (len(perturbed),):
+            raise MissingArtifactError(f"{lp}: shape {labels.shape}, the pair set holds "
+                                       f"{len(perturbed)} pairs")
     return PairSet(perturbed, conditioned, labels), meta
 
 
@@ -328,17 +345,31 @@ def _load_classifier_dir(dirpath: str) -> Classifier:
     return _load_checkpoint(dirpath, "classifier", load_classifier, lambda h: [h.net])
 
 
-def _labeled(pairs: PairSet, dirpath: str) -> PairSet:
-    if pairs.labels is None:
-        raise MissingArtifactError(f"pair set at {dirpath} has no labels.npy; "
+def _same_width(model: CvaeModel, model_dir: str, what: str, path: str, width: int):
+    if width != model.m:
+        raise MissingArtifactError(f"{what} at {path} has width {width}, the generator at "
+                                   f"{model_dir} has width {model.m}")
+
+
+def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int = None,
+                  labeled: bool = False):
+    """(generator, pair set cut to its first `limit` pairs, classifier or
+    None) of a stage. The pairs and the classifier must be as wide as the
+    generator's images, and labeled when the stage needs labels (else exit
+    3)."""
+    model = _load_model_dir(model_dir)
+    h = None
+    if clf_dir is not None:
+        h = _load_classifier_dir(clf_dir)
+        _same_width(model, model_dir, "classifier", clf_dir, h.m)
+    pairs, _ = _load_pairs(data_dir)
+    _same_width(model, model_dir, "pair set", data_dir, pairs.dim)
+    if labeled and pairs.labels is None:
+        raise MissingArtifactError(f"pair set at {data_dir} has no labels.npy; "
                                    "this stage needs labeled pairs")
-    return pairs
-
-
-def _limit(pairs: PairSet, n) -> PairSet:
-    if n is None or n >= len(pairs):
-        return pairs
-    return pairs.subset(np.arange(n))
+    if limit is not None and limit < len(pairs):
+        pairs = pairs.subset(np.arange(limit))
+    return model, pairs, h
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +531,10 @@ def cmd_eval_set(cfg: dict) -> dict:
         eps.done()
     resolved = top.done()
 
-    model = _load_model_dir(model_dir)
-    pairs, _ = _load_pairs(data_dir)
-    pairs = _limit(pairs, limit)
+    model, pairs, _ = _stage_inputs(model_dir, data_dir, limit=limit)
     if select_from is not None:
         sel_pairs, _ = _load_pairs(select_from)
+        _same_width(model, model_dir, "pair set", select_from, sel_pairs.dim)
         eps = select_radius(model, sel_pairs)
         if eps <= 0:
             raise ConfigError("config.eps.select_from: selected radius is 0; "
@@ -537,15 +567,13 @@ def cmd_bounds(cfg: dict) -> dict:
     limit = top.take("limit", _COUNT, None)
     resolved = top.done()
 
-    model = _load_model_dir(model_dir)
-    pairs, _ = _load_pairs(data_dir)
-    pairs = _limit(pairs, limit)
+    model, pairs, _ = _stage_inputs(model_dir, data_dir, limit=limit)
 
     records = []
     children = np.random.SeedSequence(seed).spawn(len(pairs))
     for i in range(len(pairs)):
-        est = theory.estimate_R_K(model, pairs.pair(i), np.random.default_rng(children[i]),
-                                  samples=samples)
+        est = theory.estimate_R_K(model, pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1],
+                                  np.random.default_rng(children[i]), samples=samples)
         tb = theory.theorem1_bounds(est, alpha=alpha)
         records.append({"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
                         "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
@@ -586,10 +614,7 @@ def cmd_attack(cfg: dict) -> dict:
     resolved = top.done()
     del resolved["seed"]
 
-    model = _load_model_dir(model_dir)
-    h = _load_classifier_dir(clf_dir)
-    pairs, _ = _load_pairs(data_dir)
-    pairs = _limit(_labeled(pairs, data_dir), limit)
+    model, pairs, h = _stage_inputs(model_dir, data_dir, clf_dir, limit, labeled=True)
 
     rows = []
     batch = 256
@@ -652,9 +677,7 @@ def cmd_train_robust(cfg: dict) -> dict:
     if mode == "noise" and sigma is None:
         raise ConfigError("config.train.sigma: mode 'noise' needs sigma >= 0")
 
-    model = _load_model_dir(model_dir)
-    pairs, _ = _load_pairs(data_dir)
-    pairs = _labeled(pairs, data_dir)
+    model, pairs, _ = _stage_inputs(model_dir, data_dir, labeled=True)
 
     ss = np.random.SeedSequence(seed).spawn(2)
     h = Classifier(model.m, n_classes, hidden=tuple(hidden),
@@ -710,10 +733,7 @@ def cmd_certify(cfg: dict) -> dict:
         sigma = smoothing.sigma_for_radius(radius, n=sigma_n, alpha=sigma_alpha)
     resolved = top.done()
 
-    model = _load_model_dir(model_dir)
-    h = _load_classifier_dir(clf_dir)
-    pairs, _ = _load_pairs(data_dir)
-    pairs = _limit(pairs, limit)
+    model, pairs, h = _stage_inputs(model_dir, data_dir, clf_dir, limit)
 
     children = np.random.SeedSequence(seed).spawn(len(pairs))
     rows = []

@@ -4,7 +4,9 @@ A pair couples a perturbed example x with the example y it was derived from.
 The model learns a posterior q(z|x,y), a prior p(z|y) and a decoder g(z,y),
 all diagonal-Gaussian / deterministic dense networks. After training, the
 perturbation set of y is the decoder image of an l2 ball in the standardized
-latent space of the prior: z = u * sigma(y) + mu(y), ||u|| <= eps.
+latent space of the prior: g(u * sigma(y) + mu(y), y), ||u|| <= eps.
+CvaeModel.condition encodes y's prior once and CvaeModel.decode_u applies
+that formula; every latent attack, sample and metric decodes through them.
 """
 
 import functools
@@ -40,23 +42,14 @@ class GaussianDiag:
 
 
 @dataclass
-class PerturbationPair:
-    """One (perturbed, conditioned) image pair, flat pixels in [0, 1]."""
+class Condition:
+    """Conditioning rows y with their prior, from CvaeModel.condition: the
+    GaussianDiag (for kl_diag) and its mean and std as arrays."""
 
-    perturbed: np.ndarray
-    conditioned: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        self.perturbed = np.asarray(self.perturbed, dtype=np.float32).reshape(-1)
-        self.conditioned = np.asarray(self.conditioned, dtype=np.float32).reshape(-1)
-        if self.perturbed.shape != self.conditioned.shape:
-            raise ValueError("pair members must have equal length")
-        for name, arr in (("perturbed", self.perturbed), ("conditioned", self.conditioned)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} image has non-finite pixels")
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValueError(f"{name} pixels outside [0, 1]")
+    y: np.ndarray
+    prior: GaussianDiag
+    mean: np.ndarray
+    std: np.ndarray
 
 
 class PairSet:
@@ -77,10 +70,6 @@ class PairSet:
     @property
     def dim(self):
         return self.perturbed.shape[1]
-
-    def pair(self, i: int) -> PerturbationPair:
-        lbl = None if self.labels is None else int(self.labels[i])
-        return PerturbationPair(self.perturbed[i], self.conditioned[i], lbl)
 
     def subset(self, idx) -> "PairSet":
         lbl = None if self.labels is None else self.labels[idx]
@@ -137,15 +126,24 @@ class CvaeModel:
                             self.prior_logvar.apply(self.params, h, rec=rec))
 
     def decode(self, z, y, rec=None):
+        """g(z, y); a single row y conditions every row of z."""
+        zv, y = nn._val(z), np.asarray(y)
+        if zv.ndim == 2 and y.size == y.shape[-1]:
+            y = np.broadcast_to(y, (zv.shape[0], y.size))
         return self.decoder.apply(self.params, [z, y], rec=rec)
 
-    def decode_u(self, u, y):
-        """Decode standardized latents: z = u * sigma_prior(y) + mu_prior(y).
-
-        u may be a Var (gradients flow into u; network weights stay constant)."""
+    def condition(self, y) -> Condition:
+        """y with its prior p(z|y), encoded once for any number of decodes."""
         prior = self.encode_prior(y)
-        z = nn.add(nn.mul(u, prior.std()), prior.mean)
-        return self.decode(z, y)
+        return Condition(np.asarray(y), prior, np.asarray(prior.mean), prior.std())
+
+    def decode_u(self, u, cond: Condition):
+        """The perturbation-set map g(u * sigma(y) + mu(y), y) of standardized
+        latents u: arrays, taken in float32, or a Var (gradients flow into u
+        only)."""
+        if not isinstance(u, nn.Var):
+            u = np.asarray(u, dtype=np.float32)
+        return self.decode(nn.add(nn.mul(u, cond.std), cond.mean), cond.y)
 
     # -- persistence ---------------------------------------------------------
 

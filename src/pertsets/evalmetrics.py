@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .cvae import (CvaeModel, PairSet, PerturbationPair, kl_diag, latent_pgd, project_ball,
+from .cvae import (CvaeModel, Condition, PairSet, kl_diag, latent_pgd, project_ball,
                    sample_truncated_ball)
 
 METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
@@ -24,35 +24,32 @@ METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
 # Batched internals
 
 
-def _encoder_points(model: CvaeModel, x, y):
+def _encoder_points(model: CvaeModel, x, cond: Condition):
     """Standardized posterior-mean latents (float32) and their norms
-    (float64, since they set the reported radius), plus the prior."""
-    q = model.encode_posterior(x, y)
-    prior = model.encode_prior(y)
-    u = (np.asarray(q.mean) - np.asarray(prior.mean)) / prior.std()
-    return u, np.linalg.norm(u.astype(np.float64), axis=1), q, prior
+    (float64, since they set the reported radius), plus the posterior."""
+    q = model.encode_posterior(x, cond.y)
+    u = (np.asarray(q.mean) - cond.mean) / cond.std
+    return u, np.linalg.norm(u.astype(np.float64), axis=1), q
 
 
-def _mse_rows(model: CvaeModel, u, y, x, prior):
-    # float32 throughout, the same arithmetic as the objective in _pgd_best,
-    # so values agree exactly (the best-iterate invariants compare the two)
-    z = np.asarray(u, dtype=np.float32) * prior.std() + np.asarray(prior.mean)
-    out = np.asarray(model.decode(z, y))
-    diff = out - np.asarray(x, dtype=np.float32)
-    return np.sum(diff * diff, axis=1) / x.shape[1]
+def _sse_rows(out, x):
+    # per-row SSE of decodes (arrays or a Var) against float32 targets; the
+    # metrics and the PGD objective share it, so the best-iterate invariants
+    # compare exactly equal arithmetic
+    diff = nn.add(out, -np.asarray(x, dtype=np.float32))
+    return nn.row_sum(nn.mul(diff, diff))
 
 
-def _pgd_best(model, x, y, eps, steps, step, start_u, maximize=False):
+def _mse_rows(model: CvaeModel, u, cond: Condition, x):
+    return _sse_rows(model.decode_u(u, cond), x) / x.shape[1]
+
+
+def _pgd_best(model, x, cond: Condition, eps, steps, step, start_u, maximize=False):
     """Latent PGD on per-pixel reconstruction error, descent or ascent.
 
     Returns per-row (best per-pixel MSE, best u); never worse than start_u."""
-    prior = model.encode_prior(y)
-    sd, mu = prior.std(), np.asarray(prior.mean)
-    neg_x = -np.asarray(x, dtype=np.float32)
-
     def recon_error(u):
-        diff = nn.add(model.decode(nn.add(nn.mul(u, sd), mu), y), neg_x)
-        sse = nn.row_sum(nn.mul(diff, diff))
+        sse = _sse_rows(model.decode_u(u, cond), x)
         return np.asarray(nn._val(sse)) / x.shape[1], nn.sum_all(sse)
 
     return latent_pgd(recon_error, np.asarray(start_u, dtype=np.float32), eps, steps, step,
@@ -72,14 +69,15 @@ def select_radius(model: CvaeModel, pairs: PairSet, batch_size: int = 512) -> fl
     for lo in range(0, len(pairs), batch_size):
         x = pairs.perturbed[lo:lo + batch_size]
         y = pairs.conditioned[lo:lo + batch_size]
-        _, norms, _, _ = _encoder_points(model, x, y)
+        _, norms, _ = _encoder_points(model, x, model.condition(y))
         best = max(best, float(norms.max()))
     return best
 
 
-def pgd_ae(model: CvaeModel, pair: PerturbationPair, eps: float, steps: int = 50,
-           step: float = None, start_u=None, return_point: bool = False):
-    """Best per-pixel MSE found by projected gradient descent in the ball.
+def pgd_ae(model: CvaeModel, x, y, eps: float, steps: int = 50, step: float = None,
+           start_u=None, return_point: bool = False):
+    """Best per-pixel MSE found by projected gradient descent in the ball, for
+    one pair given as (1, m) rows x (perturbed) and y (conditioned).
 
     Warm-started at the projected encoder point (or start_u when given), so
     the result never exceeds the error there (evaluate_set's enc_ae)."""
@@ -87,12 +85,12 @@ def pgd_ae(model: CvaeModel, pair: PerturbationPair, eps: float, steps: int = 50
         raise ValueError(f"eps must be > 0, got {eps}")
     if step is None:
         step = eps / 20.0
-    x, y = pair.perturbed[None, :], pair.conditioned[None, :]
+    cond = model.condition(y)
     if start_u is None:
-        u0, _, _, _ = _encoder_points(model, x, y)
+        u0, _, _ = _encoder_points(model, x, cond)
     else:
         u0 = np.asarray(start_u).reshape(1, -1)
-    err, u = _pgd_best(model, x, y, eps, steps, step, u0, maximize=False)
+    err, u = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=False)
     if return_point:
         return float(err[0]), u[0]
     return float(err[0])
@@ -157,32 +155,32 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         x = pairs.perturbed[lo:lo + batch_size]
         y = pairs.conditioned[lo:lo + batch_size]
         B = x.shape[0]
-        u_enc, norms, q, prior = _encoder_points(model, x, y)
+        cond = model.condition(y)
+        u_enc, norms, q = _encoder_points(model, x, cond)
         out["latent_norm"].append(norms)
-        out["kl"].append(np.asarray(kl_diag(q, prior)))
+        out["kl"].append(np.asarray(kl_diag(q, cond.prior)))
 
         u_proj = project_ball(u_enc, eps)
-        out["enc_ae"].append(_mse_rows(model, u_proj, y, x, prior))
+        out["enc_ae"].append(_mse_rows(model, u_proj, cond, x))
 
-        pgd_err, _ = _pgd_best(model, x, y, eps, steps, step, u_proj, maximize=False)
+        pgd_err, _ = _pgd_best(model, x, cond, eps, steps, step, u_proj, maximize=False)
         out["pgd_ae"].append(pgd_err)
 
         rngs = [np.random.default_rng(s) for s in _pair_seeds(x, y, base)]
 
         noise = np.stack([r.standard_normal(model.k) for r in rngs])
         z = np.asarray(q.mean) + q.std() * noise
-        u_smp = (z - np.asarray(prior.mean)) / prior.std()
-        out["recon_err"].append(_mse_rows(model, u_smp, y, x, prior))
+        out["recon_err"].append(_mse_rows(model, (z - cond.mean) / cond.std, cond, x))
 
         draws = np.stack([sample_truncated_ball(model.k, eps, n_expected, r)
                           for r in rngs])
         eae = np.zeros(B)
         for j in range(n_expected):
-            eae += _mse_rows(model, draws[:, j], y, x, prior)
+            eae += _mse_rows(model, draws[:, j], cond, x)
         out["eae"].append(eae / n_expected)
 
         u0 = np.stack([sample_truncated_ball(model.k, eps, 1, r)[0] for r in rngs])
-        oae_err, _ = _pgd_best(model, x, y, eps, steps, step, u0, maximize=True)
+        oae_err, _ = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=True)
         out["oae"].append(oae_err)
 
     # float32 network values, widened so the summary and CSV reduce in float64

@@ -299,16 +299,6 @@ class ParamSet:
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
 
-    def copy(self):
-        out = ParamSet({k: v.copy() for k, v in self.values.items()})
-        out.m = {k: v.copy() for k, v in self.m.items()}
-        out.v = {k: v.copy() for k, v in self.v.items()}
-        out.step = self.step
-        return out
-
-    def __contains__(self, name):
-        return name in self.values
-
     def __getitem__(self, name):
         return self.values[name]
 

@@ -111,21 +111,20 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     _check_dims(h, model, x)
     B = x.shape[0]
-    prior = model.encode_prior(x)
-    mu, sd = np.asarray(prior.mean), prior.std()
+    cond = model.condition(x)
     if init_u is None:
         u0 = np.zeros((B, model.k), dtype=np.float32)
     else:
         u0 = np.asarray(init_u, dtype=np.float32).reshape(B, -1)
 
     def cross_entropy(u):
-        ce = nn.cross_entropy(h.logits(model.decode(nn.add(nn.mul(u, sd), mu), x)), labels)
+        ce = nn.cross_entropy(h.logits(model.decode_u(u, cond)), labels)
         return nn._val(ce), nn.sum_all(ce)
 
     steps = cfg.steps if cfg.eps > 0 else 0
     _, best_u = latent_pgd(cross_entropy, u0, cfg.eps, steps, cfg.step, maximize=True,
                            transcript=transcript)
-    return np.asarray(model.decode(best_u * sd + mu, x)), best_u
+    return np.asarray(model.decode_u(best_u, cond)), best_u
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +179,11 @@ def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
         raise ValueError(f"eps must be >= 0, got {eps}")
     losses = []
     for idx in _epoch_batches(len(x), batch_size, rng):
-        xb = x[idx]
         if eps > 0:
-            u = sample_truncated_ball(model.k, eps, len(idx), rng).astype(np.float32)
+            u = sample_truncated_ball(model.k, eps, len(idx), rng)
         else:
             u = np.zeros((len(idx), model.k), dtype=np.float32)
-        prior = model.encode_prior(xb)
-        z = u * prior.std() + np.asarray(prior.mean)
-        aug = np.asarray(model.decode(z, xb))
+        aug = np.asarray(model.decode_u(u, model.condition(x[idx])))
         losses.append(_train_step(h, aug, labels[idx], opt))
     log.info("augment epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h

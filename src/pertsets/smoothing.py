@@ -40,14 +40,12 @@ def sample_under_noise(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.float32).reshape(1, -1)
     _check_dims(h, model, x)
-    prior = model.encode_prior(x)
-    mu, sd = np.asarray(prior.mean), prior.std()
+    cond = model.condition(x)
     counts = np.zeros(h.n_classes, dtype=np.int64)
     done = 0
     while done < n:
         b = min(batch_size, n - done)
-        u = (sigma * rng.standard_normal((b, model.k))).astype(np.float32)
-        preds = h.predict(model.decode(u * sd + mu, np.repeat(x, b, axis=0)))
+        preds = h.predict(model.decode_u(sigma * rng.standard_normal((b, model.k)), cond))
         counts += np.bincount(preds, minlength=h.n_classes)
         done += b
     return counts
@@ -99,11 +97,8 @@ def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
     _check_dims(h, model, x)
     losses = []
     for idx in _epoch_batches(len(x), batch_size, rng):
-        xb = x[idx]
-        prior = model.encode_prior(xb)
-        u = (sigma * rng.standard_normal((len(idx), model.k))).astype(np.float32)
-        z = u * prior.std() + np.asarray(prior.mean)
-        dec = np.asarray(model.decode(z, xb))
+        u = sigma * rng.standard_normal((len(idx), model.k))
+        dec = np.asarray(model.decode_u(u, model.condition(x[idx])))
         losses.append(_train_step(h, dec, labels[idx], opt))
     log.info("noise epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h

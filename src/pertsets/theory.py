@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvae import CvaeModel, PerturbationPair
+from .cvae import CvaeModel
 from .specialfn import chi_square_quantile, lambert_w
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -130,21 +130,20 @@ def theorem2_ln_bound(bounds: TheoryBounds) -> float:
     return math.log(bounds.delta_sse) + bounds.ln_h
 
 
-def estimate_R_K(model: CvaeModel, pair: PerturbationPair,
-                 rng: np.random.Generator, samples: int = 64) -> ObjectiveEstimate:
-    """Measure (R, K_i) for one pair.
+def estimate_R_K(model: CvaeModel, x, y, rng: np.random.Generator,
+                 samples: int = 64) -> ObjectiveEstimate:
+    """Measure (R, K_i) for one pair given as (1, m) rows x (perturbed) and
+    y (conditioned).
 
     R is a Monte-Carlo mean of -SSE/2 - (m/2) ln 2pi over full posterior
     samples; K_i comes from the closed-form per-dimension expression."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    x = pair.perturbed[None, :]
-    y = pair.conditioned[None, :]
     q = model.encode_posterior(x, y)
     p = model.encode_prior(y)
     noise = rng.standard_normal((samples, model.k)).astype(np.float32)
     z = np.asarray(q.mean) + q.std() * noise
-    out = np.asarray(model.decode(z, np.repeat(y, samples, axis=0)))
+    out = np.asarray(model.decode(z, y))
     # R and K in float64 from the float32 network outputs
     diff = out.astype(np.float64) - x
     sse = np.sum(diff * diff, axis=1)

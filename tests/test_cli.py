@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -300,6 +301,7 @@ def _bad_input_cfg(pipeline, out, stage):
     return {
         "gen-data": {"source": {"kind": "synth-shapes", "n": 20, "size": 12},
                      "pairs": {"kind": "linf", "eps": 0.3}, "split": {"test": 2}},
+        "train-cvae": {"data": train, "model": {"k": 4, "hidden": 8}, "train": {"epochs": 1}},
         "eval-set": {"model": model, "data": test, "eps": 2.0, "steps": 2, "limit": 3},
         "bounds": {"model": model, "data": test, "samples": 4, "limit": 3},
         "attack": {"model": model, "classifier": clf, "data": test,
@@ -348,6 +350,79 @@ def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):
         code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
         assert code == 3, (stage, err)
         assert empty in err and "Traceback" not in err
+
+
+def test_load_pairs_validation(tmp_path):
+    def pair_dir(name, perturbed, conditioned, labels=None):
+        d = tmp_path / name
+        d.mkdir()
+        np.save(d / "perturbed.npy", np.array([perturbed], dtype=np.float32))
+        np.save(d / "conditioned.npy", np.array([conditioned], dtype=np.float32))
+        if labels is not None:
+            np.save(d / "labels.npy", np.array(labels))
+        (d / "pairs.meta.json").write_text(json.dumps({"labels": labels is not None}))
+        return str(d)
+
+    with pytest.raises(cli.MissingArtifactError, match="outside"):
+        cli._load_pairs(pair_dir("range", [0.5, 1.5], [0.5, 0.5]))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        cli._load_pairs(pair_dir("nan", [0.5, np.nan], [0.5, 0.5]))
+    with pytest.raises(cli.MissingArtifactError, match="equal"):
+        cli._load_pairs(pair_dir("length", [0.5], [0.5, 0.5]))
+    pairs, _ = cli._load_pairs(pair_dir("ok", [0.0, 1.0], [0.5, 0.5], labels=[1]))
+    assert pairs.labels.tolist() == [1]
+
+
+def _tampered_pairs(pipeline, dst, case):
+    shutil.copytree(pipeline / "data" / "test", dst)
+    x = np.load(dst / "perturbed.npy")
+    if case == "garbage":
+        (dst / "perturbed.npy").write_bytes(b"not an array")
+    elif case == "unequal":
+        np.save(dst / "conditioned.npy", np.load(dst / "conditioned.npy")[:, :-1])
+    elif case == "labels":
+        np.save(dst / "labels.npy", np.load(dst / "labels.npy")[:-2])
+    else:
+        x[0, 3] = {"range": 3.0, "nan": np.nan}[case]
+        np.save(dst / "perturbed.npy", x)
+    return str(dst)
+
+
+@pytest.mark.parametrize("stage", ["train-cvae", "eval-set", "bounds", "attack",
+                                   "train-robust", "certify"])
+@pytest.mark.parametrize("case, code, named", [
+    ("garbage", 3, "perturbed.npy"), ("unequal", 3, "conditioned.npy"),
+    ("labels", 3, "labels.npy"), ("range", 3, "perturbed.npy"), ("nan", 4, "perturbed.npy")])
+def test_bad_pair_set_exits_naming_file(pipeline, tmp_path, capsys, stage, case, code, named):
+    bad = _tampered_pairs(pipeline, tmp_path / "bad", case)
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage) | {"data": bad}
+    got, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert got == code, err
+    assert os.path.join(bad, named) in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage, key", [
+    *[(stage, "data") for stage in ("eval-set", "bounds", "attack", "train-robust", "certify")],
+    ("attack", "classifier"), ("certify", "classifier")])
+def test_width_mismatch_exits_3(pipeline, tmp_path, capsys, stage, key):
+    # a 64-pixel pair set or classifier against the 144-pixel generator
+    narrow = tmp_path / "narrow"
+    if key == "data":
+        src, _ = cli._load_pairs(str(pipeline / "data" / "test"))
+        cli._save_pairs(str(narrow), type(src)(src.perturbed[:, :64], src.conditioned[:, :64],
+                                               src.labels), {})
+    else:
+        narrow.mkdir()
+        cli.Classifier(64, 2, hidden=(8,), rng=np.random.default_rng(0)).save(
+            str(narrow / "classifier"))
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage) | {key: str(narrow)}
+    code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 3, err
+    for part in ("width 64", "width 144", str(narrow), str(pipeline / "cvae")):
+        assert part in err, (part, err)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _copy_checkpoint(src_dir, dst_dir, stem, edit_meta=None, edit_blob=None):

@@ -12,7 +12,6 @@ from pertsets.cvae import (
     CvaeModel,
     GaussianDiag,
     PairSet,
-    PerturbationPair,
     TrainConfig,
     elbo_loss,
     kl_diag,
@@ -210,25 +209,13 @@ def test_latent_pgd_zero_steps_scores_projected_start():
 # Pairs
 
 
-def test_pair_validation():
-    with pytest.raises(ValueError):
-        PerturbationPair(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        PerturbationPair(np.array([0.5, np.nan]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        PerturbationPair(np.array([0.5]), np.array([0.5, 0.5]))
-    p = PerturbationPair(np.array([0.0, 1.0]), np.array([0.5, 0.5]), label=1)
-    assert p.label == 1
-
-
 def test_pairset_accessors():
     rng = np.random.default_rng(1)
     ps = tiny_pairs(rng, n=10, m=4)
     assert len(ps) == 10 and ps.dim == 4
-    pair = ps.pair(3)
-    np.testing.assert_array_equal(pair.perturbed, ps.perturbed[3])
     sub = ps.subset(np.array([0, 2]))
     assert len(sub) == 2
+    np.testing.assert_array_equal(sub.perturbed[1], ps.perturbed[2])
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +282,49 @@ def test_decode_u_gradient_flows_to_latent():
     model = make_model()
     y = np.full(6, 0.5, dtype=np.float32)
     u = nn.Var(np.zeros(3, dtype=np.float32))
-    out = model.decode_u(u, y)
+    out = model.decode_u(u, model.condition(y))
     nn.backward(nn.sum_all(nn.mul(out, out)))
     assert u.grad is not None and u.grad.shape == (3,)
+
+
+def test_decode_u_is_decode_of_standardized_latent():
+    model = make_model()
+    rng = np.random.default_rng(4)
+    y = rng.uniform(0, 1, (5, 6)).astype(np.float32)
+    u = rng.standard_normal((5, 3)).astype(np.float32)
+    cond = model.condition(y)
+    prior = model.encode_prior(y)
+    assert cond.mean.dtype == cond.std.dtype == np.float32
+    np.testing.assert_array_equal(cond.mean, prior.mean)
+    np.testing.assert_array_equal(cond.std, prior.std())
+    want = np.asarray(model.decode(u * prior.std() + np.asarray(prior.mean), y))
+    got = np.asarray(model.decode_u(u, cond))
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    # float64 latents are taken in float32, the dtype of the network math
+    assert np.asarray(model.decode_u(u.astype(np.float64), cond)).tobytes() == want.tobytes()
+
+
+def test_one_row_condition_is_shared_by_every_latent_row():
+    model = make_model()
+    rng = np.random.default_rng(5)
+    y = rng.uniform(0, 1, (1, 6)).astype(np.float32)
+    z = rng.standard_normal((7, 3)).astype(np.float32)
+    want = np.asarray(model.decode(z, np.repeat(y, 7, axis=0)))
+    assert np.asarray(model.decode(z, y)).tobytes() == want.tobytes()
+    assert np.asarray(model.decode(z, y[0])).tobytes() == want.tobytes()
+    cond = model.condition(y)
+    want_u = np.asarray(model.decode(z * cond.std + cond.mean, np.repeat(y, 7, axis=0)))
+    assert np.asarray(model.decode_u(z, cond)).tobytes() == want_u.tobytes()
+
+
+def test_single_vector_decode():
+    model = make_model()
+    y = np.full(6, 0.5, dtype=np.float32)
+    z = np.array([0.3, -0.2, 0.1], dtype=np.float32)
+    out = np.asarray(model.decode(z, y))
+    assert out.shape == (6,)
+    np.testing.assert_array_equal(out, np.asarray(model.decode(z[None], y[None]))[0])
+    assert np.asarray(model.decode_u(z, model.condition(y))).shape == (6,)
 
 
 # ---------------------------------------------------------------------------

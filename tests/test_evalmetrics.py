@@ -64,9 +64,9 @@ def test_select_radius_is_max_over_pairs():
     pairs = rand_pairs(40, seed=4)
     want = 0.0
     for i in range(len(pairs)):
-        p = pairs.pair(i)
-        q = model.encode_posterior(p.perturbed[None], p.conditioned[None])
-        pr = model.encode_prior(p.conditioned[None])
+        x, y = pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1]
+        q = model.encode_posterior(x, y)
+        pr = model.encode_prior(y)
         u = (np.asarray(q.mean) - np.asarray(pr.mean)) / pr.std()
         want = max(want, float(np.linalg.norm(u)))
     got = select_radius(model, pairs, batch_size=7)
@@ -108,7 +108,8 @@ def test_pgd_never_exceeds_encoder():
     pairs = rand_pairs(6, seed=12)
     enc = evaluate_set(model, pairs, 2.0, np.random.default_rng(0), steps=1).records["enc_ae"]
     for i in range(len(pairs)):
-        pgd = pgd_ae(model, pairs.pair(i), 2.0, steps=20)
+        pgd = pgd_ae(model, pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1], 2.0,
+                     steps=20)
         assert pgd <= enc[i] + 1e-12
         assert pgd >= 0.0
 
@@ -118,23 +119,25 @@ def test_pgd_restarted_at_planted_optimum():
     rng = np.random.default_rng(14)
     y = rng.uniform(0, 1, M).astype(np.float32)
     u_star = sample_truncated_ball(K, 1.0, 1, rng)[0]
-    x = np.asarray(model.decode_u(u_star.astype(np.float32), y))
-    pair = PairSet(np.clip(x, 0, 1)[None].astype(np.float32), y[None]).pair(0)
-    err = pgd_ae(model, pair, 1.0, steps=5, start_u=u_star)
+    x = np.asarray(model.decode_u(u_star.astype(np.float32), model.condition(y)))
+    err = pgd_ae(model, np.clip(x, 0, 1)[None].astype(np.float32), y[None], 1.0, steps=5,
+                 start_u=u_star)
     assert err <= 1e-6
 
 
 def test_pgd_nested_radius_monotone():
     model = rand_model(15)
-    pair = rand_pairs(1, seed=16).pair(0)
-    small, u_small = pgd_ae(model, pair, 0.5, steps=25, return_point=True)
-    large = pgd_ae(model, pair, 1.5, steps=25, start_u=u_small)
+    pairs = rand_pairs(1, seed=16)
+    x, y = pairs.perturbed, pairs.conditioned
+    small, u_small = pgd_ae(model, x, y, 0.5, steps=25, return_point=True)
+    large = pgd_ae(model, x, y, 1.5, steps=25, start_u=u_small)
     assert large <= small + 1e-12
 
 
 def test_pgd_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        pgd_ae(rand_model(), rand_pairs(1).pair(0), 0.0)
+        pairs = rand_pairs(1)
+        pgd_ae(rand_model(), pairs.perturbed, pairs.conditioned, 0.0)
 
 
 def test_expected_ae_constant_decoder_matches_encoder():
@@ -165,9 +168,8 @@ def test_expected_ae_eps_zero_is_prior_mean_error():
     pairs = rand_pairs(3, seed=25)
     got = evaluate_set(model, pairs, 1e-14, np.random.default_rng(0), steps=0,
                        n_expected=5).records["eae"]
-    prior = model.encode_prior(pairs.conditioned)
-    want = _mse_rows(model, np.zeros((3, K)), pairs.conditioned,
-                     pairs.perturbed.astype(np.float64), prior)
+    want = _mse_rows(model, np.zeros((3, K)), model.condition(pairs.conditioned),
+                     pairs.perturbed.astype(np.float64))
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -177,14 +179,13 @@ def test_over_ae_at_least_init_error():
     model = rand_model(26)
     pairs = rand_pairs(4, seed=27)
     u0 = sample_truncated_ball(K, 1.0, 4, np.random.default_rng(28))
-    prior = model.encode_prior(pairs.conditioned)
+    cond = model.condition(pairs.conditioned)
     x = pairs.perturbed.astype(np.float64)
-    init_err = _mse_rows(model, u0, pairs.conditioned, x, prior)
-    got, u = _pgd_best(model, pairs.perturbed, pairs.conditioned, 1.0, 15, 0.05, u0,
-                       maximize=True)
+    init_err = _mse_rows(model, u0, cond, x)
+    got, u = _pgd_best(model, pairs.perturbed, cond, 1.0, 15, 0.05, u0, maximize=True)
     assert (got >= init_err - 1e-12).all()
     assert (np.linalg.norm(u, axis=1) <= 1.0 + 1e-12).all()
-    np.testing.assert_array_equal(got, _mse_rows(model, u, pairs.conditioned, x, prior))
+    np.testing.assert_array_equal(got, _mse_rows(model, u, cond, x))
 
 
 def test_recon_error_constant_decoder():
@@ -269,6 +270,20 @@ def test_evaluate_set_deterministic_and_batch_invariant():
                      batch_size=2)
     for name in METRICS + ("latent_norm",):
         np.testing.assert_array_equal(a.records[name], b.records[name])
+
+
+def test_evaluate_set_encodes_prior_once_per_batch():
+    model = rand_model(41)
+    encode, rows = model.encode_prior, []
+
+    def counted(y, rec=None):
+        rows.append(len(y))
+        return encode(y, rec=rec)
+
+    model.encode_prior = counted
+    evaluate_set(model, rand_pairs(5, seed=45), 1.0, np.random.default_rng(1), steps=2,
+                 batch_size=2)
+    assert rows == [2, 2, 1]
 
 
 def test_evaluate_set_rejects_empty_and_bad_eps():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pertsets.cvae import CvaeModel, PairSet
+from pertsets.cvae import CvaeModel
 from pertsets.theory import (
     LN_2PI,
     ObjectiveEstimate,
@@ -252,39 +252,39 @@ def one_pair(fill=None, seed=2):
         y = rng.uniform(0, 1, (1, M)).astype(np.float32)
     else:
         x = y = np.full((1, M), fill, dtype=np.float32)
-    return PairSet(x, y).pair(0)
+    return x, y
 
 
 def test_estimate_k_zero_when_heads_tie():
     model = zeroed_model()
-    est = estimate_R_K(model, one_pair(), np.random.default_rng(0), samples=8)
+    est = estimate_R_K(model, *one_pair(), np.random.default_rng(0), samples=8)
     np.testing.assert_allclose(est.K, 0.0, atol=1e-12)
 
 
 def test_estimate_r_at_perfect_reconstruction():
     # constant decoder emits 0.5 exactly; a 0.5-valued pair has zero SSE
     model = zeroed_model()
-    est = estimate_R_K(model, one_pair(fill=0.5), np.random.default_rng(0))
+    est = estimate_R_K(model, *one_pair(fill=0.5), np.random.default_rng(0))
     assert math.isclose(est.R, -0.5 * M * LN_2PI, rel_tol=1e-12)
 
 
 def test_estimate_r_matches_high_sample_oracle():
     model = CvaeModel(M, K_DIM, HID, rng=np.random.default_rng(3))
-    pair = one_pair(seed=4)
-    est = estimate_R_K(model, pair, np.random.default_rng(5), samples=64)
+    x, y = one_pair(seed=4)
+    est = estimate_R_K(model, x, y, np.random.default_rng(5), samples=64)
 
     # independent high-sample recomputation straight from the model
     rng = np.random.default_rng(6)
-    q = model.encode_posterior(pair.perturbed[None], pair.conditioned[None])
+    q = model.encode_posterior(x, y)
     z = np.asarray(q.mean, dtype=np.float64) + q.std() * rng.standard_normal((10_000, K_DIM))
-    out = np.asarray(model.decode(z, np.repeat(pair.conditioned[None], 10_000, axis=0)))
-    half_sse = 0.5 * np.sum((out - pair.perturbed.astype(np.float64)) ** 2, axis=1)
+    out = np.asarray(model.decode(z, np.repeat(y, 10_000, axis=0)))
+    half_sse = 0.5 * np.sum((out - x[0].astype(np.float64)) ** 2, axis=1)
     oracle = float(np.mean(-half_sse)) - 0.5 * M * LN_2PI
     se64 = float(np.std(half_sse)) / math.sqrt(64)
     assert abs(est.R - oracle) <= 2.0 * se64
 
     # K matches the closed form computed by hand from the heads
-    p = model.encode_prior(pair.conditioned[None])
+    p = model.encode_prior(y)
     ratio = (q.std()[0].astype(np.float64) / p.std()[0]) ** 2
     gap = (np.asarray(q.mean[0], dtype=np.float64) - np.asarray(p.mean[0])) ** 2
     want_K = ratio + gap / p.var()[0] - 1.0 - np.log(ratio)
