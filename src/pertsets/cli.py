@@ -9,7 +9,9 @@ self-describing and re-runnable.
 
 Conventions:
   - exit 0 success, 2 invalid config (field-level message), 3 missing input
-    artifact, 4 numerical failure during training (message names the epoch)
+    artifact, 4 numerical failure: a non-finite training loss (message names
+    the epoch), checkpoint tensor or pixel, or forward-pass overflow into
+    non-finite logits or decoded outputs
   - CSV reports: header row, UTF-8, '\\n' line endings, full-precision floats
   - JSON reports: pretty-printed, sorted keys, trailing newline; non-finite
     floats serialized as the strings "inf"/"-inf"/"nan" (strict JSON has no
@@ -570,11 +572,12 @@ def cmd_bounds(cfg: dict) -> dict:
     model, pairs, _ = _stage_inputs(model_dir, data_dir, limit=limit)
 
     records = []
+    r = theory.mahalanobis_radius(model.k, alpha)
     children = np.random.SeedSequence(seed).spawn(len(pairs))
     for i in range(len(pairs)):
         est = theory.estimate_R_K(model, pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1],
                                   np.random.default_rng(children[i]), samples=samples)
-        tb = theory.theorem1_bounds(est, alpha=alpha)
+        tb = theory.theorem1_bounds(est, alpha=alpha, r=r)
         records.append({"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
                         "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
                         "ln_h": tb.ln_h,

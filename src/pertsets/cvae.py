@@ -43,13 +43,17 @@ class GaussianDiag:
 
 @dataclass
 class Condition:
-    """Conditioning rows y with their prior, from CvaeModel.condition: the
-    GaussianDiag (for kl_diag) and its mean and std as arrays."""
+    """Conditioning rows y, from CvaeModel.condition, with what every decode
+    against them shares: the prior GaussianDiag (for kl_diag), its mean and
+    std as arrays, and proj = y @ W0[k:] + b0, the decoder first layer's
+    share of y, so a decode multiplies only the latents by W0[:k]. All are
+    float32 for float32 y; one row of y conditions any number of latents."""
 
     y: np.ndarray
     prior: GaussianDiag
     mean: np.ndarray
     std: np.ndarray
+    proj: np.ndarray
 
 
 class PairSet:
@@ -97,13 +101,13 @@ class CvaeModel:
         self.pairing = pairing
         self.logvar_lo, self.logvar_hi = float(logvar_lo), float(logvar_hi)
         clamp = ("scaled_tanh", self.logvar_lo, self.logvar_hi)
-        self.post_trunk = nn.Network("posterior", [m, m], [("concat",), ("dense", hidden), ("relu",)])
+        self.post_trunk = nn.Network("posterior", [m, m], [("dense", hidden), ("relu",)])
         self.post_mean = nn.Network("posterior_mean", hidden, [("dense", k)])
         self.post_logvar = nn.Network("posterior_logvar", hidden, [("dense", k), clamp])
         self.prior_trunk = nn.Network("prior", m, [("dense", hidden), ("relu",)])
         self.prior_mean = nn.Network("prior_mean", hidden, [("dense", k)])
         self.prior_logvar = nn.Network("prior_logvar", hidden, [("dense", k), clamp])
-        self.decoder = nn.Network("decoder", [k, m], [("concat",), ("dense", hidden), ("relu",),
+        self.decoder = nn.Network("decoder", [k, m], [("dense", hidden), ("relu",),
                                                       ("dense", m), ("scaled_tanh", 0.0, 1.0)])
         self.nets = [self.post_trunk, self.post_mean, self.post_logvar,
                      self.prior_trunk, self.prior_mean, self.prior_logvar, self.decoder]
@@ -126,16 +130,26 @@ class CvaeModel:
                             self.prior_logvar.apply(self.params, h, rec=rec))
 
     def decode(self, z, y, rec=None):
-        """g(z, y); a single row y conditions every row of z."""
-        zv, y = nn._val(z), np.asarray(y)
-        if zv.ndim == 2 and y.size == y.shape[-1]:
-            y = np.broadcast_to(y, (zv.shape[0], y.size))
-        return self.decoder.apply(self.params, [z, y], rec=rec)
+        """g(z, y): relu(z @ W0[:k] + proj) through the decoder, where proj is
+        y's share of the first layer, taken from y when it is a Condition and
+        computed from the rows y otherwise; a single row of y conditions every
+        row of z. Outside training (rec None, whose loss check covers it) a
+        non-finite output raises FloatingPointError."""
+        if isinstance(y, Condition):
+            out = self.decoder.apply(self.params, [z], rec=rec, proj=y.proj)
+        else:
+            out = self.decoder.apply(self.params, [z, y], rec=rec)
+        if rec is None:
+            nn.finite_or_raise(nn._val(out), "decoded outputs")
+        return out
 
     def condition(self, y) -> Condition:
-        """y with its prior p(z|y), encoded once for any number of decodes."""
+        """y with its prior p(z|y) and first-layer projection, computed once
+        for any number of decodes."""
+        y = np.asarray(y)
         prior = self.encode_prior(y)
-        return Condition(np.asarray(y), prior, np.asarray(prior.mean), prior.std())
+        return Condition(y, prior, np.asarray(prior.mean), prior.std(),
+                         self.decoder.project(self.params, y))
 
     def decode_u(self, u, cond: Condition):
         """The perturbation-set map g(u * sigma(y) + mu(y), y) of standardized
@@ -143,7 +157,7 @@ class CvaeModel:
         only)."""
         if not isinstance(u, nn.Var):
             u = np.asarray(u, dtype=np.float32)
-        return self.decode(nn.add(nn.mul(u, cond.std), cond.mean), cond.y)
+        return self.decode(nn.add(nn.mul(u, cond.std), cond.mean), cond)
 
     # -- persistence ---------------------------------------------------------
 
@@ -227,11 +241,22 @@ def _chi_ball_cdf(k: int, eps: float):
 
 
 def project_ball(u, eps: float) -> np.ndarray:
-    """Project each row of u onto the l2 ball of radius eps, keeping u's dtype."""
+    """Project each row of u onto the l2 ball of radius eps, keeping u's dtype.
+
+    Every returned row's norm, measured in that dtype, is at most eps: eps /
+    norm rounds, so a scaled row can land a rounding step outside the ball,
+    and its scale then steps down one ulp at a time until it is inside."""
     u, eps = np.asarray(u), float(eps)
+    limit = np.float64(eps)     # eps itself, not eps rounded to u's dtype
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     scale = np.where(norms > eps, eps / np.where(norms == 0, 1.0, norms), 1.0)
-    return u * scale
+    out = u * scale
+    over = np.linalg.norm(out, axis=1, keepdims=True) > limit
+    while over.any():
+        scale = np.where(over, np.nextafter(scale, 0), scale)
+        out = u * scale
+        over = np.linalg.norm(out, axis=1, keepdims=True) > limit
+    return out
 
 
 def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: bool,

@@ -1,7 +1,10 @@
 """Minimal reverse-mode autodiff and training utilities on numpy arrays.
 
-Networks are flat stacks of four layer kinds: dense, relu, scaled_tanh and
-concat. The recorded graph additionally supports the elementwise ops that the
+Networks are flat stacks of three layer kinds: dense, relu and scaled_tanh,
+each one recorded op. A network over several input streams starts with a
+dense layer that multiplies each stream by its own block of weight rows, so
+a fixed stream's share can be computed once (Network.project) and reused.
+The recorded graph additionally supports the elementwise ops that the
 variational objective and the latent attacks compose on top of network
 outputs (add/sub/mul/exp/tanh/sums/cross-entropy).
 
@@ -22,7 +25,7 @@ import numpy as np
 
 def finite_or_raise(x, what: str):
     """Raise when an array picked up NaN or inf; returns the array unchanged."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise FloatingPointError(f"non-finite values in {what}")
     return x
 
@@ -166,6 +169,23 @@ def tanh(a):
     return Var(out, (a,), vjp)
 
 
+def scaled_tanh(a, lo: float, hi: float):
+    """Squash onto (lo, hi): (tanh(a) + 1) * (hi - lo) / 2 + lo, one node."""
+    av = _val(a)
+    c = 0.5 * (hi - lo)
+    t = np.tanh(av)
+    out = (t + 1.0) * c
+    if lo != 0.0:
+        out = out + lo
+    if not _is_rec(a):
+        return out
+
+    def vjp(g):
+        _accum(a, (g * c) * (1.0 - t * t))
+
+    return Var(out, (a,), vjp)
+
+
 def exp(a):
     av = _val(a)
     out = np.exp(av)
@@ -178,20 +198,40 @@ def exp(a):
     return Var(out, (a,), vjp)
 
 
-def concat(parts):
-    vals = [_val(p) for p in parts]
-    out = np.concatenate(vals, axis=-1)
-    if not _is_rec(*parts):
+def dense(parts, w, b):
+    """Dense layer over input streams: sum_i parts[i] @ w[rows_i] + b, where
+    stream i feeds the i-th block of rows of w. Shares are added last stream
+    first onto b, so b plus the last stream's share is exactly the projection
+    Network.project caches. Rows of w past the streams belong to inputs
+    whose share is already in b. A one-row stream conditions every row of the
+    others. The weight gradient is formed as one array."""
+    wv, bv = _val(w), _val(b)
+    blocks, width = [], 0
+    for p in parts:
+        v = _val(p)
+        blocks.append((v, width, width + v.shape[-1]))
+        width += v.shape[-1]
+    out = bv
+    for v, s, e in reversed(blocks):
+        out = v @ wv[s:e] + out
+    if not _is_rec(w, b, *parts):
         return out
-    widths = [v.shape[-1] for v in vals]
 
     def vjp(g):
-        start = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[..., start:start + w])
-            start += w
+        for p, (v, s, e) in zip(parts, blocks):
+            if isinstance(p, Var):
+                _accum(p, _unbroadcast(g @ wv[s:e].T, v.shape))
+        if isinstance(w, Var):
+            gw = np.empty(wv.shape, dtype=np.result_type(g, *(v for v, _, _ in blocks)))
+            for v, s, e in blocks:
+                np.matmul(v.T, g if len(v) == len(g) else g.sum(axis=0, keepdims=True),
+                          out=gw[s:e])
+            gw[width:] = 0
+            _accum(w, gw)
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(g, bv.shape))
 
-    return Var(out, tuple(parts), vjp)
+    return Var(out, (*parts, w, b), vjp)
 
 
 def reshape(a, shape):
@@ -361,15 +401,18 @@ def adam_step(params: ParamSet, grads: dict, lr: float,
 # Networks
 
 
-_LAYER_KINDS = ("dense", "relu", "scaled_tanh", "concat")
+_LAYER_KINDS = ("dense", "relu", "scaled_tanh")
 
 
 class Network:
     """A named stack of layers over one or more input streams.
 
-    Layers are tuples: ("dense", out_dim), ("relu",), ("scaled_tanh", lo, hi),
-    ("concat",). Multiple input streams must be merged by a concat before any
-    other layer touches them.
+    Layers are tuples: ("dense", out_dim), ("relu",), ("scaled_tanh", lo, hi).
+    Several input streams feed the first layer, which must then be dense: its
+    weight stacks one block of rows per stream, in stream order, and `dense`
+    adds each stream's share, so no concatenated input is ever formed.
+    `project` computes the last stream's share once for any number of `apply`
+    calls on the others.
     """
 
     def __init__(self, name: str, in_dims, layers):
@@ -378,22 +421,15 @@ class Network:
         if any(d < 1 for d in self.in_dims):
             raise ValueError(f"{name}: input widths must be positive, got {self.in_dims}")
         self.layers = [tuple(l) for l in layers]
+        if len(self.in_dims) > 1 and (not self.layers or self.layers[0][0] != "dense"):
+            raise ValueError(f"{name}: {len(self.in_dims)} input streams need a dense first layer")
         self._shapes = {}
-        width, streams = None, len(self.in_dims)
-        if streams == 1:
-            width = self.in_dims[0]
+        width = sum(self.in_dims)
         dense_i = 0
         for layer in self.layers:
             kind = layer[0]
             if kind not in _LAYER_KINDS:
                 raise ValueError(f"{name}: unknown layer kind {kind!r}")
-            if kind == "concat":
-                if streams < 1:
-                    raise ValueError(f"{name}: nothing to concat")
-                width, streams = sum(self.in_dims), 1
-                continue
-            if streams != 1:
-                raise ValueError(f"{name}: {kind} needs a single stream; concat first")
             if kind == "dense":
                 out = int(layer[1])
                 if out < 1:
@@ -406,8 +442,6 @@ class Network:
                 lo, hi = float(layer[1]), float(layer[2])
                 if not lo < hi:
                     raise ValueError(f"{name}: scaled_tanh needs lo < hi, got ({lo}, {hi})")
-        if streams != 1:
-            raise ValueError(f"{name}: multiple input streams never merged by concat")
         self.out_dim = width
 
     def param_shapes(self) -> dict:
@@ -422,38 +456,52 @@ class Network:
             else:
                 params.values[pname] = np.zeros(shape, dtype=np.float32)
 
-    def apply(self, params: ParamSet, inputs, rec: Rec = None):
-        """Forward pass. `inputs` is an array or list of arrays/Vars, shaped
-        (B, d) or (d,). Returns ndarray, or a Var when recording (rec given
-        or any input is a Var)."""
-        if not isinstance(inputs, (list, tuple)):
-            inputs = [inputs]
-        if len(inputs) != len(self.in_dims):
-            raise ValueError(f"{self.name}: expected {len(self.in_dims)} inputs, got {len(inputs)}")
-        single = _val(inputs[0]).ndim == 1
+    def _streams(self, inputs, dims):
+        # input streams as (B, d) rows; a (d,) vector is one row
+        if len(inputs) != len(dims):
+            raise ValueError(f"{self.name}: expected {len(dims)} inputs, got {len(inputs)}")
         streams = []
-        for x, d in zip(inputs, self.in_dims):
+        for x, d in zip(inputs, dims):
             if _val(x).ndim == 1:
                 x = reshape(x, (1, d))
             if _val(x).shape[-1] != d:
                 raise ValueError(f"{self.name}: input width {_val(x).shape[-1]} != declared {d}")
             streams.append(x)
-        h = streams[0] if len(streams) == 1 else None
+        return streams
+
+    def project(self, params: ParamSet, x):
+        """The first layer's bias plus the last input stream's share,
+        x @ W0[-d:] + b0, shaped (rows, out). `apply` takes it as `proj` and
+        adds only the other streams' share."""
+        d = self.in_dims[-1]
+        return dense(self._streams([x], [d]), params.values[f"{self.name}/w0"][-d:],
+                     params.values[f"{self.name}/b0"])
+
+    def apply(self, params: ParamSet, inputs, rec: Rec = None, proj=None):
+        """Forward pass. `inputs` is an array or list of arrays/Vars, shaped
+        (B, d) or (d,); with `proj` from `project`, every stream but the last.
+        Returns ndarray, or a Var when recording (rec given or any input is a
+        Var)."""
+        if not isinstance(inputs, (list, tuple)):
+            inputs = [inputs]
+        single = _val(inputs[0]).ndim == 1
+        streams = self._streams(inputs, self.in_dims if proj is None else self.in_dims[:-1])
+
+        def param(name):
+            return rec.param(f"{self.name}/{name}") if rec else params.values[f"{self.name}/{name}"]
+
+        h = streams[0]      # several streams only ever meet a dense first layer
         dense_i = 0
         for layer in self.layers:
             kind = layer[0]
-            if kind == "concat":
-                h = concat(streams)
-            elif kind == "dense":
-                w = rec.param(f"{self.name}/w{dense_i}") if rec else params.values[f"{self.name}/w{dense_i}"]
-                b = rec.param(f"{self.name}/b{dense_i}") if rec else params.values[f"{self.name}/b{dense_i}"]
-                h = add(matmul(h, w), b)
+            if kind == "dense":
+                b = proj if dense_i == 0 and proj is not None else param(f"b{dense_i}")
+                h = dense(streams if dense_i == 0 else [h], param(f"w{dense_i}"), b)
                 dense_i += 1
             elif kind == "relu":
                 h = relu(h)
             else:
-                lo, hi = layer[1], layer[2]
-                h = add(mul(add(tanh(h), 1.0), 0.5 * (hi - lo)), lo)
+                h = scaled_tanh(h, layer[1], layer[2])
         if single:
             h = reshape(h, (self.out_dim,))
         return h

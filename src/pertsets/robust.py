@@ -66,7 +66,12 @@ class Classifier:
         self.params = params
 
     def logits(self, x, rec=None):
-        return self.net.apply(self.params, x, rec=rec)
+        """Class logits. Outside training (rec None, whose loss check covers
+        it) a non-finite logit raises FloatingPointError."""
+        out = self.net.apply(self.params, x, rec=rec)
+        if rec is None:
+            nn.finite_or_raise(nn._val(out), "classifier logits")
+        return out
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(np.asarray(self.logits(x)), axis=-1)

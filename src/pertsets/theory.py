@@ -91,11 +91,13 @@ def lemma3_interval(K: float) -> tuple:
     return min(a, 1.0), max(b, 1.0)
 
 
-def theorem1_bounds(est: ObjectiveEstimate, alpha: float = 0.01) -> TheoryBounds:
+def theorem1_bounds(est: ObjectiveEstimate, alpha: float = 0.01, r: float = None) -> TheoryBounds:
     """(eps, delta) guarantee: within latent radius eps = B*r + sqrt(sum K_i)
     there is a point whose reconstruction SSE is at most
-    delta = -(2R + m ln 2pi) / (1 - alpha)."""
-    r = mahalanobis_radius(est.k, alpha)
+    delta = -(2R + m ln 2pi) / (1 - alpha). r is mahalanobis_radius(k,
+    alpha), computed here unless a caller bounding many pairs passes it."""
+    if r is None:
+        r = mahalanobis_radius(est.k, alpha)
     intervals = np.array([lemma3_interval(v) for v in est.K])
     B = float(np.sqrt(intervals[:, 1]).max())
     eps = B * r + math.sqrt(float(est.K.sum()))

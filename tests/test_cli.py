@@ -454,6 +454,23 @@ def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stage, stem", [
+    ("attack", "classifier"), ("certify", "classifier"), ("eval-set", "model")])
+def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem):
+    # finite weights scaled by 1e30: the forward pass overflows to inf logits
+    # or NaN decodes, which no stage may turn into a report
+    src = pipeline / ("cvae" if stem == "model" else "clf")
+    bad = _copy_checkpoint(src, tmp_path / "bad", stem,
+                           edit_blob=lambda raw: raw * np.float32(1e30))
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage)
+    cfg["model" if stem == "model" else "classifier"] = bad
+    with np.errstate(all="ignore"):
+        code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 4, err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stage, stem, edit, message", [
     ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": 64}}, "'decoder/b0'"),
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": [8]}}, "'classifier/b0'"),
@@ -472,17 +489,18 @@ def test_mismatched_or_unreadable_checkpoint_exits_3(pipeline, tmp_path, capsys,
 
 def test_every_stage_feeds_matmul_float32(pipeline, tmp_path, monkeypatch):
     # float32 weights and float32 latents on every path: no operand reaching
-    # the network's matmul is widened to float64
+    # a dense layer's matmul (inputs, weights, bias or cached projection) is
+    # widened to float64
     widened = []
-    matmul = cli.nn.matmul
+    dense = cli.nn.dense
 
-    def checked(a, b):
-        for v in (a, b):
+    def checked(parts, w, b):
+        for v in (*parts, w, b):
             if cli.nn._val(v).dtype != np.float32:
                 widened.append(cli.nn._val(v).dtype)
-        return matmul(a, b)
+        return dense(parts, w, b)
 
-    monkeypatch.setattr(cli.nn, "matmul", checked)
+    monkeypatch.setattr(cli.nn, "dense", checked)
     train = {"out_dir": str(tmp_path / "cvae"), "seed": 1,
              "data": str(pipeline / "data" / "train"), "model": {"k": 4, "hidden": 16},
              "train": {"epochs": 1, "batch_size": 32,

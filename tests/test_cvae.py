@@ -3,12 +3,14 @@ the latent-ball PGD engine, the variational objective and its gradients, and
 training determinism."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from pertsets import nn
 from pertsets.cvae import (
+    Condition,
     CvaeModel,
     GaussianDiag,
     PairSet,
@@ -148,6 +150,24 @@ def test_project_ball():
     np.testing.assert_allclose(p[2], 0.0)
     np.testing.assert_allclose(project_ball(p, 1.0), p, atol=1e-12)
     np.testing.assert_array_equal(project_ball(u, 0.0), 0.0)
+
+
+def test_project_ball_float32_rows_stay_inside():
+    # eps / norm rounds in float32; the projection still leaves no row with
+    # a float32 norm above eps
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((100_000, 8)).astype(np.float32)
+    u *= rng.uniform(1.0, 3.0, (100_000, 1)).astype(np.float32) / np.linalg.norm(u, axis=1,
+                                                                                 keepdims=True)
+    for eps in (1.0, 0.3, 5.053247):
+        p = project_ball(u * np.float32(eps), eps)
+        assert p.dtype == np.float32
+        norms = np.linalg.norm(p, axis=1)
+        assert (norms.astype(np.float64) <= eps).all()
+        # the shrink is a few ulps at most
+        assert norms.min() >= np.float32(eps) * np.float32(1 - 1e-6)
+    inside = u[:10] / np.float32(4.0)
+    assert project_ball(inside, 1.0).tobytes() == inside.tobytes()
 
 
 def sq_dist(target):
@@ -325,6 +345,151 @@ def test_single_vector_decode():
     assert out.shape == (6,)
     np.testing.assert_array_equal(out, np.asarray(model.decode(z[None], y[None]))[0])
     assert np.asarray(model.decode_u(z, model.condition(y))).shape == (6,)
+
+
+# ---------------------------------------------------------------------------
+# The split first decoder layer against the concatenated-input reference
+
+
+def concat_decode(model, z, y):
+    """g(z, y) as one dense layer over concat([z, y]), in float64."""
+    v = {n: a.astype(np.float64) for n, a in model.params.values.items()}
+    z, y = np.atleast_2d(z), np.atleast_2d(y)
+    y = np.broadcast_to(y, (len(z), y.shape[1]))
+    h = np.maximum(np.concatenate([z, y], axis=1) @ v["decoder/w0"] + v["decoder/b0"], 0.0)
+    return 0.5 * (np.tanh(h @ v["decoder/w1"] + v["decoder/b1"]) + 1.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64])
+@pytest.mark.parametrize("y_rows", ["one", "many"])
+def test_decode_matches_concat_reference(rows, y_rows):
+    model = make_model(m=12, k=4, hidden=16, seed=3)
+    rng = np.random.default_rng(rows)
+    z = rng.standard_normal((rows, 4)).astype(np.float32)
+    y = rng.uniform(0, 1, (1 if y_rows == "one" else rows, 12)).astype(np.float32)
+    want = concat_decode(model, z, y)
+    for got in (model.decode(z, y), model.decode(z, model.condition(y))):
+        assert got.dtype == np.float32 and got.shape == (rows, 12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+def test_single_vector_decode_matches_concat_reference():
+    model = make_model(m=12, k=4, hidden=16, seed=3)
+    rng = np.random.default_rng(8)
+    z, y = rng.standard_normal(4).astype(np.float32), rng.uniform(0, 1, 12).astype(np.float32)
+    for got in (model.decode(z, y), model.decode(z, model.condition(y))):
+        assert got.shape == (12,)
+        np.testing.assert_allclose(got, concat_decode(model, z, y)[0], rtol=0, atol=1e-6)
+
+
+def test_one_row_condition_decode_u_equals_per_row_decodes():
+    model = make_model(m=12, k=4, hidden=16, seed=4)
+    rng = np.random.default_rng(9)
+    y = rng.uniform(0, 1, (1, 12)).astype(np.float32)
+    u = rng.standard_normal((9, 4)).astype(np.float32)
+    cond = model.condition(y)
+    assert cond.proj.shape == (1, 16) and cond.proj.dtype == np.float32
+    got = np.asarray(model.decode_u(u, cond))
+    z = u * cond.std + cond.mean
+    # the cached projection is the one decode computes from the same row
+    assert got.tobytes() == np.asarray(model.decode(z, y)).tobytes()
+    for i in range(len(u)):
+        np.testing.assert_allclose(got[i], np.asarray(model.decode(z[i], y[0])),
+                                   rtol=0, atol=1e-6)
+
+
+def _concat_elbo(model, rec, x, y, u, beta):
+    # elbo_loss with the decoder's first layer over a recorded concat([z, y])
+    def concat(z):
+        zv = nn._val(z)
+
+        def vjp(g):
+            nn._accum(z, g[:, :zv.shape[1]])
+        return nn.Var(np.concatenate([zv, y], axis=1), (z,), vjp)
+
+    ref = nn.Network("decoder", model.k + model.m, model.decoder.layers)
+    q = model.encode_posterior(x, y, rec=rec)
+    p = model.encode_prior(y, rec=rec)
+    g = ref.apply(model.params, concat(reparameterize(q, u)), rec=rec)
+    diff = nn.add(g, nn.mul(x, -1.0))
+    sse = nn.row_sum(nn.mul(diff, diff))
+    return nn.mean_all(nn.add(nn.mul(sse, 0.5), nn.mul(kl_diag(q, p), float(beta))))
+
+
+def test_elbo_decoder_w0_gradient_matches_concat_reference():
+    model = make_model(m=12, k=4, hidden=16, seed=5)
+    rng = np.random.default_rng(10)
+    x = rng.uniform(0, 1, (32, 12)).astype(np.float32)
+    y = rng.uniform(0, 1, (32, 12)).astype(np.float32)
+    u = rng.standard_normal((32, 4)).astype(np.float32)
+    rec = nn.Rec(model.params)
+    loss, _, _ = elbo_loss(model, rec, x, y, u, beta=0.1)
+    got = nn.backprop_gradients(rec, loss)
+    ref_rec = nn.Rec(model.params)
+    ref_loss = _concat_elbo(model, ref_rec, x, y, u, beta=0.1)
+    want = nn.backprop_gradients(ref_rec, ref_loss)
+    np.testing.assert_allclose(float(loss.value), float(ref_loss.value), rtol=1e-6)
+    assert got["decoder/w0"].shape == (16, 16) and got["decoder/w0"].dtype == np.float32
+    scale = np.abs(want["decoder/w0"]).max()
+    for rows in (slice(0, 4), slice(4, 16)):     # the latent block and the y block
+        np.testing.assert_allclose(got["decoder/w0"][rows], want["decoder/w0"][rows],
+                                   rtol=0, atol=1e-5 * scale)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                   atol=1e-5 * max(np.abs(want[name]).max(), 1e-6))
+
+
+def test_presplit_checkpoint_loads_and_decodes():
+    # written by the concat-decoder code before the first layer was split:
+    # same tensor names and shapes, outputs equal up to float32 rounding
+    stem = os.path.join(os.path.dirname(__file__), "data", "presplit_cvae", "model")
+    model, _ = load_cvae(stem)
+    assert model.params["decoder/w0"].shape == (4 + 12, 16)
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((5, 4)).astype(np.float32)
+    y = rng.uniform(0, 1, (5, 12)).astype(np.float32)
+    want = np.load(stem.replace("model", "decode.npy"))
+    np.testing.assert_allclose(np.asarray(model.decode(z, y)), want, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(np.asarray(model.decode(z, model.condition(y))), want,
+                               rtol=0, atol=1e-6)
+
+
+def test_condition_projects_y_once(monkeypatch):
+    # y's share of the decoder's first layer, y @ W0[k:], is computed by
+    # condition() and by no decode through the Condition
+    model = make_model(m=12, k=4, hidden=16, seed=6)
+    w0 = model.params["decoder/w0"]
+    y_shares = []
+    dense = nn.dense
+
+    def counted(parts, w, b):
+        widths = [nn._val(p).shape[-1] for p in parts]
+        if np.shares_memory(nn._val(w), w0) and widths[-1] == model.m \
+                and nn._val(w).shape[0] == sum(widths):
+            y_shares.append(widths)
+        return dense(parts, w, b)
+
+    monkeypatch.setattr(nn, "dense", counted)
+    rng = np.random.default_rng(11)
+    y = rng.uniform(0, 1, (3, 12)).astype(np.float32)
+    cond = model.condition(y)
+    assert len(y_shares) == 1
+    for _ in range(4):
+        model.decode_u(rng.standard_normal((3, 4)), cond)
+    latent_pgd(lambda u: (np.zeros(3), nn.sum_all(model.decode_u(u, cond))),
+               np.zeros((3, 4), np.float32), 1.0, 3, 0.2, maximize=True)
+    assert len(y_shares) == 1
+    model.decode(np.zeros((3, 4), np.float32), y)     # from rows: computed again
+    assert len(y_shares) == 2
+
+
+def test_non_finite_decode_raises():
+    model = make_model()
+    # finite weights whose first layer overflows to inf; mixed-sign w1 turns
+    # that into NaN, which the squash would carry to the output
+    model.params.values["decoder/w0"][:] = np.float32(3e38)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="decoded"):
+        model.decode(np.ones((2, 3), np.float32), np.ones((2, 6), np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,28 @@ def test_scaled_tanh_range():
     assert net.apply(nn.ParamSet(), np.array([0.0])) == pytest.approx((-7.0 + 0.5) / 2)
 
 
-def test_concat_merges_streams():
-    net = nn.Network("f", [2, 3], [("concat",)])
-    out = net.apply(nn.ParamSet(), [np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
-    np.testing.assert_array_equal(out, [1, 2, 3, 4, 5])
+def test_first_dense_layer_splits_over_streams():
+    # each stream meets its own block of weight rows: the result is the dense
+    # layer of the concatenated input, and a projection of the last stream
+    # reused through apply(proj=) gives the same rows
+    rng = np.random.default_rng(3)
+    net, params = make_net("f", [2, 3], [("dense", 4)], rng)
+    assert net.param_shapes() == {"f/w0": (5, 4), "f/b0": (4,)}
+    a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
+    want = np.concatenate([a, b], axis=1) @ params["f/w0"] + params["f/b0"]
+    np.testing.assert_allclose(net.apply(params, [a, b]), want, rtol=1e-12)
+    proj = net.project(params, b)
+    assert proj.shape == (6, 4)
+    np.testing.assert_array_equal(net.apply(params, [a], proj=proj), net.apply(params, [a, b]))
+    one = net.project(params, b[:1])
+    np.testing.assert_array_equal(net.apply(params, [a], proj=one),
+                                  net.apply(params, [a, b[:1]]))
+    assert net.apply(params, [a[0], b[0]]).shape == (4,)
 
 
 def test_network_validation_errors():
     with pytest.raises(ValueError):
-        nn.Network("f", [2, 3], [("dense", 4)])  # streams never merged
+        nn.Network("f", [2, 3], [("relu",), ("dense", 4)])  # streams meet a non-dense layer
     with pytest.raises(ValueError):
         nn.Network("f", 2, [("swish",)])
     with pytest.raises(ValueError):
@@ -98,7 +111,7 @@ def rel_err(a, b):
     ([("dense", 3)], 4),
     ([("dense", 5), ("relu",), ("dense", 2)], 3),
     ([("dense", 4), ("scaled_tanh", -1.0, 2.0)], 3),
-    ([("concat",), ("dense", 3), ("relu",), ("dense", 1)], [2, 3]),
+    ([("dense", 3), ("relu",), ("dense", 1)], [2, 3]),
 ])
 def test_gradcheck_layer_stacks(layers, in_dims):
     rng = np.random.default_rng(42)
@@ -139,6 +152,50 @@ def test_gradcheck_input_side():
         lo = float((net.apply(params, xm) ** 2).sum())
         fd[i] = (hi - lo) / (2 * step)
     assert rel_err(xin.grad, fd) <= 1e-3
+
+
+@pytest.mark.parametrize("y_rows", [5, 1])
+def test_dense_vjp_over_streams(y_rows, monkeypatch):
+    # the weight gradient is the concatenated input's, formed as one array;
+    # a one-row stream's block sums the output gradient over rows, and only
+    # recorded operands get a term
+    rng = np.random.default_rng(12)
+    z, y = nn.Var(rng.normal(size=(5, 2))), rng.normal(size=(y_rows, 3))
+    w, b = nn.Var(rng.normal(size=(5, 4))), nn.Var(rng.normal(size=4))
+    out = nn.dense([z, y], w, b)
+    yb = np.broadcast_to(y, (5, 3))
+    xcat = np.concatenate([z.value, yb], axis=1)
+    np.testing.assert_allclose(out.value, xcat @ w.value + b.value, rtol=1e-12)
+    g = rng.normal(size=(5, 4))
+    accumulated = []
+    accum = nn._accum
+    monkeypatch.setattr(nn, "_accum",
+                        lambda node, grad: accumulated.append(node) or accum(node, grad))
+    out._vjp(g)
+    assert accumulated == [z, w, b]
+    np.testing.assert_allclose(w.grad, xcat.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(z.grad, g @ w.value[:2].T, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
+    # rows of w past the streams (their share is in b) get a zero gradient
+    w2 = nn.Var(rng.normal(size=(5, 4)))
+    nn.dense([z], w2, np.zeros((1, 4)))._vjp(g)
+    np.testing.assert_array_equal(w2.grad[2:], 0.0)
+    np.testing.assert_allclose(w2.grad[:2], z.value.T @ g, rtol=1e-12)
+
+
+def test_scaled_tanh_is_one_node_with_the_chained_arithmetic():
+    rng = np.random.default_rng(13)
+    h = rng.normal(size=(4, 3)).astype(np.float32)
+    for lo, hi in ((0.0, 1.0), (math.log(1e-3), math.log(10.0))):
+        a = nn.Var(h)
+        out = nn.scaled_tanh(a, lo, hi)
+        assert out._parents == (a,)
+        chained = nn.Var(h)
+        ref = nn.add(nn.mul(nn.add(nn.tanh(chained), 1.0), 0.5 * (hi - lo)), lo)
+        assert out.value.dtype == np.float32 and out.value.tobytes() == ref.value.tobytes()
+        nn.backward(nn.sum_all(out))
+        nn.backward(nn.sum_all(ref))
+        assert a.grad.tobytes() == chained.grad.tobytes()
 
 
 def test_gradcheck_elementwise_composition():
@@ -340,7 +397,7 @@ def test_schedule_json_roundtrip():
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     rng = np.random.default_rng(123)
-    net, params = make_net("ck", [3, 2], [("concat",), ("dense", 7), ("relu",), ("dense", 2)],
+    net, params = make_net("ck", [3, 2], [("dense", 7), ("relu",), ("dense", 2)],
                            rng, dtype=np.float32)
     stem = str(tmp_path / "model")
     nn.save_params(params, stem, extra={"note": "x", "k": 7})
