@@ -14,6 +14,10 @@ are weak under NumPy's promotion rules and never widen a float32 array; a
 graph fed float64 arrays stays float64 (the tests drive the same ops that
 way). Gradients flow only into recorded operands: a VJP forms no term for a
 plain-array parent such as a frozen weight or a raw input batch.
+
+Adam updates parameters and moments in place, one cache-sized block of rows
+at a time through two small scratch buffers, so no full-size temporary is
+formed and the result is bit for bit the whole-tensor formula's.
 """
 
 import json
@@ -372,29 +376,70 @@ def backprop_gradients(rec: Rec, loss: Var, seed=1.0) -> dict[str, np.ndarray]:
     return rec.grads()
 
 
+# elements in one row block of an Adam update: a block of each array the
+# update touches (value, g, m, v and two scratch buffers) fits in L2 cache
+_BLOCK = 1 << 16
+
+
 def adam_step(params: ParamSet, grads: dict, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update over every parameter, in place."""
-    for name in params.values:
+    """One bias-corrected Adam update (Kingma & Ba) over every parameter, in
+    place. Each tensor is updated block by block, each block about _BLOCK
+    elements of whole rows (a bias vector is one block), through two scratch
+    buffers in the tensor's dtype, in the op order of
+
+        m += (1 - beta1) * (g - m)
+        v += (1 - beta2) * (g * g - v)
+        value -= (lr / c1) * m / (sqrt(v / c2) + eps)
+
+    so no full-size temporary is formed, and every element, hence every
+    parameter and moment, is bit for bit what that formula gives with
+    Python-float hyperparameters (weak scalars: float32 tensors stay float32).
+    Every gradient is checked before any tensor changes."""
+    for name, value in params.values.items():
         if name not in grads:
             raise ValueError(f"missing gradient for parameter {name!r}")
+        if grads[name].shape != value.shape:
+            raise ValueError(f"gradient shape {grads[name].shape} != parameter shape "
+                             f"{value.shape} for {name!r}")
     params.step += 1
     t = params.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
+    scalars = (1.0 - beta1, 1.0 - beta2, lr / c1, c2, eps)
+    # the scalars as 0-d arrays of each tensor dtype: a ufunc takes them
+    # faster than Python floats and rounds them the same way
+    typed = {}
     for name, value in params.values.items():
-        g = grads[name]
-        if g.shape != value.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {value.shape} for {name!r}")
-        g = g.astype(value.dtype, copy=False)
+        g = grads[name].astype(value.dtype, copy=False)
         if name not in params.m:
             params.m[name] = np.zeros_like(value)
             params.v[name] = np.zeros_like(value)
-        m = params.m[name]
-        v = params.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        value -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        m, v = params.m[name], params.v[name]
+        if value.ndim == 0:
+            value, g, m, v = (x.reshape(1) for x in (value, g, m, v))
+        if value.dtype not in typed:
+            typed[value.dtype] = [np.array(x, dtype=value.dtype) for x in scalars]
+        a, b, lr_c1, c2_, eps_ = typed[value.dtype]
+        rows = max(1, _BLOCK // max(1, math.prod(value.shape[1:])))
+        tmp = np.empty((min(rows, len(value)),) + value.shape[1:], dtype=value.dtype)
+        tmp2 = np.empty_like(tmp)
+        for s in range(0, len(value), rows):
+            pb, gb, mb, vb = value[s:s + rows], g[s:s + rows], m[s:s + rows], v[s:s + rows]
+            t1, t2 = tmp[:len(pb)], tmp2[:len(pb)]
+            np.subtract(gb, mb, out=t1)
+            t1 *= a
+            mb += t1
+            np.multiply(gb, gb, out=t1)
+            t1 -= vb
+            t1 *= b
+            vb += t1
+            np.multiply(mb, lr_c1, out=t1)
+            np.divide(vb, c2_, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps_
+            t1 /= t2
+            pb -= t1
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +493,16 @@ class Network:
         return dict(self._shapes)
 
     def init(self, params: ParamSet, rng: np.random.Generator):
-        """Add this network's parameters: Glorot-uniform weights, zero biases."""
+        """Add this network's parameters: Glorot-uniform weights, zero biases.
+        A weight is drawn in row blocks straight into float32; the generator
+        fills values in order, so they equal one float64 draw cast down."""
         for pname, shape in self._shapes.items():
             if len(shape) == 2:
                 bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-                params.values[pname] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+                w = params.values[pname] = np.empty(shape, dtype=np.float32)
+                rows = max(1, _BLOCK // shape[1])
+                for s in range(0, shape[0], rows):
+                    w[s:s + rows] = rng.uniform(-bound, bound, size=w[s:s + rows].shape)
             else:
                 params.values[pname] = np.zeros(shape, dtype=np.float32)
 

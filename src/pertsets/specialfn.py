@@ -228,11 +228,17 @@ def chi_square_quantile(p: float, k: int) -> float:
 # Exact binomial machinery
 
 
-def _log_binom_pmf(n: int, p: float) -> np.ndarray:
-    """log pmf of Binomial(n, p) over all outcomes 0..n."""
+def _log_binom_table(n: int):
+    """(n, outcomes 0..n as floats, log C(n, i) over them): the part of the
+    Binomial(n, p) log pmf that does not depend on p."""
     i = np.arange(n + 1, dtype=np.float64)
     lg = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1, dtype=np.float64)))))
-    log_nck = lg[n] - lg - lg[::-1]
+    return n, i, lg[n] - lg - lg[::-1]
+
+
+def _log_binom_pmf(table, p: float) -> np.ndarray:
+    """log pmf of Binomial(n, p) over all outcomes 0..n, from _log_binom_table(n)."""
+    n, i, log_nck = table
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = i * (np.log(p) if p > 0 else -np.inf)
         lq = (n - i) * (np.log1p(-p) if p < 1 else -np.inf)
@@ -240,15 +246,15 @@ def _log_binom_pmf(n: int, p: float) -> np.ndarray:
     return out
 
 
-def _binom_upper_tail(k: int, n: int, p: float) -> float:
-    """P(Binomial(n, p) >= k), summed in log space."""
+def _binom_upper_tail(k: int, table, p: float) -> float:
+    """P(Binomial(n, p) >= k), summed in log space; table is _log_binom_table(n)."""
     if k <= 0:
         return 1.0
     if p <= 0.0:
         return 0.0
     if p >= 1.0:
         return 1.0
-    lp = _log_binom_pmf(n, p)[k:]
+    lp = _log_binom_pmf(table, p)[k:]
     m = lp.max()
     return float(np.exp(m) * np.exp(lp - m).sum())
 
@@ -269,10 +275,11 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> flo
     alpha = 1.0 - confidence
     if successes == trials:
         return alpha ** (1.0 / trials)
+    table = _log_binom_table(trials)
     lo, hi = 0.0, 1.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _binom_upper_tail(successes, trials, mid) < alpha:
+        if _binom_upper_tail(successes, table, mid) < alpha:
             lo = mid
         else:
             hi = mid
@@ -292,7 +299,7 @@ def binom_two_sided_pvalue(successes: int, trials: int, p: float) -> float:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"null proportion must be in [0, 1], got {p}")
-    lp = _log_binom_pmf(trials, p)
+    lp = _log_binom_pmf(_log_binom_table(trials), p)
     cut = lp[successes] + math.log1p(1e-7)
     keep = lp[lp <= cut]
     m = keep.max()

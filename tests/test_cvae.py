@@ -324,17 +324,38 @@ def test_decode_u_is_decode_of_standardized_latent():
     assert np.asarray(model.decode_u(u.astype(np.float64), cond)).tobytes() == want.tobytes()
 
 
-def test_one_row_condition_is_shared_by_every_latent_row():
-    model = make_model()
+def one_row_and_repeated_decodes(m, k, hidden):
+    """decode(z, y) and decode_u(z, condition(y)) for one row y, after checking
+    that every one-row path gives the same bits, plus the same two decodes
+    with y repeated once per latent row."""
+    model = CvaeModel(m, k, hidden, rng=np.random.default_rng(0))
     rng = np.random.default_rng(5)
-    y = rng.uniform(0, 1, (1, 6)).astype(np.float32)
-    z = rng.standard_normal((7, 3)).astype(np.float32)
-    want = np.asarray(model.decode(z, np.repeat(y, 7, axis=0)))
-    assert np.asarray(model.decode(z, y)).tobytes() == want.tobytes()
-    assert np.asarray(model.decode(z, y[0])).tobytes() == want.tobytes()
+    y = rng.uniform(0, 1, (1, m)).astype(np.float32)
+    z = rng.standard_normal((7, k)).astype(np.float32)
     cond = model.condition(y)
-    want_u = np.asarray(model.decode(z * cond.std + cond.mean, np.repeat(y, 7, axis=0)))
-    assert np.asarray(model.decode_u(z, cond)).tobytes() == want_u.tobytes()
+    zu = z * cond.std + cond.mean
+    got = np.asarray(model.decode(z, y))
+    assert np.asarray(model.decode(z, y[0])).tobytes() == got.tobytes()
+    got_u = np.asarray(model.decode_u(z, cond))
+    assert got_u.tobytes() == np.asarray(model.decode(zu, y)).tobytes()
+    rows = np.repeat(y, 7, axis=0)
+    return (got, got_u), (np.asarray(model.decode(z, rows)), np.asarray(model.decode(zu, rows)))
+
+
+def test_one_row_condition_is_shared_by_every_latent_row():
+    got, want = one_row_and_repeated_decodes(6, 3, 10)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m,k,hidden", [(256, 8, 128), (784, 784, 784)])
+def test_one_row_condition_at_pipeline_widths(m, k, hidden):
+    # a repeated y is projected inside a (7, m) product, which BLAS rounds
+    # differently from the one-row product at these widths: equal within a
+    # few float32 roundings, not bit for bit
+    got, want = one_row_and_repeated_decodes(m, k, hidden)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=0, atol=16 * np.finfo(np.float32).eps)
 
 
 def test_single_vector_decode():

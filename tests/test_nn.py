@@ -1,9 +1,12 @@
 """Contract tests for the autodiff core, Adam, schedules, and checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pertsets import nn
 from pertsets.cvae import CvaeModel
@@ -353,6 +356,74 @@ def test_adam_contract_errors():
         nn.adam_step(params, {}, lr=0.1)
     with pytest.raises(ValueError):
         nn.adam_step(params, {"w": np.zeros(3)}, lr=0.1)
+    # a gradient rejected on a later tensor leaves every tensor untouched
+    params = nn.ParamSet({"a": np.zeros(2), "b": np.zeros(2)})
+    with pytest.raises(ValueError, match="for 'b'"):
+        nn.adam_step(params, {"a": np.ones(2), "b": np.zeros(3)}, lr=0.1)
+    assert params.step == 0 and not params.m
+    np.testing.assert_array_equal(params["a"], [0.0, 0.0])
+
+
+def formula_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    # the whole-tensor update formula adam_step computes block by block
+    params.step += 1
+    t = params.step
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, value in params.values.items():
+        g = grads[name].astype(value.dtype, copy=False)
+        if name not in params.m:
+            params.m[name] = np.zeros_like(value)
+            params.v[name] = np.zeros_like(value)
+        m = params.m[name]
+        v = params.v[name]
+        m += (1.0 - beta1) * (g - m)
+        v += (1.0 - beta2) * (g * g - v)
+        value -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+
+
+@given(width=st.sampled_from([1, 7, 512, 1000]),
+       rows_at=st.sampled_from([-1, 0, 1, "several"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       zero_grad=st.booleans(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_adam_blocks_match_the_formula_bit_for_bit(width, rows_at, dtype, zero_grad, seed):
+    # row counts at a block edge (block - 1, block, block + 1) and across
+    # several blocks, next to vectors and a 0-d tensor; one tensor may get a
+    # zero gradient
+    block_rows = max(1, nn._BLOCK // width)
+    rows = 3 * block_rows + 5 if rows_at == "several" else max(1, block_rows + rows_at)
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (rows, width), "b": (width,), "c": (rows,), "s": ()}
+    values = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+    got, want = nn.ParamSet({n: v.copy() for n, v in values.items()}), nn.ParamSet(values)
+    for step in range(3):
+        grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+        if zero_grad:
+            grads["w" if step == 1 else "b"][...] = 0
+        nn.adam_step(got, grads, lr=3e-3, beta1=0.8, beta2=0.99)
+        formula_adam_step(want, grads, lr=3e-3, beta1=0.8, beta2=0.99)
+    assert got.step == want.step == 3
+    for state in ("values", "m", "v"):
+        for n in shapes:
+            a, b = getattr(got, state)[n], getattr(want, state)[n]
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes(), (state, n)
+
+
+def test_adam_step_forms_no_full_size_temporary():
+    shape = (1568, 784)
+    rng = np.random.default_rng(0)
+    params = nn.ParamSet({"w": rng.standard_normal(shape, dtype=np.float32)})
+    g = {"w": rng.standard_normal(shape, dtype=np.float32)}
+    nn.adam_step(params, g, lr=1e-3)     # allocates the two moments
+    tracemalloc.start()
+    try:
+        nn.adam_step(params, g, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params["w"].nbytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +507,21 @@ def test_init_deterministic_given_seed():
     w = p1.values["d/w0"]
     assert w.dtype == np.float32
     assert np.abs(w).max() <= bound
+
+
+@pytest.mark.parametrize("in_dim,out_dim", [(1568, 784), (300, 700), (5, 4), (1, 1 << 17)])
+def test_init_row_blocks_equal_one_float64_draw(in_dim, out_dim):
+    # many blocks with a short last one, a few with a short last one, one
+    # block, and a row wider than a block
+    net = nn.Network("d", in_dim, [("dense", out_dim), ("relu",), ("dense", 3)])
+    params = nn.ParamSet()
+    net.init(params, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for name, shape in net.param_shapes().items():
+        if len(shape) == 2:
+            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+            want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            assert params.values[name].tobytes() == want.tobytes(), name
 
 
 def test_finite_guard():

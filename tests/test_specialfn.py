@@ -253,6 +253,53 @@ def test_clopper_pearson_coverage():
     assert misses / trials <= 0.002
 
 
+def rebuilt_log_binom_pmf(n, p):
+    # reference log pmf that builds its own log C(n, i) table on every call
+    i = np.arange(n + 1, dtype=np.float64)
+    lg = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n + 1, dtype=np.float64)))))
+    log_nck = lg[n] - lg - lg[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = i * (np.log(p) if p > 0 else -np.inf)
+        lq = (n - i) * (np.log1p(-p) if p < 1 else -np.inf)
+    return log_nck + np.where(i == 0, 0.0, lp) + np.where(i == n, 0.0, lq)
+
+
+def rebuilt_clopper_pearson_lower(k, n, confidence):
+    alpha = 1.0 - confidence
+    if k == 0:
+        return 0.0
+    if k == n:
+        return alpha ** (1.0 / n)
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lp = rebuilt_log_binom_pmf(n, mid)[k:]
+        m = lp.max()
+        if float(np.exp(m) * np.exp(lp - m).sum()) < alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 256, 2000, 10000])
+def test_binomial_table_built_once_gives_the_same_bits(n):
+    # the log C(n, i) table is built once per call; every bound and p-value
+    # equals the one from a table rebuilt at each bisection step
+    ks = sorted({0, 1, n // 3, n // 2, (9 * n) // 10, n - 1, n})
+    for conf in (0.999, 0.95):
+        for k in ks:
+            assert clopper_pearson_lower(k, n, conf) == rebuilt_clopper_pearson_lower(k, n, conf)
+    for k in ks:
+        for p in (0.1, 0.5, 0.9):
+            lp = rebuilt_log_binom_pmf(n, p)
+            keep = lp[lp <= lp[k] + math.log1p(1e-7)]
+            want = float(min(1.0, np.exp(keep.max()) * np.exp(keep - keep.max()).sum()))
+            assert binom_two_sided_pvalue(k, n, p) == want
+
+
 # ---------------------------------------------------------------------------
 # Two-sided binomial test
 
