@@ -571,17 +571,16 @@ def cmd_bounds(cfg: dict) -> dict:
 
     model, pairs, _ = _stage_inputs(model_dir, data_dir, limit=limit)
 
-    records = []
-    r = theory.mahalanobis_radius(model.k, alpha)
     children = np.random.SeedSequence(seed).spawn(len(pairs))
-    for i in range(len(pairs)):
-        est = theory.estimate_R_K(model, pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1],
-                                  np.random.default_rng(children[i]), samples=samples)
-        tb = theory.theorem1_bounds(est, alpha=alpha, r=r)
-        records.append({"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
-                        "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
-                        "ln_h": tb.ln_h,
-                        "theorem2_bound": theory.theorem2_bound(tb)})
+    ests = [theory.estimate_R_K(model, pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1],
+                                np.random.default_rng(children[i]), samples=samples)
+            for i in range(len(pairs))]
+    bounds = theory.theorem1_bounds(ests, alpha=alpha)
+    records = [{"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
+                "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
+                "ln_h": tb.ln_h,
+                "theorem2_bound": theory.theorem2_bound(tb)}
+               for i, (est, tb) in enumerate(zip(ests, bounds))]
 
     stage = ArtifactDir(out_dir)
     stage.write_json("config.json", resolved)

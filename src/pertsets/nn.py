@@ -6,7 +6,7 @@ dense layer that multiplies each stream by its own block of weight rows, so
 a fixed stream's share can be computed once (Network.project) and reused.
 The recorded graph additionally supports the elementwise ops that the
 variational objective and the latent attacks compose on top of network
-outputs (add/sub/mul/exp/tanh/sums/cross-entropy).
+outputs (add/sub/mul/exp/sums/cross-entropy).
 
 Dtype rule: network math runs in float32, and every op preserves its array
 operands' dtype. Python int and float operands stay Python numbers, so they
@@ -72,9 +72,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _val(x):
     # python scalars pass through unconverted: np.asarray would make them
@@ -134,21 +131,6 @@ def mul(a, b):
     return Var(out, (a, b), vjp)
 
 
-def matmul(a, b):
-    av, bv = _val(a), _val(b)
-    out = av @ bv
-    if not _is_rec(a, b):
-        return out
-
-    def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, g @ bv.T)
-        if isinstance(b, Var):
-            _accum(b, av.T @ g)
-
-    return Var(out, (a, b), vjp)
-
-
 def relu(a):
     av = _val(a)
     out = np.maximum(av, 0)
@@ -157,18 +139,6 @@ def relu(a):
 
     def vjp(g):
         _accum(a, g * (av > 0))
-
-    return Var(out, (a,), vjp)
-
-
-def tanh(a):
-    av = _val(a)
-    out = np.tanh(av)
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, g * (1.0 - out * out))
 
     return Var(out, (a,), vjp)
 
@@ -590,23 +560,26 @@ class Schedule:
 def save_params(params: ParamSet, stem: str, extra: dict = None):
     """Write `<stem>.json` (manifest) and `<stem>.bin` (little-endian float32
     blob, concatenated in manifest order). Parameter order is sorted by name
-    so the byte layout is deterministic."""
+    so the byte layout is deterministic. Each tensor goes straight to the
+    file; a float32 one is written without a copy."""
     names = sorted(params.values)
     manifest = {
         "format": "pertsets-params-v1",
         "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names],
         "extra": extra or {},
     }
-    blob = b"".join(np.ascontiguousarray(params.values[n], dtype="<f4").tobytes() for n in names)
     with open(stem + ".json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     with open(stem + ".bin", "wb") as f:
-        f.write(blob)
+        for n in names:
+            f.write(np.ascontiguousarray(params.values[n], dtype="<f4"))
 
 
 def load_params(stem: str):
-    """Inverse of save_params; returns (ParamSet, extra dict)."""
+    """Inverse of save_params; returns (ParamSet, extra dict). Each tensor is
+    read from the blob straight into its own fresh array, so no copy of the
+    whole blob is held and every tensor owns aligned data."""
     for suffix in (".json", ".bin"):
         if not os.path.exists(stem + suffix):
             raise FileNotFoundError(f"checkpoint part missing: {stem}{suffix}")
@@ -614,16 +587,14 @@ def load_params(stem: str):
         manifest = json.load(f)
     if manifest.get("format") != "pertsets-params-v1":
         raise ValueError(f"unrecognized checkpoint format in {stem}.json")
-    raw = np.fromfile(stem + ".bin", dtype="<f4")
     params = ParamSet()
-    pos = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        if pos + n > raw.size:
-            raise ValueError(f"checkpoint blob too short for tensor {entry['name']!r}")
-        params.values[entry["name"]] = raw[pos:pos + n].reshape(shape).copy()
-        pos += n
-    if pos != raw.size:
-        raise ValueError(f"checkpoint blob has {raw.size - pos} trailing floats")
+    with open(stem + ".bin", "rb") as f:
+        for entry in manifest["tensors"]:
+            value = np.empty(tuple(entry["shape"]), dtype="<f4")
+            if f.readinto(value) != value.nbytes:
+                raise ValueError(f"checkpoint blob too short for tensor {entry['name']!r}")
+            params.values[entry["name"]] = value
+        left = os.fstat(f.fileno()).st_size - f.tell()
+    if left:
+        raise ValueError(f"checkpoint blob has {left / 4:g} trailing floats")
     return params, manifest.get("extra", {})

@@ -1,7 +1,10 @@
-"""Scalar special functions backing the certification math.
+"""Special functions backing the certification math.
 
 Everything here runs in 64-bit floats regardless of what the network side
 uses: these values feed bound computations where 1e-3 of slack matters.
+Lambert W takes a float or an array and iterates every element at once;
+the normal, gamma and chi-square functions are scalar, and the binomial
+bounds work on arrays over the outcomes of one binomial.
 Implementations are self-contained (no scipy at runtime) so the test suite
 can use library routines as genuinely independent oracles.
 """
@@ -19,63 +22,79 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Lambert W
 
 
-def _lambert_start(x: float, branch: str) -> float:
-    """Initial iterate: branch-point series near -1/e, asymptotic forms elsewhere."""
-    if x < -0.25:
+def _lambert_start(x: np.ndarray, branch: str) -> np.ndarray:
+    """Initial iterates: branch-point series near -1/e, asymptotic forms elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # series around the branch point w(-1/e) = -1, p = +/- sqrt(2(ex+1))
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        p = np.sqrt(2.0 * (math.e * x + 1.0))
         if branch == "lower":
             p = -p
-        return -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    if branch == "lower":
-        # x in [-0.25, 0): w -> -inf as x -> 0-, use log asymptotics
-        l1 = math.log(-x)
-        l2 = math.log(-l1)
-        return l1 - l2 + l2 / l1
-    if x < 1.0:
-        return x * (1.0 - x)  # first terms of the Taylor series at 0
-    l1 = math.log(x)
-    return l1 - math.log(l1) if l1 > 1.0 else l1
+        series = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
+        l1 = np.log(np.abs(x))
+        if branch == "lower":
+            # x in [-0.25, 0): w -> -inf as x -> 0-, use log asymptotics
+            l2 = np.log(-l1)
+            far = l1 - l2 + l2 / l1
+        else:
+            # first terms of the Taylor series at 0 below 1, log asymptotics above
+            far = np.where(x < 1.0, x * (1.0 - x), np.where(l1 > 1.0, l1 - np.log(l1), l1))
+    return np.where(x < -0.25, series, far)
 
 
-def lambert_w(x: float, branch: str = "principal") -> float:
-    """Solve w * exp(w) = x on the requested real branch.
+def lambert_w(x, branch: str = "principal"):
+    """Solve w * exp(w) = x on the requested real branch, elementwise.
 
     branch "principal" (W0, w >= -1) accepts x >= -1/e; branch "lower"
-    (W-1, w <= -1) accepts -1/e <= x < 0. Halley iteration from a
-    branch-aware start; the returned w satisfies |w*exp(w) - x| <= 1e-13 |x|,
-    a relative residual that holds down to the smallest normal |x|.
+    (W-1, w <= -1) accepts -1/e <= x < 0. x is a float or an array of any
+    shape (a float gives a float, an array an array of its shape). One Halley
+    loop runs over every element from a branch-aware start, and each element
+    stops on its own once |w*exp(w) - x| <= 1e-13 |x|, a relative residual
+    that holds down to the smallest normal |x|.
     """
     if branch not in ("principal", "lower"):
         raise ValueError(f"unknown branch {branch!r}")
-    x = float(x)
-    if x < -_INV_E:
-        if x < -_INV_E - 1e-12:
-            raise ValueError(f"lambert_w domain: x={x} < -1/e")
-        x = -_INV_E
-    if branch == "lower" and x >= 0.0:
-        raise ValueError(f"lower branch domain: x={x} not in [-1/e, 0)")
-    if x == -_INV_E:
-        return -1.0
-    if x == 0.0:
-        return 0.0
+    shape = np.shape(x)
+    # a flat copy: numpy computes on 0-d arrays as scalars, whose rounding
+    # can differ from its array loops
+    x = np.array(x, dtype=np.float64).reshape(-1)
+    below = x < -_INV_E
+    if below.any():
+        bad = x < -_INV_E - 1e-12
+        if bad.any():
+            raise ValueError(f"lambert_w domain: x={float(x[bad][0])} < -1/e")
+        x[below] = -_INV_E
+    if branch == "lower" and (x >= 0.0).any():
+        raise ValueError(f"lower branch domain: x={float(x[x >= 0.0][0])} not in [-1/e, 0)")
 
     w = _lambert_start(x, branch)
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-13 * abs(x):
-            break
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        # keep the iterate on its branch
-        if branch == "principal" and w < -1.0:
-            w = -1.0 + 1e-12
-        if branch == "lower" and w > -1.0:
-            w = -1.0 - 1e-12
-    return w
+    w[x == -_INV_E] = -1.0
+    w[x == 0.0] = 0.0
+    # the elements still iterating: index, iterate and argument
+    idx = np.flatnonzero((x != -_INV_E) & (x != 0.0))
+    wi, xi = w[idx], x[idx]
+    # a zero Halley denominator (a subnormal x on the lower branch) raises
+    # FloatingPointError rather than return a wrong root
+    with np.errstate(divide="raise"):
+        for _ in range(100):
+            if not idx.size:
+                break
+            ew = np.exp(wi)
+            f = wi * ew - xi
+            done = np.abs(f) <= 1e-13 * np.abs(xi)
+            if done.any():
+                w[idx[done]] = wi[done]
+                left = ~done
+                idx, wi, xi, ew, f = idx[left], wi[left], xi[left], ew[left], f[left]
+            wp1 = wi + 1.0
+            denom = ew * wp1 - (wi + 2.0) * f / (2.0 * wp1)
+            wi = wi - f / denom
+            # keep the iterates on their branch
+            if branch == "principal":
+                wi[wi < -1.0] = -1.0 + 1e-12
+            else:
+                wi[wi > -1.0] = -1.0 - 1e-12
+    w[idx] = wi
+    return float(w[0]) if shape == () else w.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +256,8 @@ def _log_binom_table(n: int):
 
 
 def _log_binom_pmf(table, p: float) -> np.ndarray:
-    """log pmf of Binomial(n, p) over all outcomes 0..n, from _log_binom_table(n)."""
+    """log pmf of Binomial(n, p) over the outcomes of a _log_binom_table(n),
+    or of a slice of its outcomes and log C(n, i) columns."""
     n, i, log_nck = table
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = i * (np.log(p) if p > 0 else -np.inf)
@@ -254,7 +274,8 @@ def _binom_upper_tail(k: int, table, p: float) -> float:
         return 0.0
     if p >= 1.0:
         return 1.0
-    lp = _log_binom_pmf(table, p)[k:]
+    n, i, log_nck = table
+    lp = _log_binom_pmf((n, i[k:], log_nck[k:]), p)
     m = lp.max()
     return float(np.exp(m) * np.exp(lp - m).sum())
 

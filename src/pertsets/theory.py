@@ -3,9 +3,11 @@
 Given training thresholds (R, K_i) measured from a model, these produce the
 latent radius bound eps = B*r + sqrt(sum K_i) with its paired reconstruction
 error bound delta, and the truncated-expectation bound delta * H where H
-multiplies per-dimension density-ratio constants. Everything is plain float
-arithmetic; H is handled in log scale because it overflows for trained
-models almost immediately.
+multiplies per-dimension density-ratio constants. theorem1_bounds takes a
+stage's estimates together and computes their per-dimension intervals and
+ln H terms as float64 arrays; the rest is plain float arithmetic. H is
+handled in log scale because it overflows for trained models almost
+immediately.
 """
 
 import math
@@ -69,49 +71,65 @@ def mahalanobis_radius(k: int, alpha: float) -> float:
     return math.sqrt(chi_square_quantile(1.0 - alpha, k))
 
 
-def lemma3_interval(K: float) -> tuple:
-    """Interval [a, b] containing every x > 0 with x - ln x <= K + 1.
+def lemma3_interval(K):
+    """Interval [a, b] containing every x > 0 with x - ln x <= K + 1, for
+    each element of K (a float gives floats, an array two arrays of its
+    shape).
 
     a = -W_0(-e^-(K+1)), b = -W_-1(-e^-(K+1)); the endpoints collapse to 1
     at K = 0. Past K ~ 707, e^-(K+1) is subnormal (and past ~744 it is 0),
     where lambert_w loses precision: there a (about e^-(K+1)) is taken as
     0 and b solves b - ln b = K + 1 directly.
     """
-    if K < 0:
-        raise ValueError(f"K must be non-negative, got {K}")
-    arg = -math.exp(-(K + 1.0))
-    if -arg < sys.float_info.min:
+    K = np.asarray(K, dtype=np.float64)
+    if (K < 0).any():
+        raise ValueError(f"K must be non-negative, got {float(K[K < 0][0])}")
+    arg = -np.exp(-(K + 1.0))
+    tiny = -arg < sys.float_info.min
+    a, b = np.zeros_like(K), np.empty_like(K)
+    if tiny.any():
         # b <- K + 1 + ln b contracts by 1/b < 1/700 per pass
-        b = K + 1.0
+        Kt = K[tiny]
+        bt = Kt + 1.0
         for _ in range(10):
-            b = K + 1.0 + math.log(b)
-        return 0.0, b
-    a = -lambert_w(arg, branch="principal")
-    b = -lambert_w(arg, branch="lower")
-    return min(a, 1.0), max(b, 1.0)
+            bt = Kt + 1.0 + np.log(bt)
+        b[tiny] = bt
+    normal = ~tiny
+    a[normal] = np.minimum(-lambert_w(arg[normal], branch="principal"), 1.0)
+    b[normal] = np.maximum(-lambert_w(arg[normal], branch="lower"), 1.0)
+    return (float(a), float(b)) if K.ndim == 0 else (a, b)
 
 
-def theorem1_bounds(est: ObjectiveEstimate, alpha: float = 0.01, r: float = None) -> TheoryBounds:
-    """(eps, delta) guarantee: within latent radius eps = B*r + sqrt(sum K_i)
-    there is a point whose reconstruction SSE is at most
-    delta = -(2R + m ln 2pi) / (1 - alpha). r is mahalanobis_radius(k,
-    alpha), computed here unless a caller bounding many pairs passes it."""
-    if r is None:
-        r = mahalanobis_radius(est.k, alpha)
-    intervals = np.array([lemma3_interval(v) for v in est.K])
-    B = float(np.sqrt(intervals[:, 1]).max())
-    eps = B * r + math.sqrt(float(est.K.sum()))
-    delta = max(0.0, -(2.0 * est.R + est.m * LN_2PI) / (1.0 - alpha))
-    ln_h = 0.0
-    # python floats: a c2 past float range (a tiny or 0) is inf, not a warning
-    for (a, b), K in zip(intervals.tolist(), est.K.tolist()):
+def theorem1_bounds(estimates, alpha: float = 0.01) -> list:
+    """(eps, delta) guarantee for each estimate, in order: within latent
+    radius eps = B*r + sqrt(sum K_i) there is a point whose reconstruction
+    SSE is at most delta = -(2R + m ln 2pi) / (1 - alpha).
+
+    The estimates share one k, so r = mahalanobis_radius(k, alpha) is
+    computed once, and the Lemma-3 intervals and ln H terms of every
+    estimate and dimension in one array pass. Every step is elementwise or
+    within one row, so an estimate's bounds do not depend on the others."""
+    K = np.stack([est.K for est in estimates])     # ValueError unless one k
+    r = mahalanobis_radius(K.shape[1], alpha)
+    a, b = lemma3_interval(K)
+    # a c2 past float range (a tiny or 0) is inf, not a warning
+    with np.errstate(divide="ignore", over="ignore"):
         c1 = (b - 1.0) * r * r - K
-        c2 = ((1.0 - a) * r * r + 2.0 * r * math.sqrt(K) + K) / a if a > 0.0 else math.inf
-        ln_h += 0.5 * math.log(b) + max(c1, c2)
-    h = math.exp(ln_h) if ln_h <= _LN_HUGE else math.inf
-    return TheoryBounds(r=r, alpha=alpha, eps=eps, delta_sse=delta,
-                        delta_per_pixel=delta / est.m, B=B,
-                        intervals=intervals, ln_h=ln_h, h=h)
+        c2 = ((1.0 - a) * r * r + 2.0 * r * np.sqrt(K) + K) / a
+        terms = 0.5 * np.log(b) + np.maximum(c1, c2)
+    # cumsum adds along each row left to right, as a running sum would
+    ln_h = np.cumsum(terms, axis=1)[:, -1].tolist()
+    B = np.sqrt(b).max(axis=1).tolist()
+    intervals = np.stack([a, b], axis=-1)
+    out = []
+    for i, est in enumerate(estimates):
+        eps = B[i] * r + math.sqrt(float(est.K.sum()))
+        delta = max(0.0, -(2.0 * est.R + est.m * LN_2PI) / (1.0 - alpha))
+        h = math.exp(ln_h[i]) if ln_h[i] <= _LN_HUGE else math.inf
+        out.append(TheoryBounds(r=r, alpha=alpha, eps=eps, delta_sse=delta,
+                                delta_per_pixel=delta / est.m, B=B[i],
+                                intervals=intervals[i], ln_h=ln_h[i], h=h))
+    return out
 
 
 def theorem2_bound(bounds: TheoryBounds) -> float:

@@ -23,7 +23,7 @@ from pertsets import cli, robust, smoothing, theory
 from pertsets.cvae import (CvaeModel, GaussianDiag, TrainConfig, kl_diag,
                            sample_truncated_ball, train_cvae)
 from pertsets.evalmetrics import evaluate_set, pgd_ae, select_radius
-from pertsets.nn import Schedule, Var, backward, matmul, relu, sum_all
+from pertsets.nn import Schedule, Var, backward, dense, relu, sum_all
 from pertsets.pertgen import gen_linf_pairs, synth_shapes
 from pertsets.robust import AttackConfig, Classifier
 from pertsets.specialfn import clopper_pearson_lower, lambert_w, reg_lower_gamma
@@ -182,7 +182,7 @@ def test_criterion_3_theorem1_validity(desk):
     for i in range(n_pairs):
         x, y = test.perturbed[i:i + 1], test.conditioned[i:i + 1]
         est = theory.estimate_R_K(model, x, y, rng, samples=64)
-        tb = theory.theorem1_bounds(est, alpha=0.01)
+        tb = theory.theorem1_bounds([est], alpha=0.01)[0]
         err = pgd_ae(model, x, y, tb.eps, steps=50)
         ok += (err * m) <= tb.delta_sse
     elapsed = time.time() - t0
@@ -206,7 +206,7 @@ def test_criterion_4_theorem2_validity(desk):
     for i in range(n_pairs):
         x, y = test.perturbed[i:i + 1], test.conditioned[i:i + 1]
         est = theory.estimate_R_K(model, x, y, rng, samples=64)
-        tb = theory.theorem1_bounds(est, alpha=0.01)
+        tb = theory.theorem1_bounds([est], alpha=0.01)[0]
         bound = theory.theorem2_bound(tb)
         ln_bound = theory.theorem2_ln_bound(tb)
         u = sample_truncated_ball(model.k, tb.r, n_samples, rng)
@@ -343,7 +343,7 @@ def test_criterion_7_numerics_oracles():
     w1 = Var(rng.normal(size=(4, 8)) * 0.5)
     w2 = Var(rng.normal(size=(8, 3)) * 0.5)
     x = rng.normal(size=(5, 4))
-    backward(sum_all(matmul(relu(matmul(x, w1)), w2)))
+    backward(sum_all(dense([relu(dense([x], w1, 0.0))], w2, 0.0)))
 
     def f(w1v, w2v):
         return float((np.maximum(x @ w1v, 0.0) @ w2v).sum())

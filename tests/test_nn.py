@@ -194,7 +194,7 @@ def test_scaled_tanh_is_one_node_with_the_chained_arithmetic():
         out = nn.scaled_tanh(a, lo, hi)
         assert out._parents == (a,)
         chained = nn.Var(h)
-        ref = nn.add(nn.mul(nn.add(nn.tanh(chained), 1.0), 0.5 * (hi - lo)), lo)
+        ref = nn.add(nn.mul(nn.add(tanh(chained), 1.0), 0.5 * (hi - lo)), lo)
         assert out.value.dtype == np.float32 and out.value.tobytes() == ref.value.tobytes()
         nn.backward(nn.sum_all(out))
         nn.backward(nn.sum_all(ref))
@@ -202,11 +202,12 @@ def test_scaled_tanh_is_one_node_with_the_chained_arithmetic():
 
 
 def test_gradcheck_elementwise_composition():
-    # exp/mul/add/row_sum composition, the shape the variational loss uses
+    # exp/mul/add/row_sum composition, the shape the variational loss uses;
+    # scaled_tanh onto (-0.5, 0.5) is tanh(a) * 0.5
     rng = np.random.default_rng(9)
     a = nn.Var(rng.normal(size=(3, 4)))
     b = nn.Var(rng.normal(size=(3, 4)))
-    loss = nn.mean_all(nn.row_sum(nn.exp(a) * b + nn.tanh(a) * 0.5 - b))
+    loss = nn.mean_all(nn.row_sum(nn.exp(a) * b + nn.scaled_tanh(a, -0.5, 0.5) - b))
     nn.backward(loss)
     ga, gb = a.grad.copy(), b.grad.copy()
     av, bv = a.value, b.value
@@ -276,6 +277,18 @@ def test_float32_params_keep_network_outputs_float32():
         assert out.dtype == np.float64
 
 
+def matmul(a, b):
+    """A bare product a @ b through nn.dense: one stream, no bias."""
+    return nn.dense([a], b, 0.0)
+
+
+def tanh(a):
+    """The recorded tanh that scaled_tanh folds into one node, kept as its
+    reference."""
+    out = np.tanh(a.value)
+    return nn.Var(out, (a,), lambda g: nn._accum(a, g * (1.0 - out * out)))
+
+
 class _UfuncLog(np.ndarray):
     """Array that logs every ufunc call it takes part in."""
 
@@ -288,12 +301,12 @@ class _UfuncLog(np.ndarray):
 
 
 @pytest.mark.parametrize("op, frozen_first", [
-    (nn.matmul, False), (nn.matmul, True), (nn.mul, False), (nn.add, False)])
+    (matmul, False), (matmul, True), (nn.mul, False), (nn.add, False)])
 def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch):
     # the VJP computes one term per recorded operand only: no gradient for a
     # frozen weight, a constant scale or bias, or a raw input batch
     rng = np.random.default_rng(4)
-    shapes = {nn.matmul: ((5, 3), (3, 2)), nn.mul: ((5, 3), (3,)), nn.add: ((5, 3), (3,))}[op]
+    shapes = {matmul: ((5, 3), (3, 2)), nn.mul: ((5, 3), (3,)), nn.add: ((5, 3), (3,))}[op]
     frozen_shape, var_shape = shapes if frozen_first else shapes[::-1]
     frozen, var = rng.normal(size=frozen_shape), nn.Var(rng.normal(size=var_shape))
     out = op(frozen, var) if frozen_first else op(var, frozen)
@@ -304,10 +317,12 @@ def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch
     _UfuncLog.calls = []
     out._vjp(np.ones_like(out.value).view(_UfuncLog))
     assert var.grad.shape == var.value.shape
-    expected = {nn.matmul: [("matmul", "__call__")], nn.mul: [("multiply", "__call__")],
+    expected = {matmul: [("matmul", "__call__")], nn.mul: [("multiply", "__call__")],
                 nn.add: []}[op]
     assert _UfuncLog.calls == expected
-    assert reduced_to == ([] if op is nn.matmul else [var.value.shape])
+    # dense reduces an input stream's gradient (a one-row stream conditions
+    # every row); a recorded weight's gradient is formed at its shape
+    assert reduced_to == ([] if op is matmul and frozen_first else [var.value.shape])
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +499,48 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     assert (tmp_path / "model2.bin").read_bytes() == (tmp_path / "model3.bin").read_bytes()
 
 
+def test_checkpoint_streams_each_tensor(tmp_path):
+    # every tensor is written as little-endian float32 in name order and read
+    # back into an array of its own: a 0-d, an empty, a transposed float32
+    # and a float64 tensor
+    rng = np.random.default_rng(5)
+    values = {"a/s": np.array(2.5, np.float32), "b/w": rng.normal(size=(4, 6)).astype(np.float32).T,
+              "c/e": np.zeros((0, 3), np.float32), "d/w": rng.normal(size=(7, 5)),
+              "e/b": rng.normal(size=33).astype(np.float32)}
+    stem = str(tmp_path / "m")
+    nn.save_params(nn.ParamSet(values), stem)
+    want = b"".join(np.ascontiguousarray(values[n], dtype="<f4").tobytes() for n in sorted(values))
+    assert (tmp_path / "m.bin").read_bytes() == want
+    loaded, _ = nn.load_params(stem)
+    assert list(loaded.values) == sorted(values)
+    for name, value in loaded.values.items():
+        assert value.dtype == np.float32 and value.shape == np.shape(values[name])
+        assert value.flags.owndata and value.flags.c_contiguous and value.flags.aligned
+        assert value.tobytes() == np.ascontiguousarray(values[name], dtype="<f4").tobytes()
+
+
+def test_checkpoint_load_holds_no_copy_of_the_blob(tmp_path):
+    # loading a 1568x784 float32 checkpoint allocates its tensors and little
+    # else: no whole-blob buffer next to them; saving it allocates no copy
+    rng = np.random.default_rng(6)
+    params = nn.ParamSet({"w": rng.standard_normal((1568, 784), dtype=np.float32),
+                          "b": rng.standard_normal(784, dtype=np.float32)})
+    size = sum(v.nbytes for v in params.values.values())
+    stem = str(tmp_path / "big")
+    tracemalloc.start()
+    try:
+        nn.save_params(params, stem)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded, _ = nn.load_params(stem)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < size / 4
+    assert load_peak < 1.5 * size
+    assert all(loaded[n].tobytes() == params[n].tobytes() for n in params.values)
+
+
 def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(FileNotFoundError):
         nn.load_params(str(tmp_path / "nope"))
@@ -492,8 +549,15 @@ def test_checkpoint_error_cases(tmp_path):
     nn.save_params(params, stem)
     with open(stem + ".bin", "ab") as f:
         f.write(b"\x00\x00\x00\x00")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 trailing floats"):
         nn.load_params(stem)
+    # a tail shorter than one float, and a blob one float short
+    whole = open(stem + ".bin", "rb").read()
+    for blob, match in ((whole[:14], "0.5 trailing floats"), (whole[:8], "too short")):
+        with open(stem + ".bin", "wb") as f:
+            f.write(blob)
+        with pytest.raises(ValueError, match=match):
+            nn.load_params(stem)
 
 
 def test_init_deterministic_given_seed():

@@ -1,12 +1,14 @@
 """Tests for the guarantee calculators and threshold measurement."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from pertsets.cvae import CvaeModel
+from pertsets.specialfn import lambert_w
 from pertsets.theory import (
     LN_2PI,
     ObjectiveEstimate,
@@ -105,7 +107,7 @@ def test_lemma3_past_underflow(K):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, b = lemma3_interval(K)
-        got = theorem1_bounds(ObjectiveEstimate(R=-10.0, K=np.array([K, 1.0]), m=4))
+        got = theorem1_bounds([ObjectiveEstimate(R=-10.0, K=np.array([K, 1.0]), m=4)])[0]
     assert a == 0.0
     assert math.isclose(b - math.log(b), K + 1.0, rel_tol=1e-12)
     assert math.isfinite(got.eps)
@@ -119,13 +121,151 @@ def test_lemma3_domain():
 
 
 # ---------------------------------------------------------------------------
+# Array forms against the scalar code they replaced
+
+
+_INV_E = math.exp(-1.0)
+
+
+def scalar_lambert_w(x, branch):
+    """The per-element Halley iteration lambert_w ran before it took arrays."""
+    x = float(x)
+    if x < -_INV_E:
+        x = -_INV_E
+    if x == -_INV_E:
+        return -1.0
+    if x == 0.0:
+        return 0.0
+    if x < -0.25:
+        p = math.sqrt(2.0 * (math.e * x + 1.0))
+        if branch == "lower":
+            p = -p
+        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
+    elif branch == "lower":
+        l1 = math.log(-x)
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
+    elif x < 1.0:
+        w = x * (1.0 - x)
+    else:
+        l1 = math.log(x)
+        w = l1 - math.log(l1) if l1 > 1.0 else l1
+    for _ in range(100):
+        ew = math.exp(w)
+        f = w * ew - x
+        if abs(f) <= 1e-13 * abs(x):
+            break
+        wp1 = w + 1.0
+        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        if branch == "principal" and w < -1.0:
+            w = -1.0 + 1e-12
+        if branch == "lower" and w > -1.0:
+            w = -1.0 - 1e-12
+    return w
+
+
+def scalar_lemma3_interval(K):
+    """The per-dimension Lemma-3 interval before it took arrays."""
+    arg = -math.exp(-(K + 1.0))
+    if -arg < sys.float_info.min:
+        b = K + 1.0
+        for _ in range(10):
+            b = K + 1.0 + math.log(b)
+        return 0.0, b
+    return (min(-scalar_lambert_w(arg, "principal"), 1.0),
+            max(-scalar_lambert_w(arg, "lower"), 1.0))
+
+
+def lemma3_ks():
+    # K = 0, a normal K too small to move K + 1, the working range, both
+    # sides of the subnormal boundary, far past it, and random draws
+    rng = np.random.default_rng(17)
+    return np.concatenate([[0.0, 1e-300], np.linspace(0.01, 50.0, 500),
+                           np.linspace(700.0, 745.0, 181), [5000.0],
+                           rng.exponential(3.0, 500), 10.0 ** rng.uniform(-6, 2.5, 500)])
+
+
+def w_tolerance(x, w):
+    """4 ulp of w plus 4 ulp of x carried through W'(x) = 1/(e^w (1 + w)):
+    the rounding in exp, which numpy and libm do differently, moves an
+    iterate by that much, and W' grows without bound at the branch point."""
+    x, w = np.asarray(x), np.asarray(w)
+    with np.errstate(divide="ignore"):
+        slope = np.abs(1.0 / (np.exp(w) * (1.0 + w)))
+    return 4.0 * (np.spacing(np.abs(w)) + np.spacing(np.abs(x)) * slope)
+
+
+@pytest.mark.parametrize("branch", ["principal", "lower"])
+def test_lambert_array_matches_scalar_code(branch):
+    ks = lemma3_ks()
+    x = -np.exp(-(ks + 1.0))
+    x = x[-x >= sys.float_info.min]
+    if branch == "principal":
+        x = np.concatenate([x, np.random.default_rng(18).uniform(0.0, 50.0, 500), [1.0, math.e]])
+    got = lambert_w(x, branch)
+    want = np.array([scalar_lambert_w(v, branch) for v in x])
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert (np.abs(got - want) <= w_tolerance(x, want)).all()
+    # well away from the branch point the tolerance is 4 ulp of w alone
+    far = x > -0.3
+    assert (np.abs(got - want)[far] <= 4 * np.spacing(np.abs(want[far]))).all()
+    # a float gives a float, equal to its element of the array; any shape goes
+    assert all(type(lambert_w(float(v), branch)) is float
+               and lambert_w(float(v), branch) == g for v, g in zip(x[::50], got[::50]))
+    assert np.array_equal(lambert_w(x[:24].reshape(2, 3, 4), branch), got[:24].reshape(2, 3, 4))
+
+
+def test_lemma3_array_matches_scalar_code():
+    ks = lemma3_ks()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = lemma3_interval(ks)
+        a2, b2 = lemma3_interval(ks.reshape(1, -1))
+    want = np.array([scalar_lemma3_interval(k) for k in ks])
+    assert np.array_equal(a2[0], a) and np.array_equal(b2[0], b)
+    arg = -np.exp(-(ks + 1.0))
+    for got, ref, branch in ((a, want[:, 0], "principal"), (b, want[:, 1], "lower")):
+        # the tolerance of the W the endpoint was taken from
+        w = np.array([scalar_lambert_w(v, branch) if -v >= sys.float_info.min else 0.0
+                      for v in arg])
+        assert (np.abs(got - ref) <= w_tolerance(arg, w) + 4 * np.spacing(ref)).all()
+    assert a[0] == b[0] == 1.0                          # K = 0
+    past = -arg < sys.float_info.min
+    assert past.sum() >= 2 and (a[past] == 0.0).all()   # 745 and 5000 at least
+    assert (np.abs(b - want[:, 1])[past] <= 4 * np.spacing(want[past, 1])).all()
+    assert all(type(v) is float for v in lemma3_interval(1.0))
+
+
+def test_lemma3_and_lambert_arrays_raise_the_scalar_errors():
+    for K in (-0.1, -5.0):
+        with pytest.raises(ValueError) as scalar:
+            lemma3_interval(K)
+        with pytest.raises(ValueError) as array:
+            lemma3_interval(np.array([[1.0, 2.0], [K, 3.0]]))
+        assert str(array.value) == str(scalar.value)
+    for x, branch in ((-0.4, "principal"), (0.1, "lower"), (0.0, "lower")):
+        with pytest.raises(ValueError) as scalar:
+            lambert_w(x, branch)
+        with pytest.raises(ValueError) as array:
+            lambert_w(np.array([-0.2, x, -0.1]), branch)
+        assert str(array.value) == str(scalar.value)
+    with pytest.raises(ValueError, match="unknown branch"):
+        lambert_w(np.array([0.5]), "upper")
+    # the smallest subnormal zeroes a Halley denominator on the lower branch:
+    # an error, as the scalar code's float division was, not a wrong root
+    for x in (-5e-324, np.array([-0.1, -5e-324])):
+        with pytest.raises(ArithmeticError):
+            lambert_w(x, "lower")
+
+
+# ---------------------------------------------------------------------------
 # Theorem 1
 
 
 def test_theorem1_degenerate_case():
     m = 20
     est = ObjectiveEstimate(R=-0.5 * m * LN_2PI, K=np.zeros(3), m=m)
-    got = theorem1_bounds(est, alpha=0.05)
+    got = theorem1_bounds([est], alpha=0.05)[0]
     assert math.isclose(got.eps, got.r, rel_tol=1e-9)
     assert got.delta_sse == 0.0 and got.delta_per_pixel == 0.0
     assert math.isclose(got.B, 1.0, abs_tol=1e-6)
@@ -137,7 +277,7 @@ def test_theorem1_composed_oracle():
     alpha = 1.0 - 0.6826894921370859
     m = 10
     est = ObjectiveEstimate(R=-0.5 * m * LN_2PI - 0.5, K=np.array([1.0]), m=m)
-    got = theorem1_bounds(est, alpha=alpha)
+    got = theorem1_bounds([est], alpha=alpha)[0]
     assert abs(got.r - 1.0) <= 1e-6
     b = bisect_x_minus_lnx(2.0, 1.0, 10.0)
     assert math.isclose(got.eps, math.sqrt(b) * got.r + 1.0, rel_tol=1e-6)
@@ -151,7 +291,7 @@ def test_theorem1_delta_linear_in_gap():
     deltas = []
     for g in gaps:
         est = ObjectiveEstimate(R=-0.5 * (m * LN_2PI + g), K=np.zeros(2), m=m)
-        deltas.append(theorem1_bounds(est, alpha=0.01).delta_sse)
+        deltas.append(theorem1_bounds([est], alpha=0.01)[0].delta_sse)
     deltas = np.array(deltas)
     np.testing.assert_allclose(deltas / gaps, deltas[0] / gaps[0], rtol=1e-9)
 
@@ -162,7 +302,7 @@ def test_theorem1_invariants_on_grid():
         k = int(rng.integers(1, 6))
         est = ObjectiveEstimate(R=-0.5 * 12 * LN_2PI - rng.uniform(0, 50),
                                 K=rng.uniform(0, 4, k), m=12)
-        got = theorem1_bounds(est, alpha=float(rng.uniform(0.001, 0.5)))
+        got = theorem1_bounds([est], alpha=float(rng.uniform(0.001, 0.5)))[0]
         assert got.eps >= got.r - 1e-12
         assert got.delta_sse >= 0.0
         assert (got.intervals[:, 0] <= 1.0 + 1e-12).all()
@@ -171,13 +311,63 @@ def test_theorem1_invariants_on_grid():
         assert got.B >= 1.0 - 1e-9
 
 
+def test_theorem1_batch_equals_single_calls():
+    # a stage's estimates bounded together give each one the bits it gets
+    # alone, whatever the batch: zeros, the working range, past underflow
+    rng = np.random.default_rng(21)
+    k = 7
+    ests = [ObjectiveEstimate(R=-0.5 * 12 * LN_2PI - rng.uniform(0, 50), K=K, m=12)
+            for K in [np.zeros(k), np.full(k, 1.0), np.r_[800.0, np.zeros(k - 1)],
+                      np.r_[720.0, 600.0, rng.uniform(0, 4, k - 2)]]
+            + [rng.exponential(2.0, k) for _ in range(12)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = theorem1_bounds(ests, alpha=0.02)
+        single = [theorem1_bounds([est], alpha=0.02)[0] for est in ests]
+        halves = theorem1_bounds(ests[:5], alpha=0.02) + theorem1_bounds(ests[5:], alpha=0.02)
+    assert len(batch) == len(ests)
+    for got, alone, half in zip(batch, single, halves):
+        for other in (alone, half):
+            for field in ("r", "alpha", "eps", "delta_sse", "delta_per_pixel", "B", "ln_h", "h"):
+                assert np.float64(getattr(got, field)).tobytes() == \
+                    np.float64(getattr(other, field)).tobytes(), field
+            assert got.intervals.shape == (k, 2)
+            assert got.intervals.tobytes() == other.intervals.tobytes()
+    assert batch[2].ln_h == math.inf and math.isfinite(batch[0].ln_h)
+
+
+def test_theorem1_ln_h_adds_dimensions_left_to_right():
+    # ln H is a running sum over the dimensions in order, at the paper's
+    # width as at small ones
+    rng = np.random.default_rng(22)
+    for k in (3, 784):
+        est = ObjectiveEstimate(R=-900.0, K=rng.exponential(2.0, k), m=784)
+        got = theorem1_bounds([est], alpha=0.01)[0]
+        a, b = got.intervals[:, 0], got.intervals[:, 1]
+        r, K = got.r, est.K
+        terms = 0.5 * np.log(b) + np.maximum((b - 1.0) * r * r - K,
+                                             ((1.0 - a) * r * r + 2.0 * r * np.sqrt(K) + K) / a)
+        running = 0.0
+        for t in terms.tolist():
+            running += t
+        assert got.ln_h == running
+
+
+def test_theorem1_takes_one_latent_width():
+    with pytest.raises(ValueError):
+        theorem1_bounds([])
+    with pytest.raises(ValueError):
+        theorem1_bounds([ObjectiveEstimate(R=-1.0, K=np.zeros(2), m=3),
+                         ObjectiveEstimate(R=-1.0, K=np.zeros(3), m=3)])
+
+
 # ---------------------------------------------------------------------------
 # Theorem 2
 
 
 def test_theorem2_equals_delta_without_kl():
     est = ObjectiveEstimate(R=-0.5 * 9 * LN_2PI - 2.0, K=np.zeros(4), m=9)
-    t1 = theorem1_bounds(est, alpha=0.02)
+    t1 = theorem1_bounds([est], alpha=0.02)[0]
     assert math.isclose(theorem2_bound(t1), t1.delta_sse,
                         rel_tol=1e-6)
 
@@ -192,7 +382,7 @@ def test_theorem2_hand_composed_oracle():
     c1 = (b - 1.0) * r * r - 1.0
     c2 = ((1.0 - a) * r * r + 2.0 * r + 1.0) / a
     want = (1.0 / (1.0 - alpha)) * math.sqrt(b) * math.exp(max(c1, c2))
-    t1 = theorem1_bounds(est, alpha=alpha)
+    t1 = theorem1_bounds([est], alpha=alpha)[0]
     got = theorem2_bound(t1)
     # r carries the quantile solver tolerance into the exponent
     assert math.isclose(got, want, rel_tol=1e-4)
@@ -207,7 +397,7 @@ def test_theorem2_never_below_delta():
         est = ObjectiveEstimate(R=-0.5 * 7 * LN_2PI - rng.uniform(0.1, 20),
                                 K=rng.uniform(0, 3, k), m=7)
         alpha = float(rng.uniform(0.01, 0.3))
-        t1 = theorem1_bounds(est, alpha)
+        t1 = theorem1_bounds([est], alpha)[0]
         ln2 = theorem2_ln_bound(t1)
         assert ln2 >= math.log(t1.delta_sse) - 1e-12
 
@@ -215,7 +405,7 @@ def test_theorem2_never_below_delta():
 def test_theorem2_overflow_reports_ln_scale():
     est = ObjectiveEstimate(R=-0.5 * 4 * LN_2PI - 1.0,
                             K=np.array([600.0, 600.0]), m=4)
-    t1 = theorem1_bounds(est, alpha=0.01)
+    t1 = theorem1_bounds([est], alpha=0.01)[0]
     assert t1.h == math.inf and math.isfinite(t1.ln_h)
     assert theorem2_bound(t1) == math.inf
     assert math.isfinite(theorem2_ln_bound(t1))
