@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import nn, robust, smoothing, theory
-from .cvae import CvaeModel, PairSet, TrainConfig, load_cvae, train_cvae
+from .cvae import LOGVAR_HI, LOGVAR_LO, CvaeModel, PairSet, TrainConfig, load_cvae, train_cvae
 from .evalmetrics import METRICS, evaluate_set, select_radius
 from .pertgen import Dataset, RtsParams, gen_linf_pairs, gen_rts_pairs, read_idx, synth_shapes
 from .robust import AttackConfig, Classifier, latent_pgd_attack, load_classifier
@@ -274,6 +274,15 @@ def _save_pairs(dirpath: str, pairs: PairSet, extra_meta: dict) -> list:
     return names
 
 
+def _load_idx(path: str) -> np.ndarray:
+    if not os.path.isfile(path):
+        raise MissingArtifactError(f"missing file: {path}")
+    try:
+        return read_idx(path)
+    except ValueError as e:     # read_idx names the file and the byte offset
+        raise MissingArtifactError(f"unreadable IDX file {e}") from e
+
+
 def _load_array(path: str, dtype) -> np.ndarray:
     if not os.path.isfile(path):
         raise MissingArtifactError(f"missing file: {path}")
@@ -423,17 +432,16 @@ def cmd_gen_data(cfg: dict) -> dict:
     if kind == "synth-shapes":
         data = synth_shapes(n, size, rng_data)
     else:
-        if not os.path.isfile(images):
-            raise MissingArtifactError(f"missing file: {images}")
-        imgs = read_idx(images)
+        imgs = _load_idx(images)
         if imgs.ndim != 3:
             raise ConfigError(f"config.source.images: {images} holds "
                               f"{imgs.ndim}-d data, expected images")
         lbl = None
         if labels_path is not None:
-            if not os.path.isfile(labels_path):
-                raise MissingArtifactError(f"missing file: {labels_path}")
-            lbl = read_idx(labels_path)
+            lbl = _load_idx(labels_path)
+            if lbl.shape != (len(imgs),):
+                raise MissingArtifactError(f"{labels_path}: labels of shape {lbl.shape}, "
+                                           f"{images} holds {len(imgs)} images")
         if limit is not None:
             imgs = imgs[:limit]
             lbl = None if lbl is None else lbl[:limit]
@@ -442,6 +450,10 @@ def cmd_gen_data(cfg: dict) -> dict:
     if pkind == "linf":
         allpairs = gen_linf_pairs(data, eps, rng_pairs, pairing=pairing)
     else:
+        try:
+            rts.check_fits(data.images.shape[1])
+        except ValueError as e:
+            raise ConfigError(f"config.pairs.canvas: {e}") from e
         allpairs = gen_rts_pairs(data, rts, rng_pairs, pairing=pairing)
 
     total = len(allpairs)
@@ -476,9 +488,12 @@ def cmd_train_cvae(cfg: dict) -> dict:
     ms = top.sub("model")
     k = ms.take("k", _COUNT)
     hidden = ms.take("hidden", _COUNT)
-    logvar_lo = ms.take("logvar_lo", _as_float, None)
-    logvar_hi = ms.take("logvar_hi", _as_float, None)
+    logvar_lo = ms.take("logvar_lo", _as_float, LOGVAR_LO)
+    logvar_hi = ms.take("logvar_hi", _as_float, LOGVAR_HI)
     ms.done()
+    if not logvar_lo < logvar_hi:
+        raise ConfigError(f"config.model.logvar_lo: must be below logvar_hi {logvar_hi!r}, "
+                          f"got {logvar_lo!r}")
 
     ts = top.sub("train")
     epochs = ts.take("epochs", _COUNT)
@@ -491,15 +506,11 @@ def cmd_train_cvae(cfg: dict) -> dict:
     pairs, meta = _load_pairs(data_dir)
     pairing = meta.get("pairs", {}).get("pairing", "centered")
     tc = TrainConfig(k=k, hidden=hidden, epochs=epochs, batch_size=batch_size,
-                     seed=seed, pairing=pairing)
+                     seed=seed, pairing=pairing, logvar_lo=logvar_lo, logvar_hi=logvar_hi)
     if lr is not None:
         tc.lr = lr
     if beta is not None:
         tc.beta = beta
-    if logvar_lo is not None:
-        tc.logvar_lo = logvar_lo
-    if logvar_hi is not None:
-        tc.logvar_hi = logvar_hi
 
     model, history = train_cvae(pairs, tc)
 
@@ -685,20 +696,19 @@ def cmd_train_robust(cfg: dict) -> dict:
     h = Classifier(model.m, n_classes, hidden=tuple(hidden),
                    rng=np.random.default_rng(ss[0]))
     rng = np.random.default_rng(ss[1])
-    opt = {"lr": lr}
     x, labels = pairs.conditioned, pairs.labels
     acfg = None
     if mode == "adv":
         acfg = AttackConfig(eps=eps, steps=attack_steps, step=attack_step)
     for _ in range(epochs):
         if mode == "adv":
-            robust.adv_train_epoch(h, model, x, labels, acfg, opt, rng, batch_size)
+            robust.adv_train_epoch(h, model, x, labels, acfg, lr, rng, batch_size)
         elif mode == "augment":
-            robust.augment_train_epoch(h, model, x, labels, eps, opt, rng, batch_size)
+            robust.augment_train_epoch(h, model, x, labels, eps, lr, rng, batch_size)
         elif mode == "noise":
-            smoothing.noise_train_epoch(h, model, x, labels, sigma, opt, rng, batch_size)
+            smoothing.noise_train_epoch(h, model, x, labels, sigma, lr, rng, batch_size)
         else:
-            robust.clean_train_epoch(h, x, labels, opt, rng, batch_size)
+            robust.clean_train_epoch(h, x, labels, lr, rng, batch_size)
     train_acc = robust.accuracy(h, x, labels)
 
     stage = ArtifactDir(out_dir)

@@ -29,7 +29,7 @@ LOGVAR_HI = math.log(10.0)
 
 @dataclass
 class GaussianDiag:
-    """Diagonal Gaussian; fields are (k,) or (B,k) arrays, or recorded Vars."""
+    """Diagonal Gaussian; fields are (B, k) arrays or recorded Vars."""
 
     mean: object
     logvar: object
@@ -130,11 +130,12 @@ class CvaeModel:
                             self.prior_logvar.apply(self.params, h, rec=rec))
 
     def decode(self, z, y, rec=None):
-        """g(z, y): relu(z @ W0[:k] + proj) through the decoder, where proj is
-        y's share of the first layer, taken from y when it is a Condition and
-        computed from the rows y otherwise; a single row of y conditions every
-        row of z. Outside training (rec None, whose loss check covers it) a
-        non-finite output raises FloatingPointError."""
+        """g(z, y) for (B, k) latents z: relu(z @ W0[:k] + proj) through the
+        decoder, where proj is y's share of the first layer, taken from y when
+        it is a Condition and computed from the (B, m) or (1, m) rows y
+        otherwise; a single row of y conditions every row of z. Outside
+        training (rec None, whose loss check covers it) a non-finite output
+        raises FloatingPointError."""
         if isinstance(y, Condition):
             out = self.decoder.apply(self.params, [z], rec=rec, proj=y.proj)
         else:
@@ -176,7 +177,7 @@ class CvaeModel:
 
 
 def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
-    params, _ = nn.load_params(stem)
+    params = nn.load_params(stem)
     with open(stem + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
     model = CvaeModel(meta["m"], meta["k"], meta["hidden"], meta["pairing"],
@@ -189,18 +190,14 @@ def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
 
 
 def kl_diag(q: GaussianDiag, p: GaussianDiag):
-    """KL(q || p) for diagonal Gaussians, summed over latent dims.
-
-    Returns per-example values for batched inputs ((B,) from (B,k)), a scalar
-    for single vectors. Works on recorded Vars as well as arrays.
+    """KL(q || p) for diagonal Gaussians, summed over latent dims: (B,) from
+    (B, k) fields. Works on recorded Vars as well as arrays.
     """
     dl = nn.add(q.logvar, nn.mul(p.logvar, -1.0))          # logvar_q - logvar_p
     ratio = nn.exp(dl)                                      # var_q / var_p
     dm = nn.add(q.mean, nn.mul(p.mean, -1.0))
     maha = nn.mul(nn.mul(dm, dm), nn.exp(nn.mul(p.logvar, -1.0)))
     inner = nn.add(nn.add(ratio, maha), nn.add(nn.mul(dl, -1.0), -1.0))
-    if np.asarray(nn._val(inner)).ndim == 1:
-        return nn.mul(nn.sum_all(inner), 0.5)
     return nn.mul(nn.row_sum(inner), 0.5)
 
 

@@ -74,25 +74,19 @@ def select_radius(model: CvaeModel, pairs: PairSet, batch_size: int = 512) -> fl
     return best
 
 
-def pgd_ae(model: CvaeModel, x, y, eps: float, steps: int = 50, step: float = None,
-           start_u=None, return_point: bool = False):
+def pgd_ae(model: CvaeModel, x, y, eps: float, steps: int = 50, step: float = None):
     """Best per-pixel MSE found by projected gradient descent in the ball, for
     one pair given as (1, m) rows x (perturbed) and y (conditioned).
 
-    Warm-started at the projected encoder point (or start_u when given), so
-    the result never exceeds the error there (evaluate_set's enc_ae)."""
+    Warm-started at the projected encoder point, so the result never exceeds
+    the error there (evaluate_set's enc_ae)."""
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if step is None:
         step = eps / 20.0
     cond = model.condition(y)
-    if start_u is None:
-        u0, _, _ = _encoder_points(model, x, cond)
-    else:
-        u0 = np.asarray(start_u).reshape(1, -1)
-    err, u = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=False)
-    if return_point:
-        return float(err[0]), u[0]
+    u0, _, _ = _encoder_points(model, x, cond)
+    err, _ = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=False)
     return float(err[0])
 
 

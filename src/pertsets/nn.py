@@ -6,7 +6,7 @@ dense layer that multiplies each stream by its own block of weight rows, so
 a fixed stream's share can be computed once (Network.project) and reused.
 The recorded graph additionally supports the elementwise ops that the
 variational objective and the latent attacks compose on top of network
-outputs (add/sub/mul/exp/sums/cross-entropy).
+outputs (add/mul/exp/sums/cross-entropy).
 
 Dtype rule: network math runs in float32, and every op preserves its array
 operands' dtype. Python int and float operands stay Python numbers, so they
@@ -51,26 +51,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, dtype={self.value.dtype})"
-
-    # arithmetic sugar; operands may be Var, ndarray, or python scalars
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _val(x):
@@ -208,18 +188,6 @@ def dense(parts, w, b):
     return Var(out, (*parts, w, b), vjp)
 
 
-def reshape(a, shape):
-    av = _val(a)
-    out = av.reshape(shape)
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, np.asarray(g).reshape(av.shape))
-
-    return Var(out, (a,), vjp)
-
-
 def sum_all(a):
     av = _val(a)
     out = av.sum()
@@ -313,9 +281,6 @@ class ParamSet:
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
 
-    def __getitem__(self, name):
-        return self.values[name]
-
 
 class Rec:
     """Recording context tying one loss graph to a ParamSet's leaves."""
@@ -386,8 +351,6 @@ def adam_step(params: ParamSet, grads: dict, lr: float,
             params.m[name] = np.zeros_like(value)
             params.v[name] = np.zeros_like(value)
         m, v = params.m[name], params.v[name]
-        if value.ndim == 0:
-            value, g, m, v = (x.reshape(1) for x in (value, g, m, v))
         if value.dtype not in typed:
             typed[value.dtype] = [np.array(x, dtype=value.dtype) for x in scalars]
         a, b, lr_c1, c2_, eps_ = typed[value.dtype]
@@ -477,17 +440,14 @@ class Network:
                 params.values[pname] = np.zeros(shape, dtype=np.float32)
 
     def _streams(self, inputs, dims):
-        # input streams as (B, d) rows; a (d,) vector is one row
+        # input streams are (B, d) rows
         if len(inputs) != len(dims):
             raise ValueError(f"{self.name}: expected {len(dims)} inputs, got {len(inputs)}")
-        streams = []
         for x, d in zip(inputs, dims):
-            if _val(x).ndim == 1:
-                x = reshape(x, (1, d))
-            if _val(x).shape[-1] != d:
-                raise ValueError(f"{self.name}: input width {_val(x).shape[-1]} != declared {d}")
-            streams.append(x)
-        return streams
+            shape = _val(x).shape
+            if len(shape) != 2 or shape[1] != d:
+                raise ValueError(f"{self.name}: input of shape {shape}, expected (rows, {d})")
+        return list(inputs)
 
     def project(self, params: ParamSet, x):
         """The first layer's bias plus the last input stream's share,
@@ -499,12 +459,11 @@ class Network:
 
     def apply(self, params: ParamSet, inputs, rec: Rec = None, proj=None):
         """Forward pass. `inputs` is an array or list of arrays/Vars, shaped
-        (B, d) or (d,); with `proj` from `project`, every stream but the last.
+        (B, d); with `proj` from `project`, every stream but the last.
         Returns ndarray, or a Var when recording (rec given or any input is a
         Var)."""
         if not isinstance(inputs, (list, tuple)):
             inputs = [inputs]
-        single = _val(inputs[0]).ndim == 1
         streams = self._streams(inputs, self.in_dims if proj is None else self.in_dims[:-1])
 
         def param(name):
@@ -522,8 +481,6 @@ class Network:
                 h = relu(h)
             else:
                 h = scaled_tanh(h, layer[1], layer[2])
-        if single:
-            h = reshape(h, (self.out_dim,))
         return h
 
 
@@ -557,7 +514,7 @@ class Schedule:
 # Checkpoints
 
 
-def save_params(params: ParamSet, stem: str, extra: dict = None):
+def save_params(params: ParamSet, stem: str):
     """Write `<stem>.json` (manifest) and `<stem>.bin` (little-endian float32
     blob, concatenated in manifest order). Parameter order is sorted by name
     so the byte layout is deterministic. Each tensor goes straight to the
@@ -566,7 +523,7 @@ def save_params(params: ParamSet, stem: str, extra: dict = None):
     manifest = {
         "format": "pertsets-params-v1",
         "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names],
-        "extra": extra or {},
+        "extra": {},
     }
     with open(stem + ".json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -577,7 +534,7 @@ def save_params(params: ParamSet, stem: str, extra: dict = None):
 
 
 def load_params(stem: str):
-    """Inverse of save_params; returns (ParamSet, extra dict). Each tensor is
+    """Inverse of save_params; returns the ParamSet. Each tensor is
     read from the blob straight into its own fresh array, so no copy of the
     whole blob is held and every tensor owns aligned data."""
     for suffix in (".json", ".bin"):
@@ -597,4 +554,4 @@ def load_params(stem: str):
         left = os.fstat(f.fileno()).st_size - f.tell()
     if left:
         raise ValueError(f"checkpoint blob has {left / 4:g} trailing floats")
-    return params, manifest.get("extra", {})
+    return params

@@ -21,8 +21,8 @@ log = logging.getLogger(__name__)
 class AttackConfig:
     """Latent PGD budget: radius eps, T steps of size step.
 
-    step defaults to eps/5 (the training attack); eval_default gives the
-    stronger evaluation attack with 50 steps of eps/20.
+    step defaults to eps/5, for training and for the attack stage alike
+    (reproduce runs its 50-step attacks at eps/5).
     """
 
     def __init__(self, eps: float, steps: int = 7, step: float = None):
@@ -35,10 +35,6 @@ class AttackConfig:
         if eps > 0 and step <= 0:
             raise ValueError(f"step must be > 0, got {step}")
         self.eps, self.steps, self.step = float(eps), int(steps), float(step)
-
-    @classmethod
-    def eval_default(cls, eps: float) -> "AttackConfig":
-        return cls(eps, steps=50, step=eps / 20.0)
 
     def to_json(self) -> dict:
         return {"eps": self.eps, "steps": self.steps, "step": self.step}
@@ -85,7 +81,7 @@ class Classifier:
 
 
 def load_classifier(stem: str) -> Classifier:
-    params, _ = nn.load_params(stem)
+    params = nn.load_params(stem)
     with open(stem + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
     return Classifier(meta["m"], meta["n_classes"], tuple(meta["hidden"]),
@@ -104,10 +100,10 @@ def _check_dims(h: Classifier, model: CvaeModel, x):
 
 
 def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
-                      cfg: AttackConfig, init_u=None, transcript: list = None):
+                      cfg: AttackConfig, transcript: list = None):
     """Loss-maximizing perturbation in the latent ball for a batch.
 
-    Starts at u = 0 (or init_u, projected), takes cfg.steps normalized
+    Starts at u = 0, takes cfg.steps normalized
     gradient-ascent steps on the cross-entropy with projection, and returns
     the best iterate: (adversarial examples (B, m), latent points (B, k)).
     Rows with zero gradient skip their step and the loop continues.
@@ -117,10 +113,7 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
     _check_dims(h, model, x)
     B = x.shape[0]
     cond = model.condition(x)
-    if init_u is None:
-        u0 = np.zeros((B, model.k), dtype=np.float32)
-    else:
-        u0 = np.asarray(init_u, dtype=np.float32).reshape(B, -1)
+    u0 = np.zeros((B, model.k), dtype=np.float32)
 
     def cross_entropy(u):
         ce = nn.cross_entropy(h.logits(model.decode_u(u, cond)), labels)
@@ -136,16 +129,14 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
 # Training epochs
 
 
-def _train_step(h: Classifier, inputs, labels, opt: dict):
+def _train_step(h: Classifier, inputs, labels, lr: float):
     rec = nn.Rec(h.params)
     ce = nn.cross_entropy(h.logits(inputs, rec=rec), labels)
     loss = nn.mean_all(ce)
     if not np.isfinite(loss.value):
         raise FloatingPointError("non-finite classifier training loss")
     grads = nn.backprop_gradients(rec, loss)
-    nn.adam_step(h.params, grads, opt["lr"],
-                 beta1=opt.get("beta1", 0.9), beta2=opt.get("beta2", 0.999),
-                 eps=opt.get("eps", 1e-8))
+    nn.adam_step(h.params, grads, lr)
     return float(nn._val(loss))
 
 
@@ -156,7 +147,7 @@ def _epoch_batches(n, batch_size, rng):
 
 
 def adv_train_epoch(h: Classifier, model: CvaeModel, x, labels,
-                    cfg: AttackConfig, opt: dict, rng: np.random.Generator,
+                    cfg: AttackConfig, lr: float, rng: np.random.Generator,
                     batch_size: int = 128) -> Classifier:
     """One epoch of adversarial training: attack each batch in the frozen
     generator's latent ball, then take a standard step on the attacked
@@ -167,13 +158,13 @@ def adv_train_epoch(h: Classifier, model: CvaeModel, x, labels,
     losses = []
     for idx in _epoch_batches(len(x), batch_size, rng):
         adv, _ = latent_pgd_attack(h, model, x[idx], labels[idx], cfg)
-        losses.append(_train_step(h, adv, labels[idx], opt))
+        losses.append(_train_step(h, adv, labels[idx], lr))
     log.info("adv epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h
 
 
 def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
-                        opt: dict, rng: np.random.Generator,
+                        lr: float, rng: np.random.Generator,
                         batch_size: int = 128) -> Classifier:
     """One epoch on truncated-prior samples: each example is replaced by a
     decode of a random latent from the eps ball before the training step."""
@@ -189,19 +180,19 @@ def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
         else:
             u = np.zeros((len(idx), model.k), dtype=np.float32)
         aug = np.asarray(model.decode_u(u, model.condition(x[idx])))
-        losses.append(_train_step(h, aug, labels[idx], opt))
+        losses.append(_train_step(h, aug, labels[idx], lr))
     log.info("augment epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h
 
 
-def clean_train_epoch(h: Classifier, x, labels, opt: dict,
+def clean_train_epoch(h: Classifier, x, labels, lr: float,
                       rng: np.random.Generator, batch_size: int = 128) -> Classifier:
     """One standard training epoch on the raw examples."""
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     losses = []
     for idx in _epoch_batches(len(x), batch_size, rng):
-        losses.append(_train_step(h, x[idx], labels[idx], opt))
+        losses.append(_train_step(h, x[idx], labels[idx], lr))
     log.info("clean epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h
 

@@ -25,10 +25,6 @@ class Certificate:
     prediction: int          # class id, or ABSTAIN
     radius: float            # certified l2 radius in latent units, 0 on abstain
     p_a: float               # lower confidence bound on the top-class mass
-    n0: int
-    n: int
-    sigma: float
-    alpha: float
 
 
 def sample_under_noise(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
@@ -70,10 +66,8 @@ def certify(h: Classifier, model: CvaeModel, x, sigma: float,
     counts = sample_under_noise(h, model, x, n, sigma, rng1)
     p_a = clopper_pearson_lower(int(counts[guess]), n, 1.0 - alpha)
     if p_a > 0.5:
-        return Certificate(prediction=guess, radius=sigma * std_normal_quantile(p_a),
-                           p_a=p_a, n0=n0, n=n, sigma=sigma, alpha=alpha)
-    return Certificate(prediction=ABSTAIN, radius=0.0, p_a=p_a, n0=n0, n=n,
-                       sigma=sigma, alpha=alpha)
+        return Certificate(prediction=guess, radius=sigma * std_normal_quantile(p_a), p_a=p_a)
+    return Certificate(prediction=ABSTAIN, radius=0.0, p_a=p_a)
 
 
 def sigma_for_radius(eps_target: float, n: int = 10_000, alpha: float = 0.001) -> float:
@@ -86,7 +80,7 @@ def sigma_for_radius(eps_target: float, n: int = 10_000, alpha: float = 0.001) -
 
 
 def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
-                      opt: dict, rng: np.random.Generator,
+                      lr: float, rng: np.random.Generator,
                       batch_size: int = 128) -> Classifier:
     """One epoch on Gaussian latent noise: each example is replaced by a
     decode at u ~ N(0, sigma^2 I) before a standard training step."""
@@ -99,6 +93,6 @@ def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
     for idx in _epoch_batches(len(x), batch_size, rng):
         u = sigma * rng.standard_normal((len(idx), model.k))
         dec = np.asarray(model.decode_u(u, model.condition(x[idx])))
-        losses.append(_train_step(h, dec, labels[idx], opt))
+        losses.append(_train_step(h, dec, labels[idx], lr))
     log.info("noise epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h

@@ -46,10 +46,6 @@ class ObjectiveEstimate:
             raise ValueError("K_i must be non-negative")
         self.K = np.maximum(self.K, 0.0)
 
-    @property
-    def k(self) -> int:
-        return self.K.size
-
 
 @dataclass
 class TheoryBounds:
@@ -59,9 +55,7 @@ class TheoryBounds:
     delta_sse: float         # reconstruction error bound, SSE units
     delta_per_pixel: float
     B: float                 # max_i sqrt(b_i)
-    intervals: np.ndarray    # (k, 2) per-dimension [a_i, b_i]
     ln_h: float              # ln of the truncated-expectation constant
-    h: float                 # exp(ln_h), inf once past float range
 
 
 def mahalanobis_radius(k: int, alpha: float) -> float:
@@ -120,26 +114,21 @@ def theorem1_bounds(estimates, alpha: float = 0.01) -> list:
     # cumsum adds along each row left to right, as a running sum would
     ln_h = np.cumsum(terms, axis=1)[:, -1].tolist()
     B = np.sqrt(b).max(axis=1).tolist()
-    intervals = np.stack([a, b], axis=-1)
     out = []
     for i, est in enumerate(estimates):
         eps = B[i] * r + math.sqrt(float(est.K.sum()))
         delta = max(0.0, -(2.0 * est.R + est.m * LN_2PI) / (1.0 - alpha))
-        h = math.exp(ln_h[i]) if ln_h[i] <= _LN_HUGE else math.inf
         out.append(TheoryBounds(r=r, alpha=alpha, eps=eps, delta_sse=delta,
-                                delta_per_pixel=delta / est.m, B=B[i],
-                                intervals=intervals[i], ln_h=ln_h[i], h=h))
+                                delta_per_pixel=delta / est.m, B=B[i], ln_h=ln_h[i]))
     return out
 
 
 def theorem2_bound(bounds: TheoryBounds) -> float:
     """Bound on the truncated expected reconstruction SSE under the prior:
-    delta * H, from theorem1_bounds' result. Returns inf once the product
-    leaves float64 range; use theorem2_ln_bound for comparisons at that
-    scale."""
-    if bounds.delta_sse == 0.0:
-        return 0.0
-    ln_total = math.log(bounds.delta_sse) + bounds.ln_h
+    delta * H = exp(theorem2_ln_bound), from theorem1_bounds' result. Returns
+    inf once the product leaves float64 range; use theorem2_ln_bound for
+    comparisons at that scale."""
+    ln_total = theorem2_ln_bound(bounds)
     return math.exp(ln_total) if ln_total <= _LN_HUGE else math.inf
 
 
@@ -156,14 +145,16 @@ def estimate_R_K(model: CvaeModel, x, y, rng: np.random.Generator,
     y (conditioned).
 
     R is a Monte-Carlo mean of -SSE/2 - (m/2) ln 2pi over full posterior
-    samples; K_i comes from the closed-form per-dimension expression."""
+    samples decoded against y's Condition; K_i comes from the closed-form
+    per-dimension expression against its prior."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     q = model.encode_posterior(x, y)
-    p = model.encode_prior(y)
+    cond = model.condition(y)
+    p = cond.prior
     noise = rng.standard_normal((samples, model.k)).astype(np.float32)
     z = np.asarray(q.mean) + q.std() * noise
-    out = np.asarray(model.decode(z, y))
+    out = np.asarray(model.decode(z, cond))
     # R and K in float64 from the float32 network outputs
     diff = out.astype(np.float64) - x
     sse = np.sum(diff * diff, axis=1)
@@ -173,19 +164,3 @@ def estimate_R_K(model: CvaeModel, x, y, rng: np.random.Generator,
     gap = (np.asarray(q.mean[0], dtype=np.float64) - np.asarray(p.mean[0])) ** 2
     K = ratio + gap / p.var()[0] - 1.0 - np.log(ratio)
     return ObjectiveEstimate(R=R, K=K, m=model.m)
-
-
-def delta_a_demo(a: float, eps: float, rng: np.random.Generator = None,
-                 samples: int = 200_000) -> tuple:
-    """Tent function of height a and half-width 1/a^2 at the origin: its max
-    over any ball |z| <= eps is a, while E_{N(0,1)} stays below 1/a. Low
-    expected error therefore never bounds the worst case in the set."""
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
-    if eps < 0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    if rng is None:
-        rng = np.random.default_rng()
-    z = rng.standard_normal(samples)
-    mc = float(np.mean(a * np.clip(1.0 - a * a * np.abs(z), 0.0, 1.0)))
-    return a, mc

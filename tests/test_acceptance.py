@@ -27,6 +27,7 @@ from pertsets.nn import Schedule, Var, backward, dense, relu, sum_all
 from pertsets.pertgen import gen_linf_pairs, synth_shapes
 from pertsets.robust import AttackConfig, Classifier
 from pertsets.specialfn import clopper_pearson_lower, lambert_w, reg_lower_gamma
+from test_theory import delta_a_demo
 
 
 def _line(num, name, status, detail=""):
@@ -70,26 +71,24 @@ def desk():
     for i, mode in enumerate(("adv", "augment", "clean")):
         h = Classifier(model.m, 2, hidden=(256,), rng=np.random.default_rng(ss[3 + i]))
         rng = np.random.default_rng(ss[3 + i].spawn(1)[0])
-        opt = {"lr": 1e-3}
         for _ in range(40):
             if mode == "adv":
                 robust.adv_train_epoch(h, model, train.conditioned, train.labels,
-                                       AttackConfig(eps=eps, steps=7), opt, rng)
+                                       AttackConfig(eps=eps, steps=7), 1e-3, rng)
             elif mode == "augment":
                 robust.augment_train_epoch(h, model, train.conditioned, train.labels,
-                                           eps, opt, rng)
+                                           eps, 1e-3, rng)
             else:
-                robust.clean_train_epoch(h, train.conditioned, train.labels, opt, rng)
+                robust.clean_train_epoch(h, train.conditioned, train.labels, 1e-3, rng)
         classifiers[mode] = h
 
     median_norm = float(np.median(_latent_norms(model, train)))
     sigma = smoothing.sigma_for_radius(median_norm, n=10_000, alpha=0.001)
     h = Classifier(model.m, 2, hidden=(256,), rng=np.random.default_rng(ss[6]))
     rng = np.random.default_rng(ss[6].spawn(1)[0])
-    opt = {"lr": 1e-3}
     for _ in range(40):
         smoothing.noise_train_epoch(h, model, train.conditioned, train.labels,
-                                    sigma, opt, rng)
+                                    sigma, 1e-3, rng)
     classifiers["noise"] = h
     return {"model": model, "train": train, "test": test, "eps": eps,
             "classifiers": classifiers, "sigma": sigma, "median_norm": median_norm,
@@ -235,7 +234,7 @@ def test_criterion_5_directional_robustness(desk):
     t0 = time.time()
     model, test, eps = desk["model"], desk["test"], desk["eps"]
     h = desk["classifiers"]
-    acfg = AttackConfig.eval_default(eps)
+    acfg = AttackConfig(eps, steps=50, step=eps / 20)
     rob = {m: robust.robust_accuracy(h[m], model, test.conditioned, test.labels, acfg)
            for m in ("adv", "augment")}
     pert = {m: robust.accuracy(h[m], test.perturbed, test.labels)
@@ -394,8 +393,8 @@ def test_criterion_7_numerics_oracles():
 
     # spike demo: max equals a, Monte Carlo mean stays near the 1/a bound
     for a in (10.0, 100.0):
-        peak, mean = theory.delta_a_demo(a, eps=5.0, rng=np.random.default_rng(13),
-                                         samples=200_000)
+        peak, mean = delta_a_demo(a, eps=5.0, rng=np.random.default_rng(13),
+                                  samples=200_000)
         assert peak == a
         se_bound = math.sqrt(a * max(mean, 1e-12) / 200_000)
         assert mean <= 1 / a + 3 * se_bound

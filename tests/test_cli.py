@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -327,6 +328,12 @@ def _bad_input_cfg(pipeline, out, stage):
      "config.classifier.hidden[0]"),
     ("train-robust", {"train": {"mode": "adv", "epochs": 1, "eps": 1.0, "attack_steps": 0}},
      [], "config.train.attack_steps"),
+    # the canvas must hold the source at its largest scale: 1.3 * 12 > 12
+    ("gen-data", {"pairs": {"kind": "rts", "canvas": 12}}, [], "config.pairs.canvas"),
+    # logvar_lo < logvar_hi, a bound left out taking its default
+    *[("train-cvae", {"model": {"k": 4, "hidden": 8, **bounds}}, [], "config.model.logvar_lo")
+      for bounds in ({"logvar_lo": 0.0, "logvar_hi": 0.0}, {"logvar_lo": 3.0},
+                     {"logvar_hi": -8.0})],
 ])
 def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, patch, flags,
                                            field):
@@ -339,6 +346,33 @@ def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, pa
     assert code == 2, err
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "r").exists()
+
+
+def _write_idx(path, magic, dims, n_bytes):
+    path.write_bytes(struct.pack(f">{1 + len(dims)}i", magic, *dims) + bytes(n_bytes))
+    return str(path)
+
+
+@pytest.mark.parametrize("case, bad", [
+    ("short", "images"), ("magic", "images"), ("truncated", "images"), ("count", "labels")])
+def test_malformed_idx_source_exits_3_naming_file(tmp_path, capsys, case, bad):
+    images = _write_idx(tmp_path / "images", 0x803, (3, 8, 8), 192)
+    labels = _write_idx(tmp_path / "labels", 0x801, (3,), 3)
+    if case == "short":
+        (tmp_path / "images").write_bytes(struct.pack(">2i", 0x803, 3))
+    elif case == "magic":
+        _write_idx(tmp_path / "images", 0x804, (3, 8, 8), 192)
+    elif case == "truncated":
+        _write_idx(tmp_path / "images", 0x803, (3, 8, 8), 100)
+    else:
+        _write_idx(tmp_path / "labels", 0x801, (2,), 2)
+    cfg = {"out_dir": str(tmp_path / "out"),
+           "source": {"kind": "idx", "images": images, "labels": labels},
+           "pairs": {"kind": "linf", "eps": 0.3}, "split": {"test": 1}}
+    code, err = run_cli(["gen-data", "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 3, err
+    assert str(tmp_path / bad) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):

@@ -37,33 +37,33 @@ def tiny_pairs(rng, n=48, m=12):
 
 
 def test_kl_unit_shift_closed_form():
-    q = GaussianDiag(np.array([1.0]), np.array([0.0]))
-    p = GaussianDiag(np.array([0.0]), np.array([0.0]))
-    assert float(kl_diag(q, p)) == pytest.approx(0.5, abs=1e-12)
+    q = GaussianDiag(np.array([[1.0]]), np.array([[0.0]]))
+    p = GaussianDiag(np.array([[0.0]]), np.array([[0.0]]))
+    assert kl_diag(q, p).shape == (1,)
+    assert float(kl_diag(q, p)[0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kl_identical_is_zero_and_nonnegative():
     rng = np.random.default_rng(0)
-    g = GaussianDiag(rng.normal(size=5), rng.normal(size=5))
-    assert float(kl_diag(g, g)) == pytest.approx(0.0, abs=1e-12)
-    for _ in range(50):
-        q = GaussianDiag(rng.normal(size=6), rng.uniform(-2, 2, 6))
-        p = GaussianDiag(rng.normal(size=6), rng.uniform(-2, 2, 6))
-        assert float(kl_diag(q, p)) >= 0.0
+    g = GaussianDiag(rng.normal(size=(1, 5)), rng.normal(size=(1, 5)))
+    assert float(kl_diag(g, g)[0]) == pytest.approx(0.0, abs=1e-12)
+    q = GaussianDiag(rng.normal(size=(50, 6)), rng.uniform(-2, 2, (50, 6)))
+    p = GaussianDiag(rng.normal(size=(50, 6)), rng.uniform(-2, 2, (50, 6)))
+    assert (kl_diag(q, p) >= 0.0).all()
 
 
 def test_kl_against_monte_carlo():
     # MC oracle: E_q[log q - log p] over 1e6 draws, within 1%
     rng = np.random.default_rng(21)
-    mu_q, lv_q = np.array([1.0, -0.5]), np.array([0.3, -0.8])
-    mu_p, lv_p = np.array([0.0, 0.4]), np.array([-0.2, 0.5])
+    mu_q, lv_q = np.array([[1.0, -0.5]]), np.array([[0.3, -0.8]])
+    mu_p, lv_p = np.array([[0.0, 0.4]]), np.array([[-0.2, 0.5]])
     z = mu_q + rng.standard_normal((1_000_000, 2)) * np.exp(0.5 * lv_q)
 
     def logpdf(z, mu, lv):
         return (-0.5 * ((z - mu) ** 2) / np.exp(lv) - 0.5 * lv - 0.5 * math.log(2 * math.pi)).sum(axis=1)
 
     mc = float(np.mean(logpdf(z, mu_q, lv_q) - logpdf(z, mu_p, lv_p)))
-    closed = float(kl_diag(GaussianDiag(mu_q, lv_q), GaussianDiag(mu_p, lv_p)))
+    closed = float(kl_diag(GaussianDiag(mu_q, lv_q), GaussianDiag(mu_p, lv_p))[0])
     assert closed == pytest.approx(mc, rel=0.01)
 
 
@@ -74,8 +74,8 @@ def test_kl_batched_matches_rowwise():
     batched = kl_diag(q, p)
     assert batched.shape == (7,)
     for i in range(7):
-        single = float(kl_diag(GaussianDiag(q.mean[i], q.logvar[i]),
-                               GaussianDiag(p.mean[i], p.logvar[i])))
+        single = float(kl_diag(GaussianDiag(q.mean[i:i + 1], q.logvar[i:i + 1]),
+                               GaussianDiag(p.mean[i:i + 1], p.logvar[i:i + 1]))[0])
         assert batched[i] == pytest.approx(single, rel=1e-12)
 
 
@@ -300,11 +300,11 @@ def test_elbo_gradients_match_finite_differences():
 
 def test_decode_u_gradient_flows_to_latent():
     model = make_model()
-    y = np.full(6, 0.5, dtype=np.float32)
-    u = nn.Var(np.zeros(3, dtype=np.float32))
+    y = np.full((1, 6), 0.5, dtype=np.float32)
+    u = nn.Var(np.zeros((1, 3), dtype=np.float32))
     out = model.decode_u(u, model.condition(y))
     nn.backward(nn.sum_all(nn.mul(out, out)))
-    assert u.grad is not None and u.grad.shape == (3,)
+    assert u.grad is not None and u.grad.shape == (1, 3)
 
 
 def test_decode_u_is_decode_of_standardized_latent():
@@ -335,7 +335,6 @@ def one_row_and_repeated_decodes(m, k, hidden):
     cond = model.condition(y)
     zu = z * cond.std + cond.mean
     got = np.asarray(model.decode(z, y))
-    assert np.asarray(model.decode(z, y[0])).tobytes() == got.tobytes()
     got_u = np.asarray(model.decode_u(z, cond))
     assert got_u.tobytes() == np.asarray(model.decode(zu, y)).tobytes()
     rows = np.repeat(y, 7, axis=0)
@@ -358,16 +357,6 @@ def test_one_row_condition_at_pipeline_widths(m, k, hidden):
         np.testing.assert_allclose(a, b, rtol=0, atol=16 * np.finfo(np.float32).eps)
 
 
-def test_single_vector_decode():
-    model = make_model()
-    y = np.full(6, 0.5, dtype=np.float32)
-    z = np.array([0.3, -0.2, 0.1], dtype=np.float32)
-    out = np.asarray(model.decode(z, y))
-    assert out.shape == (6,)
-    np.testing.assert_array_equal(out, np.asarray(model.decode(z[None], y[None]))[0])
-    assert np.asarray(model.decode_u(z, model.condition(y))).shape == (6,)
-
-
 # ---------------------------------------------------------------------------
 # The split first decoder layer against the concatenated-input reference
 
@@ -375,7 +364,6 @@ def test_single_vector_decode():
 def concat_decode(model, z, y):
     """g(z, y) as one dense layer over concat([z, y]), in float64."""
     v = {n: a.astype(np.float64) for n, a in model.params.values.items()}
-    z, y = np.atleast_2d(z), np.atleast_2d(y)
     y = np.broadcast_to(y, (len(z), y.shape[1]))
     h = np.maximum(np.concatenate([z, y], axis=1) @ v["decoder/w0"] + v["decoder/b0"], 0.0)
     return 0.5 * (np.tanh(h @ v["decoder/w1"] + v["decoder/b1"]) + 1.0)
@@ -394,15 +382,6 @@ def test_decode_matches_concat_reference(rows, y_rows):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
-def test_single_vector_decode_matches_concat_reference():
-    model = make_model(m=12, k=4, hidden=16, seed=3)
-    rng = np.random.default_rng(8)
-    z, y = rng.standard_normal(4).astype(np.float32), rng.uniform(0, 1, 12).astype(np.float32)
-    for got in (model.decode(z, y), model.decode(z, model.condition(y))):
-        assert got.shape == (12,)
-        np.testing.assert_allclose(got, concat_decode(model, z, y)[0], rtol=0, atol=1e-6)
-
-
 def test_one_row_condition_decode_u_equals_per_row_decodes():
     model = make_model(m=12, k=4, hidden=16, seed=4)
     rng = np.random.default_rng(9)
@@ -415,7 +394,7 @@ def test_one_row_condition_decode_u_equals_per_row_decodes():
     # the cached projection is the one decode computes from the same row
     assert got.tobytes() == np.asarray(model.decode(z, y)).tobytes()
     for i in range(len(u)):
-        np.testing.assert_allclose(got[i], np.asarray(model.decode(z[i], y[0])),
+        np.testing.assert_allclose(got[i], np.asarray(model.decode(z[i:i + 1], y))[0],
                                    rtol=0, atol=1e-6)
 
 
@@ -465,7 +444,7 @@ def test_presplit_checkpoint_loads_and_decodes():
     # same tensor names and shapes, outputs equal up to float32 rounding
     stem = os.path.join(os.path.dirname(__file__), "data", "presplit_cvae", "model")
     model, _ = load_cvae(stem)
-    assert model.params["decoder/w0"].shape == (4 + 12, 16)
+    assert model.params.values["decoder/w0"].shape == (4 + 12, 16)
     rng = np.random.default_rng(7)
     z = rng.standard_normal((5, 4)).astype(np.float32)
     y = rng.uniform(0, 1, (5, 12)).astype(np.float32)
@@ -479,7 +458,7 @@ def test_condition_projects_y_once(monkeypatch):
     # y's share of the decoder's first layer, y @ W0[k:], is computed by
     # condition() and by no decode through the Condition
     model = make_model(m=12, k=4, hidden=16, seed=6)
-    w0 = model.params["decoder/w0"]
+    w0 = model.params.values["decoder/w0"]
     y_shares = []
     dense = nn.dense
 
@@ -548,8 +527,8 @@ def test_model_save_load_roundtrip(tmp_path):
     loaded, meta = load_cvae(stem)
     assert meta["selected_eps"] == 1.25
     assert meta["pairing"] == "centered"
-    y = rng.uniform(0, 1, 6).astype(np.float32)
-    z = rng.standard_normal(3).astype(np.float32)
+    y = rng.uniform(0, 1, (1, 6)).astype(np.float32)
+    z = rng.standard_normal((1, 3)).astype(np.float32)
     np.testing.assert_array_equal(model.decode(z, y), loaded.decode(z, y))
 
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from pertsets import nn
 from pertsets.cli import ArtifactDir
-from pertsets.cvae import CvaeModel, PairSet, kl_diag, sample_truncated_ball
+from pertsets.cvae import CvaeModel, PairSet, kl_diag, latent_pgd, sample_truncated_ball
 from pertsets.evalmetrics import (
     METRICS,
     _mse_rows,
@@ -114,24 +115,36 @@ def test_pgd_never_exceeds_encoder():
         assert pgd >= 0.0
 
 
+def recon_mse(model, x, cond):
+    """pgd_ae's objective: per-pixel reconstruction error of x per latent row."""
+    def objective(u):
+        diff = nn.add(model.decode_u(u, cond), -x)
+        sse = nn.row_sum(nn.mul(diff, diff))
+        return np.asarray(nn._val(sse)) / x.shape[1], nn.sum_all(sse)
+    return objective
+
+
 def test_pgd_restarted_at_planted_optimum():
     model = rand_model(13)
     rng = np.random.default_rng(14)
-    y = rng.uniform(0, 1, M).astype(np.float32)
-    u_star = sample_truncated_ball(K, 1.0, 1, rng)[0]
-    x = np.asarray(model.decode_u(u_star.astype(np.float32), model.condition(y)))
-    err = pgd_ae(model, np.clip(x, 0, 1)[None].astype(np.float32), y[None], 1.0, steps=5,
-                 start_u=u_star)
-    assert err <= 1e-6
+    cond = model.condition(rng.uniform(0, 1, (1, M)).astype(np.float32))
+    u_star = sample_truncated_ball(K, 1.0, 1, rng)
+    x = np.clip(np.asarray(model.decode_u(u_star, cond)), 0, 1)
+    err, _ = latent_pgd(recon_mse(model, x, cond), u_star.astype(np.float32), 1.0, 5,
+                        1.0 / 20, maximize=False)
+    assert err[0] <= 1e-6
 
 
 def test_pgd_nested_radius_monotone():
+    # a larger ball warm-started at the smaller ball's best point never ends
+    # above it
     model = rand_model(15)
     pairs = rand_pairs(1, seed=16)
-    x, y = pairs.perturbed, pairs.conditioned
-    small, u_small = pgd_ae(model, x, y, 0.5, steps=25, return_point=True)
-    large = pgd_ae(model, x, y, 1.5, steps=25, start_u=u_small)
-    assert large <= small + 1e-12
+    objective = recon_mse(model, pairs.perturbed, model.condition(pairs.conditioned))
+    small, u_small = latent_pgd(objective, np.zeros((1, K), np.float32), 0.5, 25, 0.5 / 20,
+                                maximize=False)
+    large, _ = latent_pgd(objective, u_small, 1.5, 25, 1.5 / 20, maximize=False)
+    assert large[0] <= small[0]
 
 
 def test_pgd_rejects_nonpositive_eps():

@@ -1,5 +1,6 @@
 """Contract tests for the autodiff core, Adam, schedules, and checkpoints."""
 
+import json
 import math
 import tracemalloc
 
@@ -29,14 +30,14 @@ def test_dense_identity():
     net = nn.Network("f", 4, [("dense", 4)])
     params = nn.ParamSet({"f/w0": np.eye(4, dtype=np.float32),
                           "f/b0": np.zeros(4, dtype=np.float32)})
-    x = np.array([1.0, -2.0, 3.5, 0.0], dtype=np.float32)
+    x = np.array([[1.0, -2.0, 3.5, 0.0]], dtype=np.float32)
     np.testing.assert_array_equal(net.apply(params, x), x)
 
 
 def test_relu_forward():
     net = nn.Network("f", 3, [("relu",)])
-    out = net.apply(nn.ParamSet(), np.array([-1.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
+    out = net.apply(nn.ParamSet(), np.array([[-1.0, 0.0, 2.0]]))
+    np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
 def test_scaled_tanh_range():
@@ -45,7 +46,7 @@ def test_scaled_tanh_range():
     out = net.apply(nn.ParamSet(), xs)
     assert out.min() > -7.0 and out.max() < 0.5
     # midpoint at 0
-    assert net.apply(nn.ParamSet(), np.array([0.0])) == pytest.approx((-7.0 + 0.5) / 2)
+    assert net.apply(nn.ParamSet(), np.array([[0.0]]))[0, 0] == pytest.approx((-7.0 + 0.5) / 2)
 
 
 def test_first_dense_layer_splits_over_streams():
@@ -56,7 +57,7 @@ def test_first_dense_layer_splits_over_streams():
     net, params = make_net("f", [2, 3], [("dense", 4)], rng)
     assert net.param_shapes() == {"f/w0": (5, 4), "f/b0": (4,)}
     a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
-    want = np.concatenate([a, b], axis=1) @ params["f/w0"] + params["f/b0"]
+    want = np.concatenate([a, b], axis=1) @ params.values["f/w0"] + params.values["f/b0"]
     np.testing.assert_allclose(net.apply(params, [a, b]), want, rtol=1e-12)
     proj = net.project(params, b)
     assert proj.shape == (6, 4)
@@ -64,7 +65,6 @@ def test_first_dense_layer_splits_over_streams():
     one = net.project(params, b[:1])
     np.testing.assert_array_equal(net.apply(params, [a], proj=one),
                                   net.apply(params, [a, b[:1]]))
-    assert net.apply(params, [a[0], b[0]]).shape == (4,)
 
 
 def test_network_validation_errors():
@@ -79,8 +79,13 @@ def test_network_validation_errors():
     net = nn.Network("f", 3, [("dense", 2)])
     params = nn.ParamSet()
     net.init(params, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        net.apply(params, np.zeros(4))
+    with pytest.raises(ValueError, match="^f: "):
+        net.apply(params, np.zeros((1, 4)))
+    # inputs are (rows, d): a single (d,) vector is rejected, naming the network
+    with pytest.raises(ValueError, match=r"^f: input of shape \(3,\)"):
+        net.apply(params, np.zeros(3))
+    with pytest.raises(ValueError, match="^f: "):
+        net.project(params, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +212,8 @@ def test_gradcheck_elementwise_composition():
     rng = np.random.default_rng(9)
     a = nn.Var(rng.normal(size=(3, 4)))
     b = nn.Var(rng.normal(size=(3, 4)))
-    loss = nn.mean_all(nn.row_sum(nn.exp(a) * b + nn.scaled_tanh(a, -0.5, 0.5) - b))
+    loss = nn.mean_all(nn.row_sum(nn.add(nn.add(nn.mul(nn.exp(a), b), nn.scaled_tanh(a, -0.5, 0.5)),
+                                         nn.mul(b, -1.0))))
     nn.backward(loss)
     ga, gb = a.grad.copy(), b.grad.copy()
     av, bv = a.value, b.value
@@ -334,14 +340,14 @@ def test_adam_first_step_is_signed_lr():
     g = {"w": np.array([0.3, -0.7, 0.0])}
     nn.adam_step(params, g, lr=0.05, eps=1e-12)
     # bias-corrected first step is lr * sign(g) up to eps rounding
-    np.testing.assert_allclose(params["w"], [1.0 - 0.05, -2.0 + 0.05, 3.0], atol=1e-9)
+    np.testing.assert_allclose(params.values["w"], [1.0 - 0.05, -2.0 + 0.05, 3.0], atol=1e-9)
     assert params.step == 1
 
 
 def test_adam_zero_gradient_keeps_params():
     params = nn.ParamSet({"w": np.array([1.5, 2.5])})
     nn.adam_step(params, {"w": np.zeros(2)}, lr=0.1)
-    np.testing.assert_array_equal(params["w"], [1.5, 2.5])
+    np.testing.assert_array_equal(params.values["w"], [1.5, 2.5])
 
 
 def test_adam_parabola_matches_scalar_oracle():
@@ -358,10 +364,10 @@ def test_adam_parabola_matches_scalar_oracle():
 
     params = nn.ParamSet({"w": np.zeros(1)})
     for _ in range(100):
-        grad = {"w": 2.0 * (params["w"] - 5.0)}
+        grad = {"w": 2.0 * (params.values["w"] - 5.0)}
         nn.adam_step(params, grad, lr=0.1)
-    assert float(params["w"][0]) == pytest.approx(w, abs=1e-9)
-    assert abs(float(params["w"][0]) - 5.0) < 0.5
+    assert float(params.values["w"][0]) == pytest.approx(w, abs=1e-9)
+    assert abs(float(params.values["w"][0]) - 5.0) < 0.5
     assert params.step == 100
 
 
@@ -376,7 +382,7 @@ def test_adam_contract_errors():
     with pytest.raises(ValueError, match="for 'b'"):
         nn.adam_step(params, {"a": np.ones(2), "b": np.zeros(3)}, lr=0.1)
     assert params.step == 0 and not params.m
-    np.testing.assert_array_equal(params["a"], [0.0, 0.0])
+    np.testing.assert_array_equal(params.values["a"], [0.0, 0.0])
 
 
 def formula_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -404,12 +410,11 @@ def formula_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 @settings(max_examples=30, deadline=None)
 def test_adam_blocks_match_the_formula_bit_for_bit(width, rows_at, dtype, zero_grad, seed):
     # row counts at a block edge (block - 1, block, block + 1) and across
-    # several blocks, next to vectors and a 0-d tensor; one tensor may get a
-    # zero gradient
+    # several blocks, next to vectors; one tensor may get a zero gradient
     block_rows = max(1, nn._BLOCK // width)
     rows = 3 * block_rows + 5 if rows_at == "several" else max(1, block_rows + rows_at)
     rng = np.random.default_rng(seed)
-    shapes = {"w": (rows, width), "b": (width,), "c": (rows,), "s": ()}
+    shapes = {"w": (rows, width), "b": (width,), "c": (rows,)}
     values = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
     got, want = nn.ParamSet({n: v.copy() for n, v in values.items()}), nn.ParamSet(values)
     for step in range(3):
@@ -438,7 +443,7 @@ def test_adam_step_forms_no_full_size_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < params["w"].nbytes / 4
+    assert peak < params.values["w"].nbytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +491,10 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     net, params = make_net("ck", [3, 2], [("dense", 7), ("relu",), ("dense", 2)],
                            rng, dtype=np.float32)
     stem = str(tmp_path / "model")
-    nn.save_params(params, stem, extra={"note": "x", "k": 7})
-    loaded, extra = nn.load_params(stem)
-    assert extra == {"note": "x", "k": 7}
+    nn.save_params(params, stem)
+    with open(stem + ".json", encoding="utf-8") as f:
+        assert json.load(f)["extra"] == {}
+    loaded = nn.load_params(stem)
     assert sorted(loaded.values) == sorted(params.values)
     for name in params.values:
         assert loaded.values[name].dtype == np.float32
@@ -511,7 +517,7 @@ def test_checkpoint_streams_each_tensor(tmp_path):
     nn.save_params(nn.ParamSet(values), stem)
     want = b"".join(np.ascontiguousarray(values[n], dtype="<f4").tobytes() for n in sorted(values))
     assert (tmp_path / "m.bin").read_bytes() == want
-    loaded, _ = nn.load_params(stem)
+    loaded = nn.load_params(stem)
     assert list(loaded.values) == sorted(values)
     for name, value in loaded.values.items():
         assert value.dtype == np.float32 and value.shape == np.shape(values[name])
@@ -532,13 +538,13 @@ def test_checkpoint_load_holds_no_copy_of_the_blob(tmp_path):
         nn.save_params(params, stem)
         _, save_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        loaded, _ = nn.load_params(stem)
+        loaded = nn.load_params(stem)
         _, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert save_peak < size / 4
     assert load_peak < 1.5 * size
-    assert all(loaded[n].tobytes() == params[n].tobytes() for n in params.values)
+    assert all(loaded.values[n].tobytes() == params.values[n].tobytes() for n in params.values)
 
 
 def test_checkpoint_error_cases(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pertsets import nn
-from pertsets.cvae import CvaeModel
+from pertsets.cvae import CvaeModel, latent_pgd
 from pertsets.robust import (
     AttackConfig,
     Classifier,
@@ -51,8 +51,6 @@ def ce_at(h, model, x, labels, u):
 def test_attack_config_validation():
     cfg = AttackConfig(2.0)
     assert cfg.steps == 7 and math.isclose(cfg.step, 0.4)
-    ev = AttackConfig.eval_default(2.0)
-    assert ev.steps == 50 and math.isclose(ev.step, 0.1)
     assert AttackConfig(0.0).eps == 0.0
     with pytest.raises(ValueError):
         AttackConfig(-1.0)
@@ -137,11 +135,18 @@ def test_attack_best_iterate_and_feasibility():
 
 
 def test_attack_budget_monotonicity():
+    # the attack's objective over a larger ball, warm-started at the smaller
+    # ball's best point, never ends below it
     model, h = rand_model(7), rand_clf(8)
     x, labels = rand_data(5, seed=9)
     _, u_small = latent_pgd_attack(h, model, x, labels, AttackConfig(0.5, steps=10))
-    _, u_large = latent_pgd_attack(h, model, x, labels,
-                                   AttackConfig(1.5, steps=10), init_u=u_small)
+    cond = model.condition(x)
+
+    def cross_entropy(u):
+        ce = nn.cross_entropy(h.logits(model.decode_u(u, cond)), labels)
+        return nn._val(ce), nn.sum_all(ce)
+
+    _, u_large = latent_pgd(cross_entropy, u_small, 1.5, 10, 1.5 / 5, maximize=True)
     small = ce_at(h, model, x, labels, u_small)
     large = ce_at(h, model, x, labels, u_large)
     assert (large >= small - 1e-10).all()
@@ -181,18 +186,13 @@ def test_attack_dimension_mismatch():
 # Training epochs
 
 
-def clone_clf(h):
-    params = h.params.copy()
-    return Classifier(h.m, h.n_classes, h.hidden, params=params)
-
-
 def test_adv_epoch_deterministic():
     model = rand_model(16)
     x, labels = rand_data(40, seed=17)
     h1, h2 = rand_clf(18), rand_clf(18)
     for h, seed in ((h1, 19), (h2, 19)):
         adv_train_epoch(h, model, x, labels, AttackConfig(1.0, steps=3),
-                        {"lr": 1e-3}, np.random.default_rng(seed), batch_size=16)
+                        1e-3, np.random.default_rng(seed), batch_size=16)
     for name in h1.params.values:
         np.testing.assert_array_equal(h1.params.values[name], h2.params.values[name])
 
@@ -201,11 +201,11 @@ def test_adv_epoch_zero_eps_equals_clean_on_decoded():
     model = rand_model(20)
     x, labels = rand_data(30, seed=21)
     ha, hc = rand_clf(22), rand_clf(22)
-    adv_train_epoch(ha, model, x, labels, AttackConfig(0.0), {"lr": 1e-3},
+    adv_train_epoch(ha, model, x, labels, AttackConfig(0.0), 1e-3,
                     np.random.default_rng(23), batch_size=10)
     prior = model.encode_prior(x)
     dec = np.asarray(model.decode(np.asarray(prior.mean), x))
-    clean_train_epoch(hc, dec, labels, {"lr": 1e-3},
+    clean_train_epoch(hc, dec, labels, 1e-3,
                       np.random.default_rng(23), batch_size=10)
     for name in ha.params.values:
         np.testing.assert_array_equal(ha.params.values[name], hc.params.values[name])
@@ -216,13 +216,13 @@ def test_augment_epoch_runs_and_is_deterministic():
     x, labels = rand_data(30, seed=25)
     h1, h2 = rand_clf(26), rand_clf(26)
     for h in (h1, h2):
-        augment_train_epoch(h, model, x, labels, 1.0, {"lr": 1e-3},
+        augment_train_epoch(h, model, x, labels, 1.0, 1e-3,
                             np.random.default_rng(27), batch_size=10)
     for name in h1.params.values:
         np.testing.assert_array_equal(h1.params.values[name], h2.params.values[name])
         assert np.isfinite(h1.params.values[name]).all()
     with pytest.raises(ValueError):
-        augment_train_epoch(h1, model, x, labels, -0.5, {"lr": 1e-3},
+        augment_train_epoch(h1, model, x, labels, -0.5, 1e-3,
                             np.random.default_rng(0))
 
 
@@ -231,7 +231,7 @@ def test_training_step_rejects_non_finite_loss():
     h.params.values["classifier/w0"][0, 0] = np.nan
     x, labels = rand_data(10, seed=31)
     with pytest.raises(FloatingPointError):
-        clean_train_epoch(h, x, labels, {"lr": 1e-3}, np.random.default_rng(0))
+        clean_train_epoch(h, x, labels, 1e-3, np.random.default_rng(0))
 
 
 def test_clean_training_learns_separable_task():
@@ -242,7 +242,7 @@ def test_clean_training_learns_separable_task():
     x[labels == 1] += 0.6
     h = Classifier(M, 2, hidden=(8,), rng=np.random.default_rng(29))
     for _ in range(15):
-        clean_train_epoch(h, x, labels, {"lr": 5e-3}, np.random.default_rng(30))
+        clean_train_epoch(h, x, labels, 5e-3, np.random.default_rng(30))
     assert accuracy(h, x, labels) >= 0.95
 
 

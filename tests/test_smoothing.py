@@ -130,7 +130,7 @@ def test_certify_unanimous_closed_form():
     want_pa = 0.001 ** (1.0 / 10_000)
     assert math.isclose(cert.p_a, want_pa, rel_tol=1e-12)
     assert math.isclose(cert.radius, 3.1985775147383384, rel_tol=1e-9)
-    cap = cert.sigma * std_normal_quantile(clopper_pearson_lower(10_000, 10_000, 0.999))
+    cap = 1.0 * std_normal_quantile(clopper_pearson_lower(10_000, 10_000, 0.999))
     assert cert.radius <= cap + 1e-12
 
 
@@ -201,20 +201,20 @@ def test_noise_epoch_deterministic_and_sigma_zero():
     labels = rng.integers(0, 3, 30)
     h1, h2 = rand_clf(19), rand_clf(19)
     for h in (h1, h2):
-        noise_train_epoch(h, model, x, labels, 0.7, {"lr": 1e-3},
+        noise_train_epoch(h, model, x, labels, 0.7, 1e-3,
                           np.random.default_rng(20), batch_size=10)
     for name in h1.params.values:
         np.testing.assert_array_equal(h1.params.values[name], h2.params.values[name])
 
     hz, hc = rand_clf(21), rand_clf(21)
-    noise_train_epoch(hz, model, x, labels, 0.0, {"lr": 1e-3},
+    noise_train_epoch(hz, model, x, labels, 0.0, 1e-3,
                       np.random.default_rng(22), batch_size=10)
     prior = model.encode_prior(x)
     dec = np.asarray(model.decode(np.asarray(prior.mean), x))
-    clean_train_epoch(hc, dec, labels, {"lr": 1e-3},
+    clean_train_epoch(hc, dec, labels, 1e-3,
                       np.random.default_rng(22), batch_size=10)
     for name in hz.params.values:
         np.testing.assert_array_equal(hz.params.values[name], hc.params.values[name])
     with pytest.raises(ValueError):
-        noise_train_epoch(hz, model, x, labels, -0.1, {"lr": 1e-3},
+        noise_train_epoch(hz, model, x, labels, -0.1, 1e-3,
                           np.random.default_rng(0))

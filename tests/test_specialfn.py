@@ -107,6 +107,18 @@ def test_lambert_matches_scipy():
         assert lambert_w(x, "lower") == pytest.approx(sps.lambertw(x, -1).real, abs=1e-10)
 
 
+@pytest.mark.parametrize("branch,k", [("principal", 0), ("lower", -1)])
+def test_lambert_within_32_ulp_of_scipy_on_lemma3_arguments(branch, k):
+    # the arguments -e^-(K+1) that Lemma 3 solves, over K in [0.01, 0.1] and
+    # [1, 60]; scipy is within 6 ulp of a 40-digit reference there, and a
+    # root that stopped on the residual test alone could be thousands off
+    K = np.concatenate([np.linspace(0.01, 0.1, 1000), np.linspace(1.0, 60.0, 3000)])
+    x = -np.exp(-(K + 1.0))
+    want = sps.lambertw(x, k).real
+    ulps = np.abs(lambert_w(x, branch) - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 32
+
+
 def test_lambert_domain_errors():
     with pytest.raises(ValueError):
         lambert_w(-0.4)
