@@ -8,16 +8,17 @@ config and a manifest of content hashes, so every directory is
 self-describing and re-runnable.
 
 Conventions:
-  - exit 0 success, 2 invalid config (field-level message), 3 missing input
-    artifact, 4 numerical failure: a non-finite training loss (message names
-    the epoch), checkpoint tensor or pixel, or forward-pass overflow into
-    non-finite logits or decoded outputs
+  - exit 0 success, 2 invalid config (field-level message), 3 missing or bad
+    input artifact, 4 numerical failure: a non-finite training loss (message
+    names the epoch), checkpoint tensor or pixel, or forward-pass overflow
+    into non-finite logits or decoded outputs
   - CSV reports: header row, UTF-8, '\\n' line endings, full-precision floats
   - JSON reports: pretty-printed, sorted keys, trailing newline; non-finite
     floats serialized as the strings "inf"/"-inf"/"nan" (strict JSON has no
     literal for them)
   - seeds split hierarchically: a run seed expands into per-stage seeds, each
-    recorded in that stage's config copy
+    recorded in that stage's config copy; attack, which draws no random
+    numbers, accepts a seed and leaves it out
 """
 
 import argparse
@@ -82,14 +83,19 @@ def _dump_json(path: str, obj):
         f.write("\n")
 
 
-def _load_json(path: str):
+def _load_json(path: str, error) -> dict:
+    """The JSON object in path. A missing file exits 3; invalid JSON or a
+    top level that is not an object raises `error` naming the file."""
     if not os.path.isfile(path):
         raise MissingArtifactError(f"missing file: {path}")
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: not valid JSON ({e})") from e
+            obj = json.load(f)
+        except ValueError as e:     # bad JSON, or bytes that are not UTF-8
+            raise error(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise error(f"{path}: top level must be a JSON object")
+    return obj
 
 
 def _sha256(path: str) -> str:
@@ -131,7 +137,7 @@ class ArtifactDir:
     def checkpoint(self, stem: str) -> str:
         """Register the three files of an nn checkpoint; returns the path stem
         to save it under."""
-        for suffix in (".json", ".bin", ".meta.json"):
+        for suffix in nn.CHECKPOINT_SUFFIXES:
             self.file(stem + suffix)
         return os.path.join(self.path, stem)
 
@@ -298,7 +304,7 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
     3); NaN or inf pixels exit 4."""
     if not os.path.isdir(dirpath):
         raise MissingArtifactError(f"missing pair-set directory: {dirpath}")
-    meta = _load_json(os.path.join(dirpath, _PAIRS_META))
+    meta = _load_json(os.path.join(dirpath, _PAIRS_META), MissingArtifactError)
     paths = [os.path.join(dirpath, name) for name in ("perturbed.npy", "conditioned.npy")]
     perturbed, conditioned = (_load_array(path, np.float32) for path in paths)
     if perturbed.ndim != 2 or perturbed.shape != conditioned.shape:
@@ -320,40 +326,15 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
     return PairSet(perturbed, conditioned, labels), meta
 
 
-def _load_checkpoint(dirpath: str, stem: str, load, nets):
-    """Load the checkpoint `stem` in dirpath with `load` and check it against
-    the architecture its meta file declares: the tensors must be exactly the
-    parameters of nets(loaded), in shape (else exit 3), and finite (else
-    exit 4)."""
+def _load_checkpoint(dirpath: str, stem: str, load):
+    """`load` of the checkpoint `stem` in dirpath. A missing or malformed
+    part, a meta key missing, mistyped or too large for the model, or tensors
+    unlike the architecture it declares exit 3; a non-finite tensor exits 4."""
     path = os.path.join(dirpath, stem)
-    if not os.path.isfile(path + ".meta.json"):
-        raise MissingArtifactError(f"missing {stem} checkpoint: {path}.meta.json")
     try:
-        loaded = load(path)
-    except (OSError, KeyError, ValueError) as e:
-        raise MissingArtifactError(f"unreadable {stem} checkpoint {path}: {e}") from e
-    params = loaded.params.values
-    shapes = {name: shape for net in nets(loaded) for name, shape in net.param_shapes().items()}
-    for name in sorted(set(shapes) | set(params)):
-        if name not in params:
-            raise MissingArtifactError(f"{stem} checkpoint {path}: tensor {name!r} missing")
-        if name not in shapes:
-            raise MissingArtifactError(f"{stem} checkpoint {path}: tensor {name!r} "
-                                       "is not a parameter of the declared architecture")
-        if params[name].shape != shapes[name]:
-            raise MissingArtifactError(
-                f"{stem} checkpoint {path}: tensor {name!r} has shape "
-                f"{params[name].shape}, the declared architecture needs {shapes[name]}")
-        nn.finite_or_raise(params[name], f"{stem} checkpoint {path}: tensor {name!r}")
-    return loaded
-
-
-def _load_model_dir(dirpath: str) -> CvaeModel:
-    return _load_checkpoint(dirpath, "model", lambda p: load_cvae(p)[0], lambda m: m.nets)
-
-
-def _load_classifier_dir(dirpath: str) -> Classifier:
-    return _load_checkpoint(dirpath, "classifier", load_classifier, lambda h: [h.net])
+        return load(path)
+    except (OSError, KeyError, OverflowError, TypeError, ValueError) as e:
+        raise MissingArtifactError(f"bad {stem} checkpoint {path}: {e}") from e
 
 
 def _same_width(model: CvaeModel, model_dir: str, what: str, path: str, width: int):
@@ -368,10 +349,10 @@ def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int
     None) of a stage. The pairs and the classifier must be as wide as the
     generator's images, and labeled when the stage needs labels (else exit
     3)."""
-    model = _load_model_dir(model_dir)
+    model, _ = _load_checkpoint(model_dir, "model", load_cvae)
     h = None
     if clf_dir is not None:
-        h = _load_classifier_dir(clf_dir)
+        h = _load_checkpoint(clf_dir, "classifier", load_classifier)
         _same_width(model, model_dir, "classifier", clf_dir, h.m)
     pairs, _ = _load_pairs(data_dir)
     _same_width(model, model_dir, "pair set", data_dir, pairs.dim)
@@ -436,6 +417,9 @@ def cmd_gen_data(cfg: dict) -> dict:
         if imgs.ndim != 3:
             raise ConfigError(f"config.source.images: {images} holds "
                               f"{imgs.ndim}-d data, expected images")
+        if pkind == "rts" and imgs.shape[1] != imgs.shape[2]:
+            raise ConfigError(f"config.source.images: {images} holds {imgs.shape[1]}x"
+                              f"{imgs.shape[2]} images, rts pairs need square ones")
         lbl = None
         if labels_path is not None:
             lbl = _load_idx(labels_path)
@@ -504,7 +488,11 @@ def cmd_train_cvae(cfg: dict) -> dict:
     top.done()
 
     pairs, meta = _load_pairs(data_dir)
-    pairing = meta.get("pairs", {}).get("pairing", "centered")
+    pairing = meta.get("pairs", {})
+    pairing = pairing.get("pairing", "centered") if isinstance(pairing, dict) else None
+    if pairing not in ("centered", "perturbed_only"):
+        raise MissingArtifactError(f"{os.path.join(data_dir, _PAIRS_META)}: pairs.pairing "
+                                   "must be centered or perturbed_only")
     tc = TrainConfig(k=k, hidden=hidden, epochs=epochs, batch_size=batch_size,
                      seed=seed, pairing=pairing, logvar_lo=logvar_lo, logvar_hi=logvar_hi)
     if lr is not None:
@@ -1022,9 +1010,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             cmd_reproduce(args.profile, args.out, args.seed, args.mnist_dir)
         else:
-            cfg = _load_json(args.config)
-            if not isinstance(cfg, dict):
-                raise ConfigError("config: top level must be a JSON object")
+            cfg = _load_json(args.config, ConfigError)
             if args.out is not None:
                 cfg["out_dir"] = args.out
             if args.seed is not None:

@@ -10,7 +10,6 @@ that formula; every latent attack, sample and metric decodes through them.
 """
 
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -117,6 +116,8 @@ class CvaeModel:
             params = nn.ParamSet()
             for net in self.nets:
                 net.init(params, rng)
+        else:
+            nn.check_params(params, self.nets)
         self.params = params
 
     def encode_posterior(self, x, y, rec=None) -> GaussianDiag:
@@ -167,19 +168,11 @@ class CvaeModel:
                 "logvar_lo": self.logvar_lo, "logvar_hi": self.logvar_hi}
 
     def save(self, stem: str, extra_meta: dict = None):
-        nn.save_params(self.params, stem)
-        meta = self.meta()
-        if extra_meta:
-            meta.update(extra_meta)
-        with open(stem + ".meta.json", "w", encoding="utf-8") as f:
-            json.dump(meta, f, indent=2, sort_keys=True)
-            f.write("\n")
+        nn.save_params(self.params, stem, {**self.meta(), **(extra_meta or {})})
 
 
 def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
-    params = nn.load_params(stem)
-    with open(stem + ".meta.json", encoding="utf-8") as f:
-        meta = json.load(f)
+    params, meta = nn.load_params(stem)
     model = CvaeModel(meta["m"], meta["k"], meta["hidden"], meta["pairing"],
                       meta["logvar_lo"], meta["logvar_hi"], params=params)
     return model, meta

@@ -484,6 +484,22 @@ class Network:
         return h
 
 
+def check_params(params: ParamSet, nets):
+    """Raise ValueError unless params holds exactly the tensors that nets
+    declare, each in its declared shape; the message names the first tensor,
+    by name, that differs."""
+    shapes = {name: shape for net in nets for name, shape in net.param_shapes().items()}
+    values = params.values
+    for name in sorted(set(shapes) | set(values)):
+        if name not in values:
+            raise ValueError(f"tensor {name!r} missing")
+        if name not in shapes:
+            raise ValueError(f"tensor {name!r} is not a parameter of the declared architecture")
+        if values[name].shape != shapes[name]:
+            raise ValueError(f"tensor {name!r} has shape {values[name].shape}, "
+                             f"the declared architecture needs {shapes[name]}")
+
+
 # ---------------------------------------------------------------------------
 # Schedules
 
@@ -513,45 +529,70 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
+CHECKPOINT_SUFFIXES = (".json", ".bin", ".meta.json")
+_FORMAT = "pertsets-params-v1"
 
-def save_params(params: ParamSet, stem: str):
-    """Write `<stem>.json` (manifest) and `<stem>.bin` (little-endian float32
-    blob, concatenated in manifest order). Parameter order is sorted by name
-    so the byte layout is deterministic. Each tensor goes straight to the
-    file; a float32 one is written without a copy."""
-    names = sorted(params.values)
-    manifest = {
-        "format": "pertsets-params-v1",
-        "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names],
-        "extra": {},
-    }
-    with open(stem + ".json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+
+def _dump_json(obj: dict, path: str):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _load_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as f:
+        try:
+            obj = json.load(f)
+        except ValueError as e:     # bad JSON, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def save_params(params: ParamSet, stem: str, meta: dict):
+    """Write the checkpoint at stem: the manifest `<stem>.json` naming each
+    tensor and its shape in name order, so the byte layout is deterministic;
+    `<stem>.bin`, the tensors as little-endian float32 in that order, each
+    written straight to the file (a float32 one without a copy); and meta,
+    the architecture a model is rebuilt from, as `<stem>.meta.json`."""
+    names = sorted(params.values)
+    _dump_json({"format": _FORMAT, "extra": {},
+                "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names]},
+               stem + ".json")
     with open(stem + ".bin", "wb") as f:
         for n in names:
             f.write(np.ascontiguousarray(params.values[n], dtype="<f4"))
+    _dump_json(meta, stem + ".meta.json")
 
 
-def load_params(stem: str):
-    """Inverse of save_params; returns the ParamSet. Each tensor is
-    read from the blob straight into its own fresh array, so no copy of the
-    whole blob is held and every tensor owns aligned data."""
-    for suffix in (".json", ".bin"):
-        if not os.path.exists(stem + suffix):
+def load_params(stem: str) -> tuple[ParamSet, dict]:
+    """Inverse of save_params; returns (ParamSet, meta). Each tensor is read
+    into its own fresh array, with no copy of the whole blob. Raises
+    FileNotFoundError for a missing part, ValueError for a malformed part,
+    and FloatingPointError naming a tensor that is not finite."""
+    for suffix in CHECKPOINT_SUFFIXES:
+        if not os.path.isfile(stem + suffix):
             raise FileNotFoundError(f"checkpoint part missing: {stem}{suffix}")
-    with open(stem + ".json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != "pertsets-params-v1":
-        raise ValueError(f"unrecognized checkpoint format in {stem}.json")
+    manifest, meta = _load_json(stem + ".json"), _load_json(stem + ".meta.json")
+    if manifest.get("format") != _FORMAT or not isinstance(manifest.get("tensors"), list):
+        raise ValueError(f"{stem}.json: not a {_FORMAT} manifest")
     params = ParamSet()
     with open(stem + ".bin", "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         for entry in manifest["tensors"]:
-            value = np.empty(tuple(entry["shape"]), dtype="<f4")
-            if f.readinto(value) != value.nbytes:
-                raise ValueError(f"checkpoint blob too short for tensor {entry['name']!r}")
-            params.values[entry["name"]] = value
-        left = os.fstat(f.fileno()).st_size - f.tell()
+            name, shape = ((entry.get("name"), entry.get("shape")) if isinstance(entry, dict)
+                           else (None, None))
+            if (not isinstance(name, str) or name in params.values or not isinstance(shape, list)
+                    or not all(type(d) is int and d >= 0 for d in shape)):
+                raise ValueError(f"{stem}.json: malformed or repeated tensor entry {entry!r}")
+            # sized against the blob first, so no shape allocates past it
+            fits = 4 * math.prod(shape) <= size - f.tell()
+            value = np.empty(shape, dtype="<f4") if fits else None
+            if not fits or f.readinto(value) != value.nbytes:
+                raise ValueError(f"checkpoint blob too short for tensor {name!r}")
+            params.values[name] = finite_or_raise(value, f"checkpoint {stem}: tensor {name!r}")
+        left = size - f.tell()
     if left:
         raise ValueError(f"checkpoint blob has {left / 4:g} trailing floats")
-    return params
+    return params, meta

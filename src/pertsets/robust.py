@@ -7,7 +7,6 @@ steps and best-iterate output. Training epochs wire that attack (or
 truncated-prior augmentation, or nothing) in front of a standard Adam step.
 """
 
-import json
 import logging
 
 import numpy as np
@@ -59,6 +58,8 @@ class Classifier:
                 raise ValueError("need params or an rng to initialize them")
             params = nn.ParamSet()
             self.net.init(params, rng)
+        else:
+            nn.check_params(params, [self.net])
         self.params = params
 
     def logits(self, x, rec=None):
@@ -73,17 +74,12 @@ class Classifier:
         return np.argmax(np.asarray(self.logits(x)), axis=-1)
 
     def save(self, stem: str):
-        nn.save_params(self.params, stem)
-        meta = {"m": self.m, "n_classes": self.n_classes, "hidden": list(self.hidden)}
-        with open(stem + ".meta.json", "w", encoding="utf-8") as f:
-            json.dump(meta, f, indent=2, sort_keys=True)
-            f.write("\n")
+        nn.save_params(self.params, stem,
+                       {"m": self.m, "n_classes": self.n_classes, "hidden": list(self.hidden)})
 
 
 def load_classifier(stem: str) -> Classifier:
-    params = nn.load_params(stem)
-    with open(stem + ".meta.json", encoding="utf-8") as f:
-        meta = json.load(f)
+    params, meta = nn.load_params(stem)
     return Classifier(meta["m"], meta["n_classes"], tuple(meta["hidden"]),
                       params=params)
 

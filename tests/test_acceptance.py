@@ -22,11 +22,12 @@ import pytest
 from pertsets import cli, robust, smoothing, theory
 from pertsets.cvae import (CvaeModel, GaussianDiag, TrainConfig, kl_diag,
                            sample_truncated_ball, train_cvae)
-from pertsets.evalmetrics import evaluate_set, pgd_ae, select_radius
+from pertsets.evalmetrics import evaluate_set, select_radius
 from pertsets.nn import Schedule, Var, backward, dense, relu, sum_all
 from pertsets.pertgen import gen_linf_pairs, synth_shapes
 from pertsets.robust import AttackConfig, Classifier
 from pertsets.specialfn import clopper_pearson_lower, lambert_w, reg_lower_gamma
+from test_evalmetrics import pgd_ae
 from test_theory import delta_a_demo
 
 

@@ -219,7 +219,7 @@ def test_train_robust_modes_and_artifacts(pipeline, tmp_path):
                "train": {"mode": mode, "epochs": 1, **extra}}
         assert cli.main(["train-robust", "--config",
                          write_cfg(tmp_path / f"{mode}.json", cfg)]) == 0
-        clf = cli._load_classifier_dir(str(tmp_path / mode))
+        clf = cli.load_classifier(str(tmp_path / mode / "classifier"))
         assert clf.n_classes == 2 and clf.m == 144
 
 
@@ -375,6 +375,16 @@ def test_malformed_idx_source_exits_3_naming_file(tmp_path, capsys, case, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_square_rts_source_exits_2(tmp_path, capsys):
+    images = _write_idx(tmp_path / "images", 0x803, (3, 8, 6), 144)
+    cfg = {"out_dir": str(tmp_path / "out"), "source": {"kind": "idx", "images": images},
+           "pairs": {"kind": "rts", "canvas": 20}, "split": {"test": 1}}
+    code, err = run_cli(["gen-data", "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 2, err
+    assert "config.source.images" in err and "8x6" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):
     gen = _bad_input_cfg(pipeline, tmp_path / "d", "gen-data") | {"split": {"test": 0}}
     assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", gen)]) == 0
@@ -436,6 +446,20 @@ def test_bad_pair_set_exits_naming_file(pipeline, tmp_path, capsys, stage, case,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stage, meta", [
+    ("eval-set", "{not json"), ("bounds", "[]"),
+    ("train-cvae", '{"pairs": []}'), ("train-cvae", '{"pairs": {"pairing": "sideways"}}')])
+def test_bad_pairs_meta_exits_3_naming_it(pipeline, tmp_path, capsys, stage, meta):
+    bad = tmp_path / "bad"
+    shutil.copytree(pipeline / "data" / ("train" if stage == "train-cvae" else "test"), bad)
+    (bad / "pairs.meta.json").write_text(meta, encoding="utf-8")
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage) | {"data": str(bad)}
+    code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 3, err
+    assert str(bad / "pairs.meta.json") in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stage, key", [
     *[(stage, "data") for stage in ("eval-set", "bounds", "attack", "train-robust", "certify")],
     ("attack", "classifier"), ("certify", "classifier")])
@@ -459,15 +483,17 @@ def test_width_mismatch_exits_3(pipeline, tmp_path, capsys, stage, key):
     assert not (tmp_path / "out").exists()
 
 
-def _copy_checkpoint(src_dir, dst_dir, stem, edit_meta=None, edit_blob=None):
+def _copy_checkpoint(src_dir, dst_dir, stem, edit_meta=None, edit_blob=None,
+                     edit_manifest=None):
     os.makedirs(dst_dir)
     for suffix in (".json", ".bin", ".meta.json"):
         with open(os.path.join(src_dir, stem + suffix), "rb") as f:
             blob = f.read()
         if suffix == ".bin" and edit_blob is not None:
             blob = edit_blob(np.frombuffer(blob, dtype="<f4").copy()).tobytes()
-        if suffix == ".meta.json" and edit_meta is not None:
-            blob = json.dumps(edit_meta(json.loads(blob))).encode("utf-8")
+        edit_json = {".json": edit_manifest, ".meta.json": edit_meta}.get(suffix)
+        if edit_json is not None:
+            blob = json.dumps(edit_json(json.loads(blob))).encode("utf-8")
         with open(os.path.join(dst_dir, stem + suffix), "wb") as f:
             f.write(blob)
     return str(dst_dir)
@@ -508,7 +534,16 @@ def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem)
 @pytest.mark.parametrize("stage, stem, edit, message", [
     ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": 64}}, "'decoder/b0'"),
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": [8]}}, "'classifier/b0'"),
-    ("certify", "classifier", {"edit_blob": lambda raw: raw[:-1]}, "too short")])
+    ("certify", "classifier", {"edit_blob": lambda raw: raw[:-1]}, "too short"),
+    ("eval-set", "model", {"edit_manifest": lambda m: []}, "expected a JSON object"),
+    ("bounds", "model", {"edit_manifest": lambda m: m | {"tensors": [
+        {"name": "decoder/b0", "shape": None}, *m["tensors"][1:]]}}, "malformed"),
+    ("eval-set", "model", {"edit_meta": lambda m: []}, "expected a JSON object"),
+    ("bounds", "model", {"edit_meta": lambda m: m | {"hidden": None}}, "NoneType"),
+    ("eval-set", "model", {"edit_meta": lambda m: {k: v for k, v in m.items() if k != "k"}},
+     "'k'"),
+    ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": None}}, "NoneType"),
+    ("certify", "classifier", {"edit_meta": lambda m: m | {"m": float("inf")}}, "infinity")])
 def test_mismatched_or_unreadable_checkpoint_exits_3(pipeline, tmp_path, capsys, stage, stem,
                                                      edit, message):
     src = pipeline / ("cvae" if stem == "model" else "clf")

@@ -532,6 +532,30 @@ def test_model_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(model.decode(z, y), loaded.decode(z, y))
 
 
+@pytest.mark.parametrize("source", ["fresh", "presplit"])
+def test_save_load_save_is_byte_identical(tmp_path, source):
+    # every checkpoint file, including the meta's key set and float reprs
+    if source == "fresh":
+        stem = str(tmp_path / "a")
+        make_model(m=6, k=3, hidden=10, seed=5).save(stem, extra_meta={"train_pairs": 24})
+    else:
+        stem = os.path.join(os.path.dirname(__file__), "data", "presplit_cvae", "model")
+    model, meta = load_cvae(stem)
+    model.save(str(tmp_path / "b"), extra_meta=meta)
+    for suffix in nn.CHECKPOINT_SUFFIXES:
+        with open(stem + suffix, "rb") as f:
+            assert (tmp_path / ("b" + suffix)).read_bytes() == f.read(), suffix
+
+
+def test_model_from_mismatched_params_raises_naming_tensor():
+    params = make_model(m=6, k=3, hidden=10, seed=5).params
+    with pytest.raises(ValueError, match="'decoder/b0' has shape"):
+        CvaeModel(6, 3, 11, params=params)
+    del params.values["prior_mean/w0"]
+    with pytest.raises(ValueError, match="'prior_mean/w0' missing"):
+        CvaeModel(6, 3, 10, params=params)
+
+
 def test_decoder_output_in_unit_interval():
     model = make_model()
     rng = np.random.default_rng(0)

@@ -11,14 +11,30 @@ from pertsets.cli import ArtifactDir
 from pertsets.cvae import CvaeModel, PairSet, kl_diag, latent_pgd, sample_truncated_ball
 from pertsets.evalmetrics import (
     METRICS,
+    _encoder_points,
     _mse_rows,
     _pgd_best,
     evaluate_set,
-    pgd_ae,
     select_radius,
 )
 
 M, K, HID = 6, 2, 8
+
+
+def pgd_ae(model: CvaeModel, x, y, eps: float, steps: int = 50, step: float = None):
+    """Best per-pixel MSE found by projected gradient descent in the ball, for
+    one pair given as (1, m) rows x (perturbed) and y (conditioned).
+
+    Warm-started at the projected encoder point, so the result never exceeds
+    the error there (evaluate_set's enc_ae)."""
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if step is None:
+        step = eps / 20.0
+    cond = model.condition(y)
+    u0, _, _ = _encoder_points(model, x, cond)
+    err, _ = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=False)
+    return float(err[0])
 
 
 def rand_model(seed=0):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -491,17 +492,18 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     net, params = make_net("ck", [3, 2], [("dense", 7), ("relu",), ("dense", 2)],
                            rng, dtype=np.float32)
     stem = str(tmp_path / "model")
-    nn.save_params(params, stem)
+    nn.save_params(params, stem, {"widths": [3, 2]})
     with open(stem + ".json", encoding="utf-8") as f:
         assert json.load(f)["extra"] == {}
-    loaded = nn.load_params(stem)
+    loaded, meta = nn.load_params(stem)
+    assert meta == {"widths": [3, 2]}
     assert sorted(loaded.values) == sorted(params.values)
     for name in params.values:
         assert loaded.values[name].dtype == np.float32
         np.testing.assert_array_equal(loaded.values[name], params.values[name])
     # identical bytes when saved again
-    nn.save_params(loaded, str(tmp_path / "model2"))
-    nn.save_params(params, str(tmp_path / "model3"))
+    nn.save_params(loaded, str(tmp_path / "model2"), meta)
+    nn.save_params(params, str(tmp_path / "model3"), meta)
     assert (tmp_path / "model2.bin").read_bytes() == (tmp_path / "model3.bin").read_bytes()
 
 
@@ -514,10 +516,10 @@ def test_checkpoint_streams_each_tensor(tmp_path):
               "c/e": np.zeros((0, 3), np.float32), "d/w": rng.normal(size=(7, 5)),
               "e/b": rng.normal(size=33).astype(np.float32)}
     stem = str(tmp_path / "m")
-    nn.save_params(nn.ParamSet(values), stem)
+    nn.save_params(nn.ParamSet(values), stem, {})
     want = b"".join(np.ascontiguousarray(values[n], dtype="<f4").tobytes() for n in sorted(values))
     assert (tmp_path / "m.bin").read_bytes() == want
-    loaded = nn.load_params(stem)
+    loaded, _ = nn.load_params(stem)
     assert list(loaded.values) == sorted(values)
     for name, value in loaded.values.items():
         assert value.dtype == np.float32 and value.shape == np.shape(values[name])
@@ -535,10 +537,10 @@ def test_checkpoint_load_holds_no_copy_of_the_blob(tmp_path):
     stem = str(tmp_path / "big")
     tracemalloc.start()
     try:
-        nn.save_params(params, stem)
+        nn.save_params(params, stem, {})
         _, save_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        loaded = nn.load_params(stem)
+        loaded, _ = nn.load_params(stem)
         _, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -552,7 +554,7 @@ def test_checkpoint_error_cases(tmp_path):
         nn.load_params(str(tmp_path / "nope"))
     params = nn.ParamSet({"w": np.ones(3, dtype=np.float32)})
     stem = str(tmp_path / "m")
-    nn.save_params(params, stem)
+    nn.save_params(params, stem, {})
     with open(stem + ".bin", "ab") as f:
         f.write(b"\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="1 trailing floats"):
@@ -564,6 +566,77 @@ def test_checkpoint_error_cases(tmp_path):
             f.write(blob)
         with pytest.raises(ValueError, match=match):
             nn.load_params(stem)
+
+
+def _write_checkpoint(tmp_path, manifest=None, meta=None):
+    """A saved two-tensor checkpoint whose manifest and meta files are then
+    overwritten by the given JSON text, when given."""
+    stem = str(tmp_path / "m")
+    nn.save_params(nn.ParamSet({"a": np.ones(2, np.float32), "b": np.zeros((2, 3), np.float32)}),
+                   stem, {"hidden": 3})
+    for suffix, text in ((".json", manifest), (".meta.json", meta)):
+        if text is not None:
+            (tmp_path / ("m" + suffix)).write_text(text, encoding="utf-8")
+    return stem
+
+
+_ENTRY_B = '{"name": "b", "shape": [2, 3]}'
+
+
+@pytest.mark.parametrize("manifest, meta, match", [
+    ("[]", None, "expected a JSON object"),
+    ("{", None, "Expecting"),
+    ('{"format": "other", "tensors": []}', None, "manifest"),
+    ('{"format": "pertsets-params-v1", "tensors": {}}', None, "manifest"),
+    ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": null}, '
+     + _ENTRY_B + ']}', None, "malformed"),
+    ('{"format": "pertsets-params-v1", "tensors": [{"shape": [2]}, ' + _ENTRY_B + ']}',
+     None, "malformed"),
+    ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": [-2]}, '
+     + _ENTRY_B + ']}', None, "malformed"),
+    ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": [true, 2]}, '
+     + _ENTRY_B + ']}', None, "malformed"),
+    ('{"format": "pertsets-params-v1", "tensors": [7, ' + _ENTRY_B + ']}', None, "malformed"),
+    ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": [1]}, '
+     '{"name": "a", "shape": [7]}]}', None, "repeated"),
+    ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": [1000000000000]}]}',
+     None, "too short"),
+    (None, "[]", "expected a JSON object"),
+    (None, "null", "expected a JSON object"),
+    (None, "{", "Expecting"),
+])
+def test_malformed_manifest_or_meta_raises_value_error(tmp_path, manifest, meta, match):
+    stem = _write_checkpoint(tmp_path, manifest, meta)
+    with pytest.raises(ValueError, match=match):
+        nn.load_params(stem)
+
+
+def test_missing_meta_raises_file_not_found(tmp_path):
+    stem = _write_checkpoint(tmp_path)
+    os.remove(stem + ".meta.json")
+    with pytest.raises(FileNotFoundError, match="meta.json"):
+        nn.load_params(stem)
+
+
+def test_non_finite_tensor_raises_naming_it(tmp_path):
+    stem = _write_checkpoint(tmp_path)
+    raw = np.fromfile(stem + ".bin", dtype="<f4")
+    raw[4] = np.nan                 # "a" holds floats 0-1, "b" floats 2-7
+    raw.tofile(stem + ".bin")
+    with pytest.raises(FloatingPointError, match="tensor 'b'"):
+        nn.load_params(stem)
+
+
+def test_check_params_names_first_differing_tensor():
+    net = nn.Network("n", 3, [("dense", 2)])
+    good = {"n/w0": np.zeros((3, 2), np.float32), "n/b0": np.zeros(2, np.float32)}
+    nn.check_params(nn.ParamSet(good), [net])
+    for values, match in (({"n/w0": good["n/w0"]}, "'n/b0' missing"),
+                          ({**good, "m/b0": good["n/b0"]}, "'m/b0' is not a parameter"),
+                          ({**good, "n/w0": np.zeros((2, 3), np.float32)},
+                           r"'n/w0' has shape \(2, 3\)")):
+        with pytest.raises(ValueError, match=match):
+            nn.check_params(nn.ParamSet(values), [net])
 
 
 def test_init_deterministic_given_seed():

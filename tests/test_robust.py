@@ -74,6 +74,22 @@ def test_classifier_shapes_and_roundtrip(tmp_path):
         Classifier(M, 1, rng=np.random.default_rng(0))
 
 
+def test_classifier_save_load_save_is_byte_identical(tmp_path):
+    rand_clf().save(str(tmp_path / "a"))
+    load_classifier(str(tmp_path / "a")).save(str(tmp_path / "b"))
+    for suffix in nn.CHECKPOINT_SUFFIXES:
+        assert (tmp_path / ("a" + suffix)).read_bytes() == (tmp_path / ("b" + suffix)).read_bytes()
+
+
+def test_classifier_from_mismatched_params_raises_naming_tensor():
+    params = rand_clf(hidden=(8,)).params
+    with pytest.raises(ValueError, match="'classifier/b0' has shape"):
+        Classifier(M, 3, (9,), params=params)
+    params.values["classifier/w2"] = params.values["classifier/w1"]
+    with pytest.raises(ValueError, match="'classifier/w2' is not a parameter"):
+        Classifier(M, 3, (8,), params=params)
+
+
 def test_classifier_no_hidden_is_linear():
     h = Classifier(M, 2, hidden=(), rng=np.random.default_rng(3))
     x, _ = rand_data(4, n_classes=2)
