@@ -328,12 +328,12 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
 
 def _load_checkpoint(dirpath: str, stem: str, load):
     """`load` of the checkpoint `stem` in dirpath. A missing or malformed
-    part, a meta key missing, mistyped or too large for the model, or tensors
-    unlike the architecture it declares exit 3; a non-finite tensor exits 4."""
+    part, a meta value missing or of the wrong type, or tensors unlike the
+    architecture it declares exit 3; a non-finite tensor exits 4."""
     path = os.path.join(dirpath, stem)
     try:
         return load(path)
-    except (OSError, KeyError, OverflowError, TypeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         raise MissingArtifactError(f"bad {stem} checkpoint {path}: {e}") from e
 
 

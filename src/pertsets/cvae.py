@@ -173,9 +173,9 @@ class CvaeModel:
 
 def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
     params, meta = nn.load_params(stem)
-    model = CvaeModel(meta["m"], meta["k"], meta["hidden"], meta["pairing"],
-                      meta["logvar_lo"], meta["logvar_hi"], params=params)
-    return model, meta
+    arch = nn.meta_values(stem, meta, {"m": "int", "k": "int", "hidden": "int", "pairing": "str",
+                                       "logvar_lo": "float", "logvar_hi": "float"})
+    return CvaeModel(*arch, params=params), meta
 
 
 # ---------------------------------------------------------------------------

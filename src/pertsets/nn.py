@@ -550,6 +550,38 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+# kind -> (description, test) of a checkpoint meta value
+_META_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "ints": ("a list of integers", lambda v: type(v) is list and all(type(d) is int for d in v)),
+    "float": ("a finite float", lambda v: type(v) is float and math.isfinite(v)),
+    "str": ("a string", lambda v: type(v) is str),
+}
+
+
+def _shown(v) -> str:
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if math.isnan(v) else ("-" if v < 0 else "") + "infinity"
+    return f"{json.dumps(v)} ({type(v).__name__})"
+
+
+def meta_values(stem: str, meta: dict, kinds: dict) -> list:
+    """The values of the checkpoint meta read from `<stem>.meta.json` under
+    each key of kinds, in its order. A kind is "int" (not a bool), "ints" (a
+    list of them), "float" (finite) or "str"; a value missing or of
+    another kind raises ValueError naming the key and the file."""
+    values = []
+    for key, kind in kinds.items():
+        if key not in meta:
+            raise ValueError(f"{stem}.meta.json: key {key!r} missing")
+        what, ok = _META_KINDS[kind]
+        if not ok(meta[key]):
+            raise ValueError(f"{stem}.meta.json: {key!r} is {_shown(meta[key])}, "
+                             f"expected {what}")
+        values.append(meta[key])
+    return values
+
+
 def save_params(params: ParamSet, stem: str, meta: dict):
     """Write the checkpoint at stem: the manifest `<stem>.json` naming each
     tensor and its shape in name order, so the byte layout is deterministic;

@@ -84,60 +84,99 @@ class RtsParams:
             raise ValueError("rotation range must be non-negative")
 
     def check_fits(self, side: int):
+        """The canvas holds a side x side source at the largest scale, and
+        leaves its centre a placement range: the scaled span between the
+        outer pixel centres, scale_hi * (side - 1), fits in canvas - 1."""
         if self.scale_hi * side > self.canvas:
             raise ValueError(
                 f"canvas {self.canvas} smaller than scaled source extent "
                 f"{self.scale_hi * side:.1f}")
+        if self.scale_hi * (side - 1) > self.canvas - 1:
+            raise ValueError(
+                f"canvas {self.canvas} leaves no placement: the scaled source's pixel "
+                f"centres span {self.scale_hi * (side - 1):g} > {self.canvas - 1}")
 
 
-def warp_affine(src: np.ndarray, canvas: int, theta: float, scale: float,
-                center: tuple[float, float]) -> np.ndarray:
-    """Rotate src by theta (radians) and scale it about its own center, then
-    place that center at `center` (row, col) in a canvas x canvas image.
+# Output pixels one array pass warps or renders: a block's temporaries stay
+# a few MiB whatever the image count. The block size never changes a byte.
+_BLOCK_PIXELS = 1 << 14
 
-    Inverse-mapped bilinear sampling with zero padding; pixel (i, j) reads the
-    source at R(-theta)/scale applied to (i, j) - center, plus the source
-    center. Output is float32.
-    """
-    src = np.asarray(src, dtype=np.float64)
-    h, w = src.shape
-    cs_r, cs_c = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(canvas, dtype=np.float64),
-                             np.arange(canvas, dtype=np.float64), indexing="ij")
-    dr = rows - center[0]
-    dc = cols - center[1]
-    ct, st = math.cos(theta), math.sin(theta)
-    sr = (ct * dr + st * dc) / scale + cs_r
-    sc = (-st * dr + ct * dc) / scale + cs_c
-    r0 = np.floor(sr).astype(np.int64)
-    c0 = np.floor(sc).astype(np.int64)
-    fr = sr - r0
-    fc = sc - c0
-    out = np.zeros((canvas, canvas), dtype=np.float64)
-    for di, dj, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        ri = r0 + di
-        ci = c0 + dj
-        ok = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        vals = np.zeros_like(out)
-        vals[ok] = src[ri[ok], ci[ok]]
-        out += wgt * vals
+
+def _block_images(pixels_per_image: int) -> int:
+    return max(1, _BLOCK_PIXELS // pixels_per_image)
+
+
+# Zero border around each source image in `_bilinear_sample`: a corner
+# index clamped onto it reads zero, as every corner outside the source must.
+_PAD = 2
+
+
+def _bilinear_taps(h: int, w: int, canvas: int, theta, scale, center):
+    """Where every canvas pixel reads an h x w source, for t transforms:
+    the flat index of its top-left bilinear corner in the source padded by
+    _PAD, and the weights of its four corners (top-left, top-right,
+    bottom-left, bottom-right), each a (t, canvas * canvas) array. theta
+    and scale are (t,), center (t, 2)."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    scale = np.atleast_1d(np.asarray(scale, dtype=np.float64))[:, None]
+    center = np.asarray(center, dtype=np.float64).reshape(-1, 2)
+    # math.cos/sin, not np.cos/sin: numpy's SIMD loops need not round like libm
+    ct = np.array([math.cos(t) for t in theta])[:, None]
+    st = np.array([math.sin(t) for t in theta])[:, None]
+    pix = np.arange(canvas * canvas)
+    dr = (pix // canvas).astype(np.float64) - center[:, :1]
+    dc = (pix % canvas).astype(np.float64) - center[:, 1:]
+    sr = (ct * dr + st * dc) / scale + (h - 1) / 2.0
+    sc = (-st * dr + ct * dc) / scale + (w - 1) / 2.0
+    r0, c0 = np.floor(sr), np.floor(sc)
+    fr, fc = sr - r0, sc - c0
+    gr, gc = 1 - fr, 1 - fc
+    # a corner pair wholly off one side lands on the border's two zeros
+    r0 = np.clip(r0, -_PAD, h).astype(np.intp) + _PAD
+    c0 = np.clip(c0, -_PAD, w).astype(np.intp) + _PAD
+    return r0 * (w + 2 * _PAD) + c0, (gr * gc, gr * fc, fr * gc, fr * fc)
+
+
+def _bilinear_sample(src: np.ndarray, taps) -> np.ndarray:
+    """(n, pixels) float32: the stack src (n, h, w) read through taps with
+    one row per image, or one row that every image shares."""
+    n, h, w = src.shape
+    wide = w + 2 * _PAD
+    padded = np.zeros((n, h + 2 * _PAD, wide))
+    padded[:, _PAD:_PAD + h, _PAD:_PAD + w] = src
+    corner, weights = taps
+    index = np.arange(n)[:, None] * padded[0].size + corner
+    flat = padded.reshape(-1)
+    out = np.zeros(index.shape)
+    for offset, wgt in zip((0, 1, wide, wide + 1), weights):
+        out += wgt * flat[offset:][index]
     return out.astype(np.float32)
 
 
-def _center_placement(canvas: int):
-    return ((canvas - 1) / 2.0, (canvas - 1) / 2.0)
+def warp_affine(src: np.ndarray, canvas: int, theta, scale, center) -> np.ndarray:
+    """Rotate each image of the stack src (n, h, w) by its theta (radians)
+    and scale it about its own center, then place that center at its
+    `center` (row, col) in a canvas x canvas image.
+
+    theta and scale are (n,) and center (n, 2), or one transform for every
+    image. Inverse-mapped bilinear sampling with zero padding; pixel (i, j)
+    reads the source at R(-theta)/scale applied to (i, j) - center, plus the
+    source center. Returns (n, canvas, canvas) float32.
+    """
+    src = np.asarray(src)
+    n, h, w = src.shape
+    taps = _bilinear_taps(h, w, canvas, theta, scale, center)
+    return _bilinear_sample(src, taps).reshape(n, canvas, canvas)
 
 
 def _sample_transform(side: int, p: RtsParams, rng: np.random.Generator):
+    """(theta, scale, centre row, centre col) of one random transform;
+    `check_fits` leaves every scale a placement range."""
     theta = math.radians(rng.uniform(-p.rotation, p.rotation))
     scale = rng.uniform(p.scale_lo, p.scale_hi)
     half = scale * (side - 1) / 2.0
     lo, hi = half, (p.canvas - 1) - half
-    if hi < lo:
-        raise ValueError("no valid placement: canvas smaller than scaled source")
-    center = (rng.uniform(lo, hi), rng.uniform(lo, hi))
-    return theta, scale, center
+    return theta, scale, rng.uniform(lo, hi), rng.uniform(lo, hi)
 
 
 def gen_rts_pairs(data: Dataset, p: RtsParams, rng: np.random.Generator,
@@ -149,22 +188,27 @@ def gen_rts_pairs(data: Dataset, p: RtsParams, rng: np.random.Generator,
     n, h, w = data.images.shape
     if h != w:
         raise ValueError("rts sources must be square")
+    if pairing not in ("centered", "perturbed_only"):
+        raise ValueError(f"unknown pairing {pairing!r}")
     p.check_fits(h)
+    # every transform first, in per-image order: the perturbed member's, then
+    # under perturbed_only the conditioned member's
+    per_image = 1 if pairing == "centered" else 2
+    draws = np.array([_sample_transform(h, p, rng) for _ in range(n * per_image)])
+    draws = draws.reshape(n, per_image, 4)
+    centre = (p.canvas - 1) / 2.0
+    centered = _bilinear_taps(h, w, p.canvas, 0.0, 1.0, (centre, centre))
     xs = np.empty((n, p.canvas * p.canvas), dtype=np.float32)
     ys = np.empty_like(xs)
-    centered = _center_placement(p.canvas)
-    for i in range(n):
-        theta, scale, center = _sample_transform(h, p, rng)
-        warped = warp_affine(data.images[i], p.canvas, theta, scale, center)
-        xs[i] = np.clip(warped, 0.0, 1.0).reshape(-1)
-        if pairing == "centered":
-            base = warp_affine(data.images[i], p.canvas, 0.0, 1.0, centered)
-        elif pairing == "perturbed_only":
-            theta2, scale2, center2 = _sample_transform(h, p, rng)
-            base = warp_affine(data.images[i], p.canvas, theta2, scale2, center2)
-        else:
-            raise ValueError(f"unknown pairing {pairing!r}")
-        ys[i] = np.clip(base, 0.0, 1.0).reshape(-1)
+    step = _block_images(xs.shape[1])
+    for lo in range(0, n, step):
+        src, d = data.images[lo:lo + step], draws[lo:lo + step]
+        warped = [warp_affine(src, p.canvas, t[:, 0], t[:, 1], t[:, 2:]).reshape(len(src), -1)
+                  for t in d.transpose(1, 0, 2)]
+        xs[lo:lo + step] = warped[0]
+        ys[lo:lo + step] = warped[1] if per_image == 2 else _bilinear_sample(src, centered)
+    np.clip(xs, 0.0, 1.0, out=xs)
+    np.clip(ys, 0.0, 1.0, out=ys)
     return PairSet(xs, ys, data.labels)
 
 
@@ -220,19 +264,17 @@ def synth_shapes(n: int, size: int, rng: np.random.Generator) -> Dataset:
     """
     if size < 8:
         raise ValueError(f"size must be at least 8, got {size}")
-    images = np.zeros((n, size, size), dtype=np.float32)
     labels = rng.integers(0, 2, size=n)
-    rr, cc = np.meshgrid(np.arange(size, dtype=np.float64),
-                         np.arange(size, dtype=np.float64), indexing="ij")
-    for i in range(n):
-        if labels[i] == 1:
+    # every image's shape first, in per-image draw order
+    disks, bars = [], []
+    len_hi = min(0.4 * size, (size - 1) / 2 - 0.6)
+    for label in labels:
+        if label == 1:
             radius = rng.uniform(0.15, 0.28) * size
             # soft edge adds 0.5 to the support; keep it off the border
             cy, cx = rng.uniform(radius + 0.5, size - 1.5 - radius, size=2)
-            dist = np.hypot(rr - cy, cc - cx)
-            images[i] = np.clip(radius + 0.5 - dist, 0.0, 1.0)
+            disks.append((radius, cy, cx))
         else:
-            len_hi = min(0.4 * size, (size - 1) / 2 - 0.6)
             half_len = rng.uniform(0.25 * size, len_hi)
             half_th = rng.uniform(0.04, 0.08) * size
             angle = rng.uniform(0.0, math.pi)
@@ -241,8 +283,26 @@ def synth_shapes(n: int, size: int, rng: np.random.Generator) -> Dataset:
             margin_c = abs(sa) * (half_len + 0.5) + abs(ca) * (half_th + 0.5)
             cy = rng.uniform(margin, size - 1 - margin)
             cx = rng.uniform(margin_c, size - 1 - margin_c)
-            a = (rr - cy) * ca + (cc - cx) * sa
-            b = -(rr - cy) * sa + (cc - cx) * ca
-            images[i] = (np.clip(half_len + 0.5 - np.abs(a), 0, 1) *
-                         np.clip(half_th + 0.5 - np.abs(b), 0, 1)).astype(np.float32)
+            bars.append((half_len, half_th, ca, sa, cy, cx))
+    images = np.empty((n, size, size), dtype=np.float32)
+    rr, cc = np.meshgrid(np.arange(size, dtype=np.float64),
+                         np.arange(size, dtype=np.float64), indexing="ij")
+    step = _block_images(size * size)
+    for label, shapes, render in ((1, disks, _render_disks), (0, bars, _render_bars)):
+        index = np.flatnonzero(labels == label)
+        for lo in range(0, len(index), step):
+            # one (block, 1, 1) array per shape parameter
+            params = np.array(shapes[lo:lo + step]).T[:, :, None, None]
+            images[index[lo:lo + step]] = render(rr, cc, *params)
     return Dataset(images, labels)
+
+
+def _render_disks(rr, cc, radius, cy, cx):
+    return np.clip(radius + 0.5 - np.hypot(rr - cy, cc - cx), 0.0, 1.0)
+
+
+def _render_bars(rr, cc, half_len, half_th, ca, sa, cy, cx):
+    a = (rr - cy) * ca + (cc - cx) * sa
+    b = -(rr - cy) * sa + (cc - cx) * ca
+    return (np.clip(half_len + 0.5 - np.abs(a), 0, 1) *
+            np.clip(half_th + 0.5 - np.abs(b), 0, 1)).astype(np.float32)

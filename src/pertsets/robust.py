@@ -80,8 +80,9 @@ class Classifier:
 
 def load_classifier(stem: str) -> Classifier:
     params, meta = nn.load_params(stem)
-    return Classifier(meta["m"], meta["n_classes"], tuple(meta["hidden"]),
-                      params=params)
+    m, n_classes, hidden = nn.meta_values(stem, meta, {"m": "int", "n_classes": "int",
+                                                       "hidden": "ints"})
+    return Classifier(m, n_classes, tuple(hidden), params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ a fake pass, as README.md's "Acceptance checks" section explains.
 
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -423,9 +425,19 @@ def test_criterion_8_smoke_determinism(tmp_path_factory, capsys):
     capsys.readouterr()
     mismatched = [name for name, digest in first.items()
                   if cli._sha256(os.path.join(out, name)) != digest]
+    # the same run on one BLAS thread, in a fresh process
+    proc = subprocess.run(
+        [sys.executable, "-m", "pertsets.cli", "reproduce", "--profile", "smoke",
+         "--out", out, "--seed", "0"], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    one_thread = [name for name, digest in first.items()
+                  if cli._sha256(os.path.join(out, name)) != digest]
     elapsed = time.time() - t0
     assert elapsed < 600
-    status = "PASS" if not mismatched else "FAIL"
+    status = "PASS" if not mismatched and not one_thread else "FAIL"
     _line(8, "smoke determinism", status,
-          f"{len(first)} reports byte-stable, {elapsed:.0f}s")
+          f"{len(first)} reports byte-stable, also on one BLAS thread, {elapsed:.0f}s")
     assert not mismatched, f"reports changed across reruns: {mismatched}"
+    assert not one_thread, f"reports changed on one BLAS thread: {one_thread}"

@@ -385,6 +385,18 @@ def test_non_square_rts_source_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rts_canvas_without_placement_exits_2(tmp_path, capsys):
+    # 0.9 * 10 fits canvas 9, but a 10x10 source's pixel centres span
+    # 0.9 * 9 = 8.1 > 8 at scale 0.9, so no centre places it
+    cfg = {"out_dir": str(tmp_path / "out"),
+           "source": {"kind": "synth-shapes", "n": 20, "size": 10},
+           "pairs": {"kind": "rts", "scale": [0.9, 0.9], "canvas": 9}, "split": {"test": 2}}
+    code, err = run_cli(["gen-data", "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 2, err
+    assert "config.pairs.canvas" in err and "no placement" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):
     gen = _bad_input_cfg(pipeline, tmp_path / "d", "gen-data") | {"split": {"test": 0}}
     assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", gen)]) == 0
@@ -543,7 +555,25 @@ def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem)
     ("eval-set", "model", {"edit_meta": lambda m: {k: v for k, v in m.items() if k != "k"}},
      "'k'"),
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": None}}, "NoneType"),
-    ("certify", "classifier", {"edit_meta": lambda m: m | {"m": float("inf")}}, "infinity")])
+    ("certify", "classifier", {"edit_meta": lambda m: m | {"m": float("inf")}}, "infinity"),
+    # every meta value has one type: ints that are not bools, a list of ints
+    # for the classifier's hidden widths, finite floats, a string pairing
+    ("bounds", "model", {"edit_meta": lambda m: m | {"m": "12"}},
+     "model.meta.json: 'm' is \"12\" (str)"),
+    ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": True}},
+     "model.meta.json: 'hidden' is true (bool)"),
+    ("eval-set", "model", {"edit_meta": lambda m: m | {"k": 4.0}},
+     "model.meta.json: 'k' is 4.0 (float)"),
+    ("bounds", "model", {"edit_meta": lambda m: m | {"logvar_lo": float("nan")}},
+     "model.meta.json: 'logvar_lo' is NaN"),
+    ("eval-set", "model", {"edit_meta": lambda m: m | {"pairing": 1}},
+     "model.meta.json: 'pairing' is 1 (int)"),
+    ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": True}},
+     "classifier.meta.json: 'hidden' is true (bool)"),
+    ("certify", "classifier", {"edit_meta": lambda m: m | {"hidden": [16.0]}},
+     "classifier.meta.json: 'hidden' is [16.0] (list)"),
+    ("attack", "classifier", {"edit_meta": lambda m: m | {"n_classes": "2"}},
+     "classifier.meta.json: 'n_classes' is \"2\" (str)")])
 def test_mismatched_or_unreadable_checkpoint_exits_3(pipeline, tmp_path, capsys, stage, stem,
                                                      edit, message):
     src = pipeline / ("cvae" if stem == "model" else "clf")
@@ -552,7 +582,7 @@ def test_mismatched_or_unreadable_checkpoint_exits_3(pipeline, tmp_path, capsys,
     cfg["model" if stem == "model" else "classifier"] = bad
     code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
     assert code == 3, err
-    assert message in err and "Traceback" not in err
+    assert message in err and bad in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -671,3 +672,18 @@ def test_finite_guard():
     with pytest.raises(FloatingPointError):
         nn.finite_or_raise(np.array([1.0, np.nan]), "loss")
     nn.finite_or_raise(np.array([1.0, 2.0]), "loss")
+
+
+def test_meta_values_check_each_kind():
+    meta = {"m": 4, "hidden": [8, 2], "lo": -6.0, "hi": 2.5, "pairing": "centered"}
+    kinds = {"hi": "float", "m": "int", "hidden": "ints", "lo": "float", "pairing": "str"}
+    assert nn.meta_values("c", meta, kinds) == [2.5, 4, [8, 2], -6.0, "centered"]
+    for key, value, shown in (("m", True, "true (bool)"), ("m", 4.0, "4.0 (float)"),
+                              ("m", "4", '"4" (str)'), ("hidden", [8, True], "[8, true] (list)"),
+                              ("hidden", 8, "8 (int)"), ("lo", -math.inf, "-infinity"),
+                              ("lo", 10 ** 400, f"{10 ** 400} (int)"),
+                              ("hi", math.nan, "NaN"), ("pairing", None, "null (NoneType)")):
+        with pytest.raises(ValueError, match=re.escape(f"c.meta.json: '{key}' is {shown}, ")):
+            nn.meta_values("c", {**meta, key: value}, kinds)
+    with pytest.raises(ValueError, match=re.escape("c.meta.json: key 'lo' missing")):
+        nn.meta_values("c", {k: v for k, v in meta.items() if k != "lo"}, kinds)
