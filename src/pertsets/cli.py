@@ -77,27 +77,6 @@ def _jsonable(v):
     return v
 
 
-def _dump_json(path: str, obj):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(_jsonable(obj), f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
-
-
-def _load_json(path: str, error) -> dict:
-    """The JSON object in path. A missing file exits 3; invalid JSON or a
-    top level that is not an object raises `error` naming the file."""
-    if not os.path.isfile(path):
-        raise MissingArtifactError(f"missing file: {path}")
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except ValueError as e:     # bad JSON, or bytes that are not UTF-8
-            raise error(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(obj, dict):
-        raise error(f"{path}: top level must be a JSON object")
-    return obj
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -121,7 +100,7 @@ class ArtifactDir:
         return os.path.join(self.path, name)
 
     def write_json(self, name: str, obj):
-        _dump_json(self.file(name), obj)
+        nn.write_json(self.file(name), _jsonable(obj))
 
     def write_jsonl(self, name: str, records):
         with open(self.file(name), "w", encoding="utf-8") as f:
@@ -144,7 +123,7 @@ class ArtifactDir:
     def finish(self):
         manifest = {"files": {n: _sha256(os.path.join(self.path, n))
                               for n in sorted(self.files)}}
-        _dump_json(os.path.join(self.path, "manifest.json"), manifest)
+        nn.write_json(os.path.join(self.path, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +254,7 @@ def _save_pairs(dirpath: str, pairs: PairSet, extra_meta: dict) -> list:
         names.append("labels.npy")
     meta = {"n": len(pairs), "m": pairs.dim, "labels": pairs.labels is not None}
     meta.update(extra_meta)
-    _dump_json(os.path.join(dirpath, _PAIRS_META), meta)
+    nn.write_json(os.path.join(dirpath, _PAIRS_META), meta)
     names.append(_PAIRS_META)
     return names
 
@@ -299,12 +278,15 @@ def _load_array(path: str, dtype) -> np.ndarray:
 
 
 def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
-    """Read a pair set and check it: two equal (N, m) arrays of pixels in
-    [0, 1] with N > 0, and N labels when the meta declares them (else exit
-    3); NaN or inf pixels exit 4."""
+    """Read a pair set and check it: a JSON object as meta, two equal (N, m)
+    arrays of pixels in [0, 1] with N > 0, and N labels >= 0 when the meta
+    declares them (else exit 3); NaN or inf pixels exit 4."""
     if not os.path.isdir(dirpath):
         raise MissingArtifactError(f"missing pair-set directory: {dirpath}")
-    meta = _load_json(os.path.join(dirpath, _PAIRS_META), MissingArtifactError)
+    try:
+        meta = nn.read_json(os.path.join(dirpath, _PAIRS_META))
+    except (OSError, ValueError) as e:  # the message names the file
+        raise MissingArtifactError(str(e)) from e
     paths = [os.path.join(dirpath, name) for name in ("perturbed.npy", "conditioned.npy")]
     perturbed, conditioned = (_load_array(path, np.float32) for path in paths)
     if perturbed.ndim != 2 or perturbed.shape != conditioned.shape:
@@ -323,6 +305,8 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
         if labels.shape != (len(perturbed),):
             raise MissingArtifactError(f"{lp}: shape {labels.shape}, the pair set holds "
                                        f"{len(perturbed)} pairs")
+        if labels.min() < 0:
+            raise MissingArtifactError(f"{lp}: negative class label {labels.min()}")
     return PairSet(perturbed, conditioned, labels), meta
 
 
@@ -347,8 +331,8 @@ def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int
                   labeled: bool = False):
     """(generator, pair set cut to its first `limit` pairs, classifier or
     None) of a stage. The pairs and the classifier must be as wide as the
-    generator's images, and labeled when the stage needs labels (else exit
-    3)."""
+    generator's images, and labeled when the stage needs labels, with every
+    label one of the classifier's classes (else exit 3)."""
     model, _ = _load_checkpoint(model_dir, "model", load_cvae)
     h = None
     if clf_dir is not None:
@@ -360,7 +344,11 @@ def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int
         raise MissingArtifactError(f"pair set at {data_dir} has no labels.npy; "
                                    "this stage needs labeled pairs")
     if limit is not None and limit < len(pairs):
-        pairs = pairs.subset(np.arange(limit))
+        pairs = pairs.subset(slice(limit))
+    if labeled and h is not None and pairs.labels.max() >= h.n_classes:
+        raise MissingArtifactError(f"{os.path.join(data_dir, 'labels.npy')} holds label "
+                                   f"{pairs.labels.max()}, the classifier at {clf_dir} has "
+                                   f"{h.n_classes} classes")
     return model, pairs, h
 
 
@@ -444,8 +432,8 @@ def cmd_gen_data(cfg: dict) -> dict:
     if n_test >= total:
         raise ConfigError(f"config.split.test: {n_test} test pairs but only "
                           f"{total} generated")
-    train = allpairs.subset(np.arange(0, total - n_test))
-    test = allpairs.subset(np.arange(total - n_test, total))
+    train = allpairs.subset(slice(total - n_test))
+    test = allpairs.subset(slice(total - n_test, total))
 
     stage = ArtifactDir(out_dir)
     stage.write_json("config.json", resolved)
@@ -679,6 +667,9 @@ def cmd_train_robust(cfg: dict) -> dict:
         raise ConfigError("config.train.sigma: mode 'noise' needs sigma >= 0")
 
     model, pairs, _ = _stage_inputs(model_dir, data_dir, labeled=True)
+    if n_classes <= pairs.labels.max():
+        raise ConfigError(f"config.classifier.n_classes: {n_classes} classes, but {data_dir} "
+                          f"holds label {pairs.labels.max()}")
 
     ss = np.random.SeedSequence(seed).spawn(2)
     h = Classifier(model.m, n_classes, hidden=tuple(hidden),
@@ -941,7 +932,7 @@ def cmd_reproduce(profile: str, out: str, seed: int, mnist_dir) -> dict:
                    "difference": eval_summary["metrics"][name]["mean"] - ref}
             for name, ref in _TABLE4_REFERENCE.items()}
         report["table4"]["eps"] = {"measured": eps, "reference_range": [20, 40]}
-    _dump_json(p("report.json"), report)
+    nn.write_json(p("report.json"), _jsonable(report))
     _print_report(report)
     return report
 
@@ -1010,7 +1001,12 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             cmd_reproduce(args.profile, args.out, args.seed, args.mnist_dir)
         else:
-            cfg = _load_json(args.config, ConfigError)
+            if not os.path.isfile(args.config):
+                raise MissingArtifactError(f"missing file: {args.config}")
+            try:
+                cfg = nn.read_json(args.config)
+            except ValueError as e:     # the message names the file
+                raise ConfigError(str(e)) from e
             if args.out is not None:
                 cfg["out_dir"] = args.out
             if args.seed is not None:

@@ -91,6 +91,10 @@ class CvaeModel:
     squashes its output onto [0, 1].
     """
 
+    # checkpoint meta: each constructor argument, in order, and its kind
+    META = {"m": "int", "k": "int", "hidden": "int", "pairing": "str",
+            "logvar_lo": "float", "logvar_hi": "float"}
+
     def __init__(self, m: int, k: int, hidden: int, pairing: str = "centered",
                  logvar_lo: float = LOGVAR_LO, logvar_hi: float = LOGVAR_HI,
                  params: nn.ParamSet = None, rng: np.random.Generator = None):
@@ -110,15 +114,7 @@ class CvaeModel:
                                                       ("dense", m), ("scaled_tanh", 0.0, 1.0)])
         self.nets = [self.post_trunk, self.post_mean, self.post_logvar,
                      self.prior_trunk, self.prior_mean, self.prior_logvar, self.decoder]
-        if params is None:
-            if rng is None:
-                raise ValueError("need params or an rng to initialize them")
-            params = nn.ParamSet()
-            for net in self.nets:
-                net.init(params, rng)
-        else:
-            nn.check_params(params, self.nets)
-        self.params = params
+        self.params = nn.model_params(self.nets, params, rng)
 
     def encode_posterior(self, x, y, rec=None) -> GaussianDiag:
         h = self.post_trunk.apply(self.params, [x, y], rec=rec)
@@ -164,8 +160,7 @@ class CvaeModel:
     # -- persistence ---------------------------------------------------------
 
     def meta(self) -> dict:
-        return {"m": self.m, "k": self.k, "hidden": self.hidden, "pairing": self.pairing,
-                "logvar_lo": self.logvar_lo, "logvar_hi": self.logvar_hi}
+        return {key: getattr(self, key) for key in self.META}
 
     def save(self, stem: str, extra_meta: dict = None):
         nn.save_params(self.params, stem, {**self.meta(), **(extra_meta or {})})
@@ -173,9 +168,7 @@ class CvaeModel:
 
 def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
     params, meta = nn.load_params(stem)
-    arch = nn.meta_values(stem, meta, {"m": "int", "k": "int", "hidden": "int", "pairing": "str",
-                                       "logvar_lo": "float", "logvar_hi": "float"})
-    return CvaeModel(*arch, params=params), meta
+    return CvaeModel(*nn.meta_values(stem, meta, CvaeModel.META), params=params), meta
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +343,12 @@ def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]
     shuffle_rng = np.random.default_rng(shuffle_seed)
     noise_rng = np.random.default_rng(noise_seed)
     n = len(pairs)
-    nb = max(1, math.ceil(n / cfg.batch_size))
     history = []
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
+        batches = nn.epoch_batches(n, cfg.batch_size, shuffle_rng)
         tot_loss = tot_sse = tot_kl = 0.0
-        for b in range(nb):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            frac = epoch + b / nb
+        for b, idx in enumerate(batches):
+            frac = epoch + b / len(batches)
             lr = cfg.lr.value(frac)
             beta = cfg.beta.value(frac)
             u = noise_rng.standard_normal((len(idx), cfg.k), dtype=np.float32)

@@ -241,7 +241,7 @@ def cross_entropy(logits, labels):
     return Var(out, (logits,), vjp)
 
 
-def backward(loss, seed=1.0):
+def backward(loss):
     """Reverse pass from a scalar Var; fills .grad on every reachable node."""
     if not isinstance(loss, Var):
         raise ValueError("loss is not a recorded value")
@@ -262,7 +262,7 @@ def backward(loss, seed=1.0):
         for p in node._parents:
             if isinstance(p, Var) and id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.asarray(seed, dtype=loss.value.dtype)
+    loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
     for node in reversed(order):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
@@ -306,8 +306,8 @@ class Rec:
         return out
 
 
-def backprop_gradients(rec: Rec, loss: Var, seed=1.0) -> dict[str, np.ndarray]:
-    backward(loss, seed)
+def backprop_gradients(rec: Rec, loss: Var) -> dict[str, np.ndarray]:
+    backward(loss)
     return rec.grads()
 
 
@@ -484,10 +484,18 @@ class Network:
         return h
 
 
-def check_params(params: ParamSet, nets):
-    """Raise ValueError unless params holds exactly the tensors that nets
-    declare, each in its declared shape; the message names the first tensor,
-    by name, that differs."""
+def model_params(nets, params: ParamSet = None, rng: np.random.Generator = None) -> ParamSet:
+    """The parameters of a model made of nets: drawn fresh from rng, net by
+    net in order, when params is None; otherwise params itself, checked to
+    hold exactly the tensors that nets declare, each in its declared shape.
+    ValueError names the first tensor, by name, that differs."""
+    if params is None:
+        if rng is None:
+            raise ValueError("need params or an rng to initialize them")
+        params = ParamSet()
+        for net in nets:
+            net.init(params, rng)
+        return params
     shapes = {name: shape for net in nets for name, shape in net.param_shapes().items()}
     values = params.values
     for name in sorted(set(shapes) | set(values)):
@@ -498,6 +506,14 @@ def check_params(params: ParamSet, nets):
         if values[name].shape != shapes[name]:
             raise ValueError(f"tensor {name!r} has shape {values[name].shape}, "
                              f"the declared architecture needs {shapes[name]}")
+    return params
+
+
+def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list:
+    """One epoch's batches: a permutation of range(n) drawn from rng, cut
+    into consecutive index arrays of batch_size (the last may be shorter)."""
+    order = rng.permutation(n)
+    return [order[lo:lo + batch_size] for lo in range(0, n, batch_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +549,17 @@ CHECKPOINT_SUFFIXES = (".json", ".bin", ".meta.json")
 _FORMAT = "pertsets-params-v1"
 
 
-def _dump_json(obj: dict, path: str):
+def write_json(path: str, obj: dict):
+    """Write obj as strict JSON (no NaN or infinity literals): sorted keys,
+    indent 2 and a trailing newline."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
-def _load_json(path: str) -> dict:
+def read_json(path: str) -> dict:
+    """The JSON object in path. OSError when it cannot be opened; ValueError
+    naming the file when it is not valid JSON or not an object."""
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
@@ -589,13 +609,13 @@ def save_params(params: ParamSet, stem: str, meta: dict):
     written straight to the file (a float32 one without a copy); and meta,
     the architecture a model is rebuilt from, as `<stem>.meta.json`."""
     names = sorted(params.values)
-    _dump_json({"format": _FORMAT, "extra": {},
-                "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names]},
-               stem + ".json")
+    write_json(stem + ".json",
+               {"format": _FORMAT, "extra": {},
+                "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names]})
     with open(stem + ".bin", "wb") as f:
         for n in names:
             f.write(np.ascontiguousarray(params.values[n], dtype="<f4"))
-    _dump_json(meta, stem + ".meta.json")
+    write_json(stem + ".meta.json", meta)
 
 
 def load_params(stem: str) -> tuple[ParamSet, dict]:
@@ -606,7 +626,7 @@ def load_params(stem: str) -> tuple[ParamSet, dict]:
     for suffix in CHECKPOINT_SUFFIXES:
         if not os.path.isfile(stem + suffix):
             raise FileNotFoundError(f"checkpoint part missing: {stem}{suffix}")
-    manifest, meta = _load_json(stem + ".json"), _load_json(stem + ".meta.json")
+    manifest, meta = read_json(stem + ".json"), read_json(stem + ".meta.json")
     if manifest.get("format") != _FORMAT or not isinstance(manifest.get("tensors"), list):
         raise ValueError(f"{stem}.json: not a {_FORMAT} manifest")
     params = ParamSet()

@@ -42,6 +42,9 @@ class AttackConfig:
 class Classifier:
     """Dense classifier: flattened image -> class logits."""
 
+    # checkpoint meta: each constructor argument, in order, and its kind
+    META = {"m": "int", "n_classes": "int", "hidden": "ints"}
+
     def __init__(self, m: int, n_classes: int, hidden=(200,),
                  params: nn.ParamSet = None, rng: np.random.Generator = None):
         if n_classes < 2:
@@ -53,14 +56,7 @@ class Classifier:
             layers += [("dense", h), ("relu",)]
         layers.append(("dense", self.n_classes))
         self.net = nn.Network("classifier", self.m, layers)
-        if params is None:
-            if rng is None:
-                raise ValueError("need params or an rng to initialize them")
-            params = nn.ParamSet()
-            self.net.init(params, rng)
-        else:
-            nn.check_params(params, [self.net])
-        self.params = params
+        self.params = nn.model_params([self.net], params, rng)
 
     def logits(self, x, rec=None):
         """Class logits. Outside training (rec None, whose loss check covers
@@ -73,27 +69,20 @@ class Classifier:
     def predict(self, x) -> np.ndarray:
         return np.argmax(np.asarray(self.logits(x)), axis=-1)
 
+    def meta(self) -> dict:
+        return {key: getattr(self, key) for key in self.META}
+
     def save(self, stem: str):
-        nn.save_params(self.params, stem,
-                       {"m": self.m, "n_classes": self.n_classes, "hidden": list(self.hidden)})
+        nn.save_params(self.params, stem, self.meta())
 
 
 def load_classifier(stem: str) -> Classifier:
     params, meta = nn.load_params(stem)
-    m, n_classes, hidden = nn.meta_values(stem, meta, {"m": "int", "n_classes": "int",
-                                                       "hidden": "ints"})
-    return Classifier(m, n_classes, tuple(hidden), params=params)
+    return Classifier(*nn.meta_values(stem, meta, Classifier.META), params=params)
 
 
 # ---------------------------------------------------------------------------
 # Attack
-
-
-def _check_dims(h: Classifier, model: CvaeModel, x):
-    """Inputs, generator and classifier must share one pixel width."""
-    if x.shape[1] != model.m or x.shape[1] != h.m:
-        raise ValueError(f"dimension mismatch: inputs {x.shape[1]}, "
-                         f"generator {model.m}, classifier {h.m}")
 
 
 def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
@@ -107,7 +96,6 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float32))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    _check_dims(h, model, x)
     B = x.shape[0]
     cond = model.condition(x)
     u0 = np.zeros((B, model.k), dtype=np.float32)
@@ -137,12 +125,6 @@ def _train_step(h: Classifier, inputs, labels, lr: float):
     return float(nn._val(loss))
 
 
-def _epoch_batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        yield order[lo:lo + batch_size]
-
-
 def adv_train_epoch(h: Classifier, model: CvaeModel, x, labels,
                     cfg: AttackConfig, lr: float, rng: np.random.Generator,
                     batch_size: int = 128) -> Classifier:
@@ -151,9 +133,8 @@ def adv_train_epoch(h: Classifier, model: CvaeModel, x, labels,
     examples."""
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_dims(h, model, x)
     losses = []
-    for idx in _epoch_batches(len(x), batch_size, rng):
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
         adv, _ = latent_pgd_attack(h, model, x[idx], labels[idx], cfg)
         losses.append(_train_step(h, adv, labels[idx], lr))
     log.info("adv epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
@@ -167,11 +148,10 @@ def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
     decode of a random latent from the eps ball before the training step."""
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_dims(h, model, x)
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     losses = []
-    for idx in _epoch_batches(len(x), batch_size, rng):
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
         if eps > 0:
             u = sample_truncated_ball(model.k, eps, len(idx), rng)
         else:
@@ -188,7 +168,7 @@ def clean_train_epoch(h: Classifier, x, labels, lr: float,
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     losses = []
-    for idx in _epoch_batches(len(x), batch_size, rng):
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
         losses.append(_train_step(h, x[idx], labels[idx], lr))
     log.info("clean epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h
@@ -198,12 +178,12 @@ def clean_train_epoch(h: Classifier, x, labels, lr: float,
 # Accuracy
 
 
-def accuracy(h: Classifier, x, labels, batch_size: int = 512) -> float:
+def accuracy(h: Classifier, x, labels) -> float:
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    hits = 0
-    for lo in range(0, len(x), batch_size):
-        hits += int((h.predict(x[lo:lo + batch_size]) == labels[lo:lo + batch_size]).sum())
+    hits, batch = 0, 512
+    for lo in range(0, len(x), batch):
+        hits += int((h.predict(x[lo:lo + batch]) == labels[lo:lo + batch]).sum())
     return hits / len(x)
 
 
@@ -213,7 +193,6 @@ def robust_accuracy(h: Classifier, model: CvaeModel, x, labels,
     latent attack; never exceeds plain accuracy by construction."""
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_dims(h, model, x)
     hits = 0
     for lo in range(0, len(x), batch_size):
         xb, yb = x[lo:lo + batch_size], labels[lo:lo + batch_size]

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .cvae import CvaeModel
-from .robust import Classifier, _check_dims, _epoch_batches, _train_step
+from .robust import Classifier, _train_step
 from .specialfn import clopper_pearson_lower, std_normal_quantile
 
 log = logging.getLogger(__name__)
@@ -28,19 +29,18 @@ class Certificate:
 
 
 def sample_under_noise(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
-                       rng: np.random.Generator, batch_size: int = 512) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Class counts over n decodes of x at latent noise level sigma."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.float32).reshape(1, -1)
-    _check_dims(h, model, x)
     cond = model.condition(x)
     counts = np.zeros(h.n_classes, dtype=np.int64)
     done = 0
     while done < n:
-        b = min(batch_size, n - done)
+        b = min(512, n - done)
         preds = h.predict(model.decode_u(sigma * rng.standard_normal((b, model.k)), cond))
         counts += np.bincount(preds, minlength=h.n_classes)
         done += b
@@ -88,9 +88,8 @@ def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_dims(h, model, x)
     losses = []
-    for idx in _epoch_batches(len(x), batch_size, rng):
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
         u = sigma * rng.standard_normal((len(idx), model.k))
         dec = np.asarray(model.decode_u(u, model.condition(x[idx])))
         losses.append(_train_step(h, dec, labels[idx], lr))

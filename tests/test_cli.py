@@ -397,6 +397,43 @@ def test_rts_canvas_without_placement_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_labels_beyond_n_classes_exit_2_naming_it(pipeline, tmp_path, capsys):
+    # an IDX source labeled 0-4 under a 2-class train-robust config
+    images = _write_idx(tmp_path / "images", 0x803, (10, 12, 12), 1440)
+    (tmp_path / "labels").write_bytes(struct.pack(">2i", 0x801, 10) + bytes(range(5)) * 2)
+    gen = {"out_dir": str(tmp_path / "d"),
+           "source": {"kind": "idx", "images": images, "labels": str(tmp_path / "labels")},
+           "pairs": {"kind": "linf", "eps": 0.3}, "split": {"test": 2}}
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", gen)]) == 0
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", "train-robust") | {
+        "data": str(tmp_path / "d" / "train")}
+    code, err = run_cli(["train-robust", "--config", write_cfg(tmp_path / "c.json", cfg)],
+                        capsys)
+    assert code == 2, err
+    assert "config.classifier.n_classes" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    cfg["classifier"] = {"hidden": [8], "n_classes": 5}
+    assert cli.main(["train-robust", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 0
+
+
+@pytest.mark.parametrize("stage, label", [("train-robust", -1), ("attack", 7)])
+def test_label_outside_classifier_exits_3_naming_files(pipeline, tmp_path, capsys, stage,
+                                                       label):
+    # a negative label, and a 7 against the 2-class classifier
+    bad = tmp_path / "bad"
+    shutil.copytree(pipeline / "data" / ("train" if stage == "train-robust" else "test"), bad)
+    labels = np.load(bad / "labels.npy")
+    labels[0] = label
+    np.save(bad / "labels.npy", labels)
+    cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage) | {"data": str(bad)}
+    code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 3, err
+    assert str(bad / "labels.npy") in err and "Traceback" not in err, err
+    if stage == "attack":
+        assert str(pipeline / "clf") in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_pair_set_exits_3(pipeline, tmp_path, capsys):
     gen = _bad_input_cfg(pipeline, tmp_path / "d", "gen-data") | {"split": {"test": 0}}
     assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", gen)]) == 0

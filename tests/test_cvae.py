@@ -525,6 +525,8 @@ def test_model_save_load_roundtrip(tmp_path):
     stem = str(tmp_path / "model")
     model.save(stem, extra_meta={"selected_eps": 1.25})
     loaded, meta = load_cvae(stem)
+    assert list(model.meta()) == list(CvaeModel.META)
+    assert set(meta) == set(CvaeModel.META) | {"selected_eps"}
     assert meta["selected_eps"] == 1.25
     assert meta["pairing"] == "centered"
     y = rng.uniform(0, 1, (1, 6)).astype(np.float32)

@@ -1,8 +1,11 @@
-"""Static check on the package sources: every top-level import is used. No
-linter ships with the test dependencies, and a module that stops using an
-import (json, once checkpoints moved behind nn) leaves it behind silently."""
+"""Static checks on the package sources: every top-level import is used,
+and no two modules define the same top-level function or class. No linter
+ships with the test dependencies, and a module that stops using an import
+(json, once checkpoints moved behind nn) leaves it behind silently, as a
+helper copied into a second module does."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -29,3 +32,30 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_defs(source: str) -> list:
+    """Names of the module's top-level functions and classes."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def defined_twice(sources: dict) -> dict:
+    """Each top-level function or class name that more than one of the
+    {module: source} defines, with those modules."""
+    owners = collections.defaultdict(list)
+    for module, source in sources.items():
+        for name in top_level_defs(source):
+            owners[name].append(module)
+    return {name: mods for name, mods in owners.items() if len(mods) > 1}
+
+
+def test_checker_finds_a_name_defined_twice():
+    sources = {"a": "def f(): pass\nclass C: pass\nx = 1\n",
+               "b": "def f(): pass\nx = 2\ndef g(): pass\n"}
+    assert defined_twice(sources) == {"f": ["a", "b"]}
+
+
+def test_no_top_level_name_defined_in_two_modules():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert defined_twice(sources) == {}

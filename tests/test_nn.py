@@ -628,16 +628,27 @@ def test_non_finite_tensor_raises_naming_it(tmp_path):
         nn.load_params(stem)
 
 
-def test_check_params_names_first_differing_tensor():
-    net = nn.Network("n", 3, [("dense", 2)])
+def test_model_params_draws_fresh_or_checks_given():
+    nets = [nn.Network("n", 3, [("dense", 2)]), nn.Network("o", [2, 3], [("dense", 4), ("relu",)])]
+    # fresh: each net's init in turn from the one rng
+    want, rng = nn.ParamSet(), np.random.default_rng(9)
+    for net in nets:
+        net.init(want, rng)
+    fresh = nn.model_params(nets, rng=np.random.default_rng(9))
+    assert list(fresh.values) == list(want.values)
+    for name, value in want.values.items():
+        assert fresh.values[name].tobytes() == value.tobytes(), name
+    with pytest.raises(ValueError, match="need params or an rng"):
+        nn.model_params(nets)
+    # given: returned as they are when they fit, else the first misfit is named
+    assert nn.model_params(nets, fresh) is fresh
     good = {"n/w0": np.zeros((3, 2), np.float32), "n/b0": np.zeros(2, np.float32)}
-    nn.check_params(nn.ParamSet(good), [net])
     for values, match in (({"n/w0": good["n/w0"]}, "'n/b0' missing"),
                           ({**good, "m/b0": good["n/b0"]}, "'m/b0' is not a parameter"),
                           ({**good, "n/w0": np.zeros((2, 3), np.float32)},
                            r"'n/w0' has shape \(2, 3\)")):
         with pytest.raises(ValueError, match=match):
-            nn.check_params(nn.ParamSet(values), [net])
+            nn.model_params(nets[:1], nn.ParamSet(values), rng=np.random.default_rng(0))
 
 
 def test_init_deterministic_given_seed():

@@ -18,6 +18,7 @@ from pertsets.robust import (
     load_classifier,
     robust_accuracy,
 )
+from pertsets.smoothing import noise_train_epoch, sample_under_noise
 
 M, K, HID = 4, 2, 6
 
@@ -68,6 +69,8 @@ def test_classifier_shapes_and_roundtrip(tmp_path):
     assert h.predict(x).shape == (5,)
     stem = str(tmp_path / "clf")
     h.save(stem)
+    assert list(h.meta()) == list(Classifier.META)
+    assert set(nn.read_json(stem + ".meta.json")) == set(Classifier.META)
     h2 = load_classifier(stem)
     np.testing.assert_array_equal(np.asarray(h2.logits(x)), lg)
     with pytest.raises(ValueError):
@@ -190,12 +193,35 @@ def test_attack_transcript():
     assert rows[0]["u_norm"] == 0.0
 
 
-def test_attack_dimension_mismatch():
-    model = rand_model(m=5)
-    h = rand_clf(m=M)
-    x, labels = rand_data(2, m=5)
-    with pytest.raises(ValueError, match="mismatch"):
-        latent_pgd_attack(h, model, x, labels, AttackConfig(1.0))
+_ENTRY_POINTS = {
+    "latent_pgd_attack": lambda h, model, x, labels, rng: latent_pgd_attack(
+        h, model, x, labels, AttackConfig(1.0, steps=2)),
+    "adv_train_epoch": lambda h, model, x, labels, rng: adv_train_epoch(
+        h, model, x, labels, AttackConfig(1.0, steps=2), 1e-3, rng, batch_size=2),
+    "augment_train_epoch": lambda h, model, x, labels, rng: augment_train_epoch(
+        h, model, x, labels, 1.0, 1e-3, rng, batch_size=2),
+    "noise_train_epoch": lambda h, model, x, labels, rng: noise_train_epoch(
+        h, model, x, labels, 0.5, 1e-3, rng, batch_size=2),
+    "robust_accuracy": lambda h, model, x, labels, rng: robust_accuracy(
+        h, model, x, labels, AttackConfig(1.0, steps=2)),
+    "sample_under_noise": lambda h, model, x, labels, rng: sample_under_noise(
+        h, model, x[0], 5, 0.5, rng),
+}
+
+
+@pytest.mark.parametrize("wrong", ["input", "generator", "classifier"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_width_mismatch_raises_before_any_update(entry, wrong):
+    # one of inputs, generator and classifier is a pixel wider than the rest
+    model = rand_model(m=M + (wrong == "generator"))
+    h = rand_clf(m=M + (wrong == "classifier"))
+    x, labels = rand_data(4, m=M + (wrong == "input"))
+    before = {name: value.copy() for name, value in h.params.values.items()}
+    with pytest.raises(ValueError, match=r"input of shape \(\d+, \d+\), expected \(rows, \d+\)"):
+        _ENTRY_POINTS[entry](h, model, x, labels, np.random.default_rng(0))
+    assert h.params.step == 0
+    for name, value in before.items():
+        np.testing.assert_array_equal(h.params.values[name], value)
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,6 @@ def test_counts_validation():
         sample_under_noise(h, model, x, 0, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_under_noise(h, model, x, 5, -1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="mismatch"):
-        sample_under_noise(h, rand_model(m=M + 1), np.full(M + 1, 0.5, np.float32),
-                           5, 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
