@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import nn, robust, smoothing, theory
-from .cvae import LOGVAR_HI, LOGVAR_LO, CvaeModel, PairSet, TrainConfig, load_cvae, train_cvae
+from .cvae import CvaeModel, PairSet, TrainConfig, load_cvae, train_cvae
 from .evalmetrics import METRICS, evaluate_set, select_radius
 from .pertgen import Dataset, RtsParams, gen_linf_pairs, gen_rts_pairs, read_idx, synth_shapes
 from .robust import AttackConfig, Classifier, latent_pgd_attack, load_classifier
@@ -142,6 +142,8 @@ def _as_int(v, where):
 
 
 def _as_float(v, where):
+    if isinstance(v, dict):     # an object where a number belongs: its keys are unknown
+        Section(v, where).done()
     if not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max:
         return float(v)
     raise ConfigError(f"{where}: expected a finite number, got {v!r}")
@@ -460,12 +462,7 @@ def cmd_train_cvae(cfg: dict) -> dict:
     ms = top.sub("model")
     k = ms.take("k", _COUNT)
     hidden = ms.take("hidden", _COUNT)
-    logvar_lo = ms.take("logvar_lo", _as_float, LOGVAR_LO)
-    logvar_hi = ms.take("logvar_hi", _as_float, LOGVAR_HI)
     ms.done()
-    if not logvar_lo < logvar_hi:
-        raise ConfigError(f"config.model.logvar_lo: must be below logvar_hi {logvar_hi!r}, "
-                          f"got {logvar_lo!r}")
 
     ts = top.sub("train")
     epochs = ts.take("epochs", _COUNT)
@@ -482,7 +479,7 @@ def cmd_train_cvae(cfg: dict) -> dict:
         raise MissingArtifactError(f"{os.path.join(data_dir, _PAIRS_META)}: pairs.pairing "
                                    "must be centered or perturbed_only")
     tc = TrainConfig(k=k, hidden=hidden, epochs=epochs, batch_size=batch_size,
-                     seed=seed, pairing=pairing, logvar_lo=logvar_lo, logvar_hi=logvar_hi)
+                     seed=seed, pairing=pairing)
     if lr is not None:
         tc.lr = lr
     if beta is not None:
@@ -596,8 +593,7 @@ def cmd_attack(cfg: dict) -> dict:
     clf_dir = top.take("classifier", _as_str)
     data_dir = top.take("data", _as_str)
     at = top.sub("attack")
-    acfg = AttackConfig(eps=at.take("eps", _NONNEGATIVE), steps=at.take("steps", _COUNT, 50),
-                        step=at.take("step", _POSITIVE, None))
+    acfg = AttackConfig(eps=at.take("eps", _NONNEGATIVE), steps=at.take("steps", _COUNT, 50))
     at.done()
     limit = top.take("limit", _COUNT, None)
     resolved = top.done()
@@ -658,7 +654,6 @@ def cmd_train_robust(cfg: dict) -> dict:
     eps = ts.take("eps", _POSITIVE, None)
     sigma = ts.take("sigma", _NONNEGATIVE, None)
     attack_steps = ts.take("attack_steps", _COUNT, 7)
-    attack_step = ts.take("attack_step", _POSITIVE, None)
     ts.done()
     resolved = top.done()
     if mode in ("adv", "augment") and eps is None:
@@ -678,7 +673,7 @@ def cmd_train_robust(cfg: dict) -> dict:
     x, labels = pairs.conditioned, pairs.labels
     acfg = None
     if mode == "adv":
-        acfg = AttackConfig(eps=eps, steps=attack_steps, step=attack_step)
+        acfg = AttackConfig(eps=eps, steps=attack_steps)
     for _ in range(epochs):
         if mode == "adv":
             robust.adv_train_epoch(h, model, x, labels, acfg, lr, rng, batch_size)
@@ -711,17 +706,11 @@ def cmd_certify(cfg: dict) -> dict:
     model_dir = top.take("model", _as_str)
     clf_dir = top.take("classifier", _as_str)
     data_dir = top.take("data", _as_str)
-    sigma = top.take("sigma", _number_or_section(_NONNEGATIVE))
+    sigma = top.take("sigma", _POSITIVE)
     n0 = top.take("n0", _COUNT, 100)
     n = top.take("n", _COUNT, 10_000)
     alpha = top.take("alpha", _FRACTION, 0.001)
     limit = top.take("limit", _COUNT, None)
-    if isinstance(sigma, Section):
-        radius = sigma.take("radius", _POSITIVE)
-        sigma_n = sigma.take("n", _COUNT, n)
-        sigma_alpha = sigma.take("alpha", _FRACTION, alpha)
-        sigma.done()
-        sigma = smoothing.sigma_for_radius(radius, n=sigma_n, alpha=sigma_alpha)
     resolved = top.done()
 
     model, pairs, h = _stage_inputs(model_dir, data_dir, clf_dir, limit)
@@ -739,7 +728,7 @@ def cmd_certify(cfg: dict) -> dict:
             certified.append(cert.radius)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {**resolved, "sigma": sigma})
+    stage.write_json("config.json", resolved)
     stage.write_csv("certify.csv", ("example", "guess", "p_a", "radius", "abstain"), rows)
     agg = {"examples": len(rows), "sigma": sigma, "n0": n0, "n": n, "alpha": alpha,
            "non_abstain_rate": float(len(certified) / len(rows)) if rows else 0.0,

@@ -318,14 +318,12 @@ class TrainConfig:
                                                                   [0.0, 0.001, 0.01]))
     seed: int = 0
     pairing: str = "centered"
-    logvar_lo: float = LOGVAR_LO
-    logvar_hi: float = LOGVAR_HI
 
     def to_json(self) -> dict:
         return {"k": self.k, "hidden": self.hidden, "epochs": self.epochs,
                 "batch_size": self.batch_size, "lr": self.lr.to_json(),
                 "beta": self.beta.to_json(), "seed": self.seed, "pairing": self.pairing,
-                "logvar_lo": self.logvar_lo, "logvar_hi": self.logvar_hi}
+                "logvar_lo": LOGVAR_LO, "logvar_hi": LOGVAR_HI}
 
 
 def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]:
@@ -339,7 +337,7 @@ def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]
     root = np.random.SeedSequence(cfg.seed)
     init_seed, shuffle_seed, noise_seed = root.spawn(3)
     model = CvaeModel(pairs.dim, cfg.k, cfg.hidden, cfg.pairing,
-                      cfg.logvar_lo, cfg.logvar_hi, rng=np.random.default_rng(init_seed))
+                      rng=np.random.default_rng(init_seed))
     shuffle_rng = np.random.default_rng(shuffle_seed)
     noise_rng = np.random.default_rng(noise_seed)
     n = len(pairs)

@@ -125,53 +125,45 @@ def _train_step(h: Classifier, inputs, labels, lr: float):
     return float(nn._val(loss))
 
 
+def _train_epoch(mode: str, h: Classifier, x, labels, lr: float,
+                 rng: np.random.Generator, batch_size: int, make_inputs) -> Classifier:
+    """One epoch over shuffled batches: make_inputs(xb, yb) turns each batch
+    into the inputs of a standard training step."""
+    x = np.asarray(x, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    losses = []
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
+        losses.append(_train_step(h, make_inputs(x[idx], labels[idx]), labels[idx], lr))
+    log.info("%s epoch: mean loss %.4f over %d batches", mode, np.mean(losses), len(losses))
+    return h
+
+
 def adv_train_epoch(h: Classifier, model: CvaeModel, x, labels,
                     cfg: AttackConfig, lr: float, rng: np.random.Generator,
                     batch_size: int = 128) -> Classifier:
     """One epoch of adversarial training: attack each batch in the frozen
     generator's latent ball, then take a standard step on the attacked
     examples."""
-    x = np.asarray(x, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    losses = []
-    for idx in nn.epoch_batches(len(x), batch_size, rng):
-        adv, _ = latent_pgd_attack(h, model, x[idx], labels[idx], cfg)
-        losses.append(_train_step(h, adv, labels[idx], lr))
-    log.info("adv epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
-    return h
+    return _train_epoch("adv", h, x, labels, lr, rng, batch_size,
+                        lambda xb, yb: latent_pgd_attack(h, model, xb, yb, cfg)[0])
 
 
 def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
                         lr: float, rng: np.random.Generator,
                         batch_size: int = 128) -> Classifier:
     """One epoch on truncated-prior samples: each example is replaced by a
-    decode of a random latent from the eps ball before the training step."""
-    x = np.asarray(x, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    losses = []
-    for idx in nn.epoch_batches(len(x), batch_size, rng):
-        if eps > 0:
-            u = sample_truncated_ball(model.k, eps, len(idx), rng)
-        else:
-            u = np.zeros((len(idx), model.k), dtype=np.float32)
-        aug = np.asarray(model.decode_u(u, model.condition(x[idx])))
-        losses.append(_train_step(h, aug, labels[idx], lr))
-    log.info("augment epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
-    return h
+    decode of a random latent from the eps ball (eps > 0) before the
+    training step."""
+    def decode_ball(xb, yb):
+        u = sample_truncated_ball(model.k, eps, len(xb), rng)
+        return np.asarray(model.decode_u(u, model.condition(xb)))
+    return _train_epoch("augment", h, x, labels, lr, rng, batch_size, decode_ball)
 
 
 def clean_train_epoch(h: Classifier, x, labels, lr: float,
                       rng: np.random.Generator, batch_size: int = 128) -> Classifier:
     """One standard training epoch on the raw examples."""
-    x = np.asarray(x, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    losses = []
-    for idx in nn.epoch_batches(len(x), batch_size, rng):
-        losses.append(_train_step(h, x[idx], labels[idx], lr))
-    log.info("clean epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
-    return h
+    return _train_epoch("clean", h, x, labels, lr, rng, batch_size, lambda xb, yb: xb)
 
 
 # ---------------------------------------------------------------------------

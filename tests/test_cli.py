@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pertsets import cli
+from pertsets import cli, smoothing
 
 
 def run_cli(args, capsys=None):
@@ -237,10 +237,11 @@ def test_train_robust_mode_requires_eps(pipeline, tmp_path, capsys):
 def test_certify_csv_and_sigma_backsolve(pipeline, tmp_path):
     cfg = {"out_dir": str(tmp_path / "c"), "seed": 5, "model": str(pipeline / "cvae"),
            "classifier": str(pipeline / "clf"), "data": str(pipeline / "data" / "test"),
-           "sigma": {"radius": 3.19, "n": 10000, "alpha": 0.001},
+           "sigma": smoothing.sigma_for_radius(3.19, n=10000, alpha=0.001),
            "n0": 10, "n": 50, "alpha": 0.01, "limit": 6}
     assert cli.main(["certify", "--config", write_cfg(tmp_path / "c.json", cfg)]) == 0
     summary = json.load(open(tmp_path / "c" / "summary.json"))
+    assert summary["sigma"] == cfg["sigma"]
     assert abs(summary["sigma"] - 0.9974) < 0.01   # 3.19 / 3.1986
     with open(tmp_path / "c" / "certify.csv", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -283,7 +284,7 @@ def test_config_json_records_defaults(pipeline, tmp_path):
                          {"seed": 0, "classifier": {"hidden": [200], "n_classes": 2},
                           "train": {"mode": "clean", "epochs": 1, "batch_size": 128,
                                     "lr": 1e-3, "eps": None, "sigma": None,
-                                    "attack_steps": 7, "attack_step": None}}),
+                                    "attack_steps": 7}}),
         "certify": ({"data": str(pipeline / "data" / "test"),
                      "classifier": str(pipeline / "clf"), "sigma": 0.5},
                     {"seed": 0, "n0": 100, "n": 10_000, "alpha": 0.001, "limit": None}),
@@ -321,19 +322,24 @@ def _bad_input_cfg(pipeline, out, stage):
     ("reproduce", None, ["--seed", "-1"], "--seed"),
     *[(stage, {"limit": limit}, [], "config.limit")
       for stage in ("eval-set", "bounds", "attack", "certify") for limit in (0, -3)],
-    ("certify", {"sigma": {"radius": 1.0, "n": 0}}, [], "config.sigma.n"),
-    ("certify", {"sigma": {"radius": 1.0, "alpha": 0}}, [], "config.sigma.alpha"),
-    ("certify", {"sigma": {"radius": 1.0, "alpha": 2}}, [], "config.sigma.alpha"),
+    # sigma is one number: the keys of the object it once could be are unknown
+    *[("certify", {"sigma": {key: 1.0}}, [], f"unknown config key config.sigma.{key}")
+      for key in ("n", "alpha", "radius")],
     ("train-robust", {"classifier": {"hidden": [0], "n_classes": 2}}, [],
      "config.classifier.hidden[0]"),
     ("train-robust", {"train": {"mode": "adv", "epochs": 1, "eps": 1.0, "attack_steps": 0}},
      [], "config.train.attack_steps"),
     # the canvas must hold the source at its largest scale: 1.3 * 12 > 12
     ("gen-data", {"pairs": {"kind": "rts", "canvas": 12}}, [], "config.pairs.canvas"),
-    # logvar_lo < logvar_hi, a bound left out taking its default
-    *[("train-cvae", {"model": {"k": 4, "hidden": 8, **bounds}}, [], "config.model.logvar_lo")
-      for bounds in ({"logvar_lo": 0.0, "logvar_hi": 0.0}, {"logvar_lo": 3.0},
-                     {"logvar_hi": -8.0})],
+    # the generator's logvar bounds and the attack step size are fixed
+    *[("train-cvae", {"model": {"k": 4, "hidden": 8, key: -1.0}}, [],
+       f"unknown config key config.model.{key}") for key in ("logvar_lo", "logvar_hi")],
+    ("attack", {"attack": {"eps": 1.0, "steps": 2, "step": 0.2}}, [],
+     "unknown config key config.attack.step"),
+    ("train-robust", {"train": {"mode": "adv", "epochs": 1, "eps": 1.0, "attack_step": 0.2}},
+     [], "unknown config key config.train.attack_step"),
+    # a zero noise level certifies nothing
+    ("certify", {"sigma": 0}, [], "config.sigma: must be > 0"),
 ])
 def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, patch, flags,
                                            field):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from pertsets import nn
-from pertsets.cvae import CvaeModel, latent_pgd
+from pertsets.cvae import CvaeModel, latent_pgd, sample_truncated_ball
 from pertsets.robust import (
     AttackConfig,
     Classifier,
+    _train_step,
     accuracy,
     adv_train_epoch,
     augment_train_epoch,
@@ -266,6 +267,69 @@ def test_augment_epoch_runs_and_is_deterministic():
     with pytest.raises(ValueError):
         augment_train_epoch(h1, model, x, labels, -0.5, 1e-3,
                             np.random.default_rng(0))
+
+
+# One epoch of each mode as three separate loops, each drawing its batches
+# and building its inputs in its own body; the public epochs share one loop.
+
+
+def _reference_adv_epoch(h, model, x, labels, cfg, lr, rng, batch_size):
+    x = np.asarray(x, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
+        adv, _ = latent_pgd_attack(h, model, x[idx], labels[idx], cfg)
+        _train_step(h, adv, labels[idx], lr)
+
+
+def _reference_augment_epoch(h, model, x, labels, eps, lr, rng, batch_size):
+    x = np.asarray(x, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
+        u = sample_truncated_ball(model.k, eps, len(idx), rng)
+        aug = np.asarray(model.decode_u(u, model.condition(x[idx])))
+        _train_step(h, aug, labels[idx], lr)
+
+
+def _reference_clean_epoch(h, x, labels, lr, rng, batch_size):
+    x = np.asarray(x, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    for idx in nn.epoch_batches(len(x), batch_size, rng):
+        _train_step(h, x[idx], labels[idx], lr)
+
+
+_EPOCH_PAIRS = {
+    "adv": (lambda h, m, x, y, rng, bs: adv_train_epoch(
+                h, m, x, y, AttackConfig(1.0, steps=3), 1e-3, rng, bs),
+            lambda h, m, x, y, rng, bs: _reference_adv_epoch(
+                h, m, x, y, AttackConfig(1.0, steps=3), 1e-3, rng, bs)),
+    "augment": (lambda h, m, x, y, rng, bs: augment_train_epoch(h, m, x, y, 1.0, 1e-3, rng, bs),
+                lambda h, m, x, y, rng, bs: _reference_augment_epoch(
+                    h, m, x, y, 1.0, 1e-3, rng, bs)),
+    "clean": (lambda h, m, x, y, rng, bs: clean_train_epoch(h, x, y, 1e-3, rng, bs),
+              lambda h, m, x, y, rng, bs: _reference_clean_epoch(h, x, y, 1e-3, rng, bs)),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_EPOCH_PAIRS))
+def test_epoch_matches_its_reference_loop_bit_for_bit(mode):
+    # 23 examples in batches of 5 leave a short last batch of 3; two epochs
+    # so the second starts from moments and an rng the first left behind
+    model = rand_model(40)
+    x, labels = rand_data(23, seed=41)
+    epoch, reference = _EPOCH_PAIRS[mode]
+    h, h_ref = rand_clf(42), rand_clf(42)
+    rng, rng_ref = np.random.default_rng(43), np.random.default_rng(43)
+    for _ in range(2):
+        assert epoch(h, model, x, labels, rng, 5) is h
+        reference(h_ref, model, x, labels, rng_ref, 5)
+    assert h.params.step == h_ref.params.step == 10
+    for table, table_ref in ((h.params.values, h_ref.params.values),
+                             (h.params.m, h_ref.params.m), (h.params.v, h_ref.params.v)):
+        assert sorted(table) == sorted(table_ref)
+        for name in table:
+            assert table[name].dtype == table_ref[name].dtype
+            np.testing.assert_array_equal(table[name], table_ref[name])
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_training_step_rejects_non_finite_loss():
