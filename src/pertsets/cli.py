@@ -2,10 +2,12 @@
 
 Subcommands cover the full flow: pair generation, generator training, set
 evaluation, certified bounds, latent attacks, robust classifier training,
-and randomized-smoothing certification. Each stage reads one JSON config,
-writes its artifacts into an output directory together with the resolved
-config and a manifest of content hashes, so every directory is
-self-describing and re-runnable.
+and randomized-smoothing certification. Each stage reads one JSON config and
+writes its artifacts into an output directory together with config.json,
+the config that reruns it (every key it read, defaults filled in), and a
+manifest of content hashes, so every directory is self-describing and
+re-runnable: `pertsets <stage> --config <dir>/config.json` writes the same
+bytes again.
 
 Conventions:
   - exit 0 success, 2 invalid config (field-level message), 3 missing or bad
@@ -33,7 +35,7 @@ import sys
 import numpy as np
 
 from . import nn, robust, smoothing, theory
-from .cvae import CvaeModel, PairSet, TrainConfig, load_cvae, train_cvae
+from .cvae import DEFAULT_BETA, DEFAULT_LR, CvaeModel, PairSet, TrainConfig, load_cvae, train_cvae
 from .evalmetrics import METRICS, evaluate_set, select_radius
 from .pertgen import Dataset, RtsParams, gen_linf_pairs, gen_rts_pairs, read_idx, synth_shapes
 from .robust import AttackConfig, Classifier, latent_pgd_attack, load_classifier
@@ -198,8 +200,9 @@ def _number_or_section(conv):
 
 class Section:
     """One level of a config document: typed key extraction with unknown-key
-    rejection. `take` records each key's converted value or its default, and
-    `done()` returns that record, which is what a stage's config.json holds."""
+    rejection. `take` records each key's converted value or its default (an
+    absent key whose default is None stays absent), and `done()` returns that
+    record, the config a stage writes as its config.json and reruns from."""
 
     def __init__(self, obj, where: str = "config"):
         if not isinstance(obj, dict):
@@ -214,6 +217,8 @@ class Section:
             value = conv(self.obj[key], where)
         elif default is _REQUIRED:
             raise ConfigError(f"{where}: required key missing")
+        elif default is None:   # an absent optional key stays absent
+            return None
         else:
             value = default
         self.resolved[key] = value.resolved if isinstance(value, Section) else value
@@ -229,15 +234,19 @@ class Section:
         return self.resolved
 
 
-def _parse_schedule(v, where) -> nn.Schedule:
-    s = Section(v, where)
+def _parse_schedule(top: Section, key: str, default: nn.Schedule) -> nn.Schedule:
+    """The schedule under `key` of top, or default when the key is absent;
+    either way recorded as its knot object. Knot values must be >= 0."""
+    s = top.take(key, Section, {"epochs": default.epochs, "values": default.values})
+    if not isinstance(s, Section):
+        return default
     epochs = s.take("epochs", _list_of(_as_float))
-    values = s.take("values", _list_of(_as_float))
+    values = s.take("values", _list_of(_NONNEGATIVE))
     s.done()
     try:
         return nn.Schedule(epochs, values)
     except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
+        raise ConfigError(f"{s.where}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +288,7 @@ def _load_array(path: str, dtype) -> np.ndarray:
         raise MissingArtifactError(f"unreadable array {path}: {e}") from e
 
 
-def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
+def _load_pairs(dirpath: str) -> PairSet:
     """Read a pair set and check it: a JSON object as meta, two equal (N, m)
     arrays of pixels in [0, 1] with N > 0, and N labels >= 0 when the meta
     declares them (else exit 3); NaN or inf pixels exit 4."""
@@ -309,7 +318,7 @@ def _load_pairs(dirpath: str) -> tuple[PairSet, dict]:
                                        f"{len(perturbed)} pairs")
         if labels.min() < 0:
             raise MissingArtifactError(f"{lp}: negative class label {labels.min()}")
-    return PairSet(perturbed, conditioned, labels), meta
+    return PairSet(perturbed, conditioned, labels)
 
 
 def _load_checkpoint(dirpath: str, stem: str, load):
@@ -340,7 +349,7 @@ def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int
     if clf_dir is not None:
         h = _load_checkpoint(clf_dir, "classifier", load_classifier)
         _same_width(model, model_dir, "classifier", clf_dir, h.m)
-    pairs, _ = _load_pairs(data_dir)
+    pairs = _load_pairs(data_dir)
     _same_width(model, model_dir, "pair set", data_dir, pairs.dim)
     if labeled and pairs.labels is None:
         raise MissingArtifactError(f"pair set at {data_dir} has no labels.npy; "
@@ -467,29 +476,18 @@ def cmd_train_cvae(cfg: dict) -> dict:
     ts = top.sub("train")
     epochs = ts.take("epochs", _COUNT)
     batch_size = ts.take("batch_size", _COUNT, 128)
-    lr = ts.take("lr", _parse_schedule, None)
-    beta = ts.take("beta", _parse_schedule, None)
+    lr = _parse_schedule(ts, "lr", DEFAULT_LR)
+    beta = _parse_schedule(ts, "beta", DEFAULT_BETA)
     ts.done()
-    top.done()
+    resolved = top.done()
 
-    pairs, meta = _load_pairs(data_dir)
-    pairing = meta.get("pairs", {})
-    pairing = pairing.get("pairing", "centered") if isinstance(pairing, dict) else None
-    if pairing not in ("centered", "perturbed_only"):
-        raise MissingArtifactError(f"{os.path.join(data_dir, _PAIRS_META)}: pairs.pairing "
-                                   "must be centered or perturbed_only")
-    tc = TrainConfig(k=k, hidden=hidden, epochs=epochs, batch_size=batch_size,
-                     seed=seed, pairing=pairing)
-    if lr is not None:
-        tc.lr = lr
-    if beta is not None:
-        tc.beta = beta
-
-    model, history = train_cvae(pairs, tc)
+    pairs = _load_pairs(data_dir)
+    model, history = train_cvae(pairs, TrainConfig(k=k, hidden=hidden, epochs=epochs,
+                                                   batch_size=batch_size, lr=lr, beta=beta,
+                                                   seed=seed))
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {"out_dir": out_dir, "seed": seed,
-                                     "data": data_dir, "train_config": tc.to_json()})
+    stage.write_json("config.json", resolved)
     model.save(stage.checkpoint("model"), extra_meta={"train_pairs": len(pairs)})
     stage.write_json("history.json", {"epochs": history})
     stage.finish()
@@ -519,7 +517,7 @@ def cmd_eval_set(cfg: dict) -> dict:
 
     model, pairs, _ = _stage_inputs(model_dir, data_dir, limit=limit)
     if select_from is not None:
-        sel_pairs, _ = _load_pairs(select_from)
+        sel_pairs = _load_pairs(select_from)
         _same_width(model, model_dir, "pair set", select_from, sel_pairs.dim)
         eps = select_radius(model, sel_pairs)
         if eps <= 0:
@@ -530,7 +528,7 @@ def cmd_eval_set(cfg: dict) -> dict:
     report = evaluate_set(model, pairs, eps, rng, steps=steps, n_expected=n_expected)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {**resolved, "eps": eps, "eps_selected_from": select_from})
+    stage.write_json("config.json", resolved)
     report.to_csv(stage.file("eval.csv"))
     stage.write_json("summary.json", report.summary())
     stage.finish()
@@ -617,7 +615,7 @@ def cmd_attack(cfg: dict) -> dict:
     perturbed_acc = robust.accuracy(h, pairs.perturbed, pairs.labels)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", {**resolved, "attack": acfg.to_json()})
+    stage.write_json("config.json", resolved)
     stage.write_csv("attack.csv", ("example", "label", "clean_pred", "adv_pred"), rows)
     agg = {"examples": len(rows), "eps": acfg.eps, "steps": acfg.steps,
            "accuracy": float(clean_ok.mean()),

@@ -12,7 +12,7 @@ that formula; every latent attack, sample and metric decodes through them.
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,16 +92,12 @@ class CvaeModel:
     """
 
     # checkpoint meta: each constructor argument, in order, and its kind
-    META = {"m": "int", "k": "int", "hidden": "int", "pairing": "str",
-            "logvar_lo": "float", "logvar_hi": "float"}
+    META = {"m": "int", "k": "int", "hidden": "int", "logvar_lo": "float", "logvar_hi": "float"}
 
-    def __init__(self, m: int, k: int, hidden: int, pairing: str = "centered",
+    def __init__(self, m: int, k: int, hidden: int,
                  logvar_lo: float = LOGVAR_LO, logvar_hi: float = LOGVAR_HI,
                  params: nn.ParamSet = None, rng: np.random.Generator = None):
-        if pairing not in ("centered", "perturbed_only"):
-            raise ValueError(f"unknown pairing {pairing!r}")
         self.m, self.k, self.hidden = int(m), int(k), int(hidden)
-        self.pairing = pairing
         self.logvar_lo, self.logvar_hi = float(logvar_lo), float(logvar_hi)
         clamp = ("scaled_tanh", self.logvar_lo, self.logvar_hi)
         self.post_trunk = nn.Network("posterior", [m, m], [("dense", hidden), ("relu",)])
@@ -306,24 +302,20 @@ def elbo_loss(model: CvaeModel, rec: nn.Rec, x, y, u, beta: float):
 # Training
 
 
+# the learning-rate and KL-weight schedules a run takes when it sets none
+DEFAULT_LR = nn.Schedule([0, 10, 15, 20], [0.0, 0.001, 0.0005, 0.0001])
+DEFAULT_BETA = nn.Schedule([0, 5, 20], [0.0, 0.001, 0.01])
+
+
 @dataclass
 class TrainConfig:
     k: int
     hidden: int
     epochs: int
     batch_size: int = 128
-    lr: nn.Schedule = field(default_factory=lambda: nn.Schedule([0, 10, 15, 20],
-                                                                [0.0, 0.001, 0.0005, 0.0001]))
-    beta: nn.Schedule = field(default_factory=lambda: nn.Schedule([0, 5, 20],
-                                                                  [0.0, 0.001, 0.01]))
+    lr: nn.Schedule = DEFAULT_LR
+    beta: nn.Schedule = DEFAULT_BETA
     seed: int = 0
-    pairing: str = "centered"
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "hidden": self.hidden, "epochs": self.epochs,
-                "batch_size": self.batch_size, "lr": self.lr.to_json(),
-                "beta": self.beta.to_json(), "seed": self.seed, "pairing": self.pairing,
-                "logvar_lo": LOGVAR_LO, "logvar_hi": LOGVAR_HI}
 
 
 def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]:
@@ -336,8 +328,7 @@ def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]
     """
     root = np.random.SeedSequence(cfg.seed)
     init_seed, shuffle_seed, noise_seed = root.spawn(3)
-    model = CvaeModel(pairs.dim, cfg.k, cfg.hidden, cfg.pairing,
-                      rng=np.random.default_rng(init_seed))
+    model = CvaeModel(pairs.dim, cfg.k, cfg.hidden, rng=np.random.default_rng(init_seed))
     shuffle_rng = np.random.default_rng(shuffle_seed)
     noise_rng = np.random.default_rng(noise_seed)
     n = len(pairs)

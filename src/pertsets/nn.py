@@ -538,9 +538,6 @@ class Schedule:
     def value(self, epoch: float) -> float:
         return float(np.interp(epoch, self.epochs, self.values))
 
-    def to_json(self):
-        return {"epochs": self.epochs, "values": self.values}
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -575,7 +572,6 @@ _META_KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "ints": ("a list of integers", lambda v: type(v) is list and all(type(d) is int for d in v)),
     "float": ("a finite float", lambda v: type(v) is float and math.isfinite(v)),
-    "str": ("a string", lambda v: type(v) is str),
 }
 
 
@@ -588,8 +584,8 @@ def _shown(v) -> str:
 def meta_values(stem: str, meta: dict, kinds: dict) -> list:
     """The values of the checkpoint meta read from `<stem>.meta.json` under
     each key of kinds, in its order. A kind is "int" (not a bool), "ints" (a
-    list of them), "float" (finite) or "str"; a value missing or of
-    another kind raises ValueError naming the key and the file."""
+    list of them) or "float" (finite); a value missing or of another kind
+    raises ValueError naming the key and the file."""
     values = []
     for key, kind in kinds.items():
         if key not in meta:

@@ -240,8 +240,8 @@ def read_idx(path: str) -> np.ndarray:
     header = 4 + 4 * ndim
     if len(raw) < header:
         raise ValueError(f"{path}: truncated dimension table at byte {len(raw)}")
-    dims = struct.unpack(f">{ndim}i", raw[4:header])
-    count = int(np.prod(dims))
+    dims = struct.unpack(f">{ndim}I", raw[4:header])
+    count = math.prod(dims)
     if len(raw) - header != count:
         raise ValueError(
             f"{path}: expected {count} data bytes after byte {header}, found {len(raw) - header}")
@@ -267,7 +267,10 @@ def synth_shapes(n: int, size: int, rng: np.random.Generator) -> Dataset:
     labels = rng.integers(0, 2, size=n)
     # every image's shape first, in per-image draw order
     disks, bars = [], []
-    len_hi = min(0.4 * size, (size - 1) / 2 - 0.6)
+    # the longest bar that fits the frame at every angle: the corner of its
+    # support, (half_len + 0.5, half_th + 0.5) from its centre, stays within
+    # (size - 1) / 2 of the centre
+    len_hi = min(0.4 * size, math.sqrt(((size - 1) / 2) ** 2 - (0.08 * size + 0.5) ** 2) - 0.5)
     for label in labels:
         if label == 1:
             radius = rng.uniform(0.15, 0.28) * size

@@ -18,25 +18,16 @@ log = logging.getLogger(__name__)
 
 
 class AttackConfig:
-    """Latent PGD budget: radius eps, T steps of size step.
+    """Latent PGD budget: radius eps, T steps of size eps/5, for training and
+    for the attack stage alike."""
 
-    step defaults to eps/5, for training and for the attack stage alike
-    (reproduce runs its 50-step attacks at eps/5).
-    """
-
-    def __init__(self, eps: float, steps: int = 7, step: float = None):
+    def __init__(self, eps: float, steps: int = 7):
         if eps < 0:
             raise ValueError(f"eps must be >= 0, got {eps}")
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
-        if step is None:
-            step = eps / 5.0
-        if eps > 0 and step <= 0:
-            raise ValueError(f"step must be > 0, got {step}")
-        self.eps, self.steps, self.step = float(eps), int(steps), float(step)
-
-    def to_json(self) -> dict:
-        return {"eps": self.eps, "steps": self.steps, "step": self.step}
+        self.eps, self.steps = float(eps), int(steps)
+        self.step = self.eps / 5.0
 
 
 class Classifier:

@@ -14,6 +14,7 @@ a fake pass, as README.md's "Acceptance checks" section explains.
 
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -237,7 +238,7 @@ def test_criterion_5_directional_robustness(desk):
     t0 = time.time()
     model, test, eps = desk["model"], desk["test"], desk["eps"]
     h = desk["classifiers"]
-    acfg = AttackConfig(eps, steps=50, step=eps / 20)
+    acfg = AttackConfig(eps, steps=50)
     rob = {m: robust.robust_accuracy(h[m], model, test.conditioned, test.labels, acfg)
            for m in ("adv", "augment")}
     pert = {m: robust.accuracy(h[m], test.perturbed, test.labels)
@@ -434,10 +435,34 @@ def test_criterion_8_smoke_determinism(tmp_path_factory, capsys):
     assert proc.returncode == 0, proc.stderr
     one_thread = [name for name, digest in first.items()
                   if cli._sha256(os.path.join(out, name)) != digest]
+    # every stage directory reruns from a copy of its own config.json into
+    # the same path and rewrites every file byte for byte
+    stages = {"data": "gen-data", "cvae": "train-cvae", "eval": "eval-set",
+              "bounds": "bounds", "robust": "train-robust", "attack": "attack",
+              "certify": "certify"}
+    rerun = {}
+    for name in sorted(os.listdir(out)):
+        stage_dir = os.path.join(out, name)
+        if not os.path.isdir(stage_dir):
+            continue
+        before = _file_digests(stage_dir)
+        copy = str(tmp_path_factory.mktemp("config") / "config.json")
+        shutil.copyfile(os.path.join(stage_dir, "config.json"), copy)
+        code = cli.main([stages[name.split("-")[0]], "--config", copy])
+        rerun[name] = "ok" if code == 0 and _file_digests(stage_dir) == before else code
+    capsys.readouterr()
+    not_rerun = {name: got for name, got in rerun.items() if got != "ok"}
     elapsed = time.time() - t0
     assert elapsed < 600
-    status = "PASS" if not mismatched and not one_thread else "FAIL"
+    status = "PASS" if not mismatched and not one_thread and not not_rerun else "FAIL"
     _line(8, "smoke determinism", status,
-          f"{len(first)} reports byte-stable, also on one BLAS thread, {elapsed:.0f}s")
+          f"{len(first)} reports byte-stable, also on one BLAS thread; {len(rerun)} stage "
+          f"directories rerun from their config.json, {elapsed:.0f}s")
     assert not mismatched, f"reports changed across reruns: {mismatched}"
     assert not one_thread, f"reports changed on one BLAS thread: {one_thread}"
+    assert len(rerun) == 12 and not not_rerun, f"stage reruns from config.json: {rerun}"
+
+
+def _file_digests(root):
+    return {os.path.relpath(os.path.join(d, f), root): cli._sha256(os.path.join(d, f))
+            for d, _, files in os.walk(root) for f in files}

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pertsets import cli, smoothing
+from pertsets import cli, cvae, smoothing
 
 
 def run_cli(args, capsys=None):
@@ -56,18 +56,26 @@ def test_gen_data_files_exist_and_reload(tmp_path):
            "split": {"test": 20}}
     assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", cfg)]) == 0
     for split, n in (("train", 40), ("test", 20)):
-        pairs, meta = cli._load_pairs(str(tmp_path / "d" / split))
+        pairs = cli._load_pairs(str(tmp_path / "d" / split))
         assert len(pairs) == n and pairs.dim == 256
-        assert meta["labels"] is True
         assert pairs.labels.shape == (n,)
     # identical rerun into a second directory
     cfg2 = dict(cfg, out_dir=str(tmp_path / "d2"))
     assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g2.json", cfg2)]) == 0
-    a, _ = cli._load_pairs(str(tmp_path / "d" / "train"))
-    b, _ = cli._load_pairs(str(tmp_path / "d2" / "train"))
+    a = cli._load_pairs(str(tmp_path / "d" / "train"))
+    b = cli._load_pairs(str(tmp_path / "d2" / "train"))
     assert np.array_equal(a.perturbed, b.perturbed)
     assert np.array_equal(a.conditioned, b.conditioned)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_gen_data_smallest_synth_size_exits_0(tmp_path):
+    # size 8 is the smallest synth-shapes accepts; every bar must fit it
+    cfg = {"out_dir": str(tmp_path / "d"),
+           "source": {"kind": "synth-shapes", "n": 100, "size": 8},
+           "pairs": {"kind": "linf", "eps": 0.3}, "split": {"test": 10}}
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path / "g.json", cfg)]) == 0
+    assert cli._load_pairs(str(tmp_path / "d" / "train")).dim == 64
 
 
 def test_readme_json_examples_run(tmp_path, monkeypatch):
@@ -171,12 +179,14 @@ def test_nan_loss_exits_4_with_epoch(pipeline, tmp_path, capsys):
 
 def test_train_cvae_artifacts_self_describing(pipeline):
     cfgcopy = json.load(open(pipeline / "cvae" / "config.json"))
-    assert cfgcopy["train_config"]["k"] == 4
-    assert cfgcopy["train_config"]["epochs"] == 2
+    assert cfgcopy["model"] == {"k": 4, "hidden": 32}
+    assert cfgcopy["train"]["epochs"] == 2
+    assert cfgcopy["train"]["lr"] == {"epochs": [0.0, 2.0], "values": [0.002, 0.001]}
     history = json.load(open(pipeline / "cvae" / "history.json"))
     assert len(history["epochs"]) == 2
     meta = json.load(open(pipeline / "cvae" / "model.meta.json"))
-    assert meta["k"] == 4 and meta["m"] == 144
+    assert meta == {"m": 144, "k": 4, "hidden": 32, "logvar_lo": cvae.LOGVAR_LO,
+                    "logvar_hi": cvae.LOGVAR_HI, "train_pairs": 80}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +261,7 @@ def test_certify_csv_and_sigma_backsolve(pipeline, tmp_path):
 
 def test_certify_labels_not_required(pipeline, tmp_path):
     # certification never touches labels; it must work on unlabeled pairs
-    src, _ = cli._load_pairs(str(pipeline / "data" / "test"))
+    src = cli._load_pairs(str(pipeline / "data" / "test"))
     bare = type(src)(src.perturbed, src.conditioned, None)
     cli._save_pairs(str(tmp_path / "bare"), bare, {})
     cfg = {"out_dir": str(tmp_path / "c"), "seed": 5, "model": str(pipeline / "cvae"),
@@ -261,7 +271,7 @@ def test_certify_labels_not_required(pipeline, tmp_path):
 
 
 def test_attack_requires_labels(pipeline, tmp_path, capsys):
-    src, _ = cli._load_pairs(str(pipeline / "data" / "test"))
+    src = cli._load_pairs(str(pipeline / "data" / "test"))
     bare = type(src)(src.perturbed, src.conditioned, None)
     cli._save_pairs(str(tmp_path / "bare"), bare, {})
     cfg = {"out_dir": str(tmp_path / "a"), "model": str(pipeline / "cvae"),
@@ -273,28 +283,33 @@ def test_attack_requires_labels(pipeline, tmp_path, capsys):
 
 
 def test_config_json_records_defaults(pipeline, tmp_path):
-    # every key a stage reads is written to config.json, defaults filled in
+    # config.json holds every key a stage read, defaults filled in, and no
+    # other: an absent optional key (limit, eps, sigma) stays absent
     common = {"out_dir": None, "model": str(pipeline / "cvae")}
+    knots = lambda s: {"epochs": s.epochs, "values": s.values}
     cases = {
+        "train-cvae": ({"data": str(pipeline / "data" / "train"),
+                        "model": {"k": 4, "hidden": 8}, "train": {"epochs": 1}},
+                       {"seed": 0, "train": {"epochs": 1, "batch_size": 128,
+                                             "lr": knots(cvae.DEFAULT_LR),
+                                             "beta": knots(cvae.DEFAULT_BETA)}}),
         "bounds": ({"data": str(pipeline / "data" / "test")},
-                   {"seed": 0, "alpha": 0.01, "samples": 64, "limit": None}),
+                   {"seed": 0, "alpha": 0.01, "samples": 64}),
         "train-robust": ({"data": str(pipeline / "data" / "train"),
                           "classifier": {"n_classes": 2},
                           "train": {"mode": "clean", "epochs": 1}},
                          {"seed": 0, "classifier": {"hidden": [200], "n_classes": 2},
                           "train": {"mode": "clean", "epochs": 1, "batch_size": 128,
-                                    "lr": 1e-3, "eps": None, "sigma": None,
-                                    "attack_steps": 7}}),
+                                    "lr": 1e-3, "attack_steps": 7}}),
         "certify": ({"data": str(pipeline / "data" / "test"),
                      "classifier": str(pipeline / "clf"), "sigma": 0.5},
-                    {"seed": 0, "n0": 100, "n": 10_000, "alpha": 0.001, "limit": None}),
+                    {"seed": 0, "n0": 100, "n": 10_000, "alpha": 0.001}),
     }
     for stage, (cfg, defaults) in cases.items():
         cfg = {**common, **cfg, "out_dir": str(tmp_path / stage)}
         assert cli.main([stage, "--config", write_cfg(tmp_path / f"{stage}.json", cfg)]) == 0
         written = json.load(open(tmp_path / stage / "config.json"))
-        for key, value in {**cfg, **defaults}.items():
-            assert written[key] == value, (stage, key)
+        assert written == {**cfg, **defaults}, stage
 
 
 def _bad_input_cfg(pipeline, out, stage):
@@ -331,7 +346,7 @@ def _bad_input_cfg(pipeline, out, stage):
      [], "config.train.attack_steps"),
     # the canvas must hold the source at its largest scale: 1.3 * 12 > 12
     ("gen-data", {"pairs": {"kind": "rts", "canvas": 12}}, [], "config.pairs.canvas"),
-    # the generator's logvar bounds and the attack step size are fixed
+    # the generator's logvar bounds and the attack step size (eps/5) are fixed
     *[("train-cvae", {"model": {"k": 4, "hidden": 8, key: -1.0}}, [],
        f"unknown config key config.model.{key}") for key in ("logvar_lo", "logvar_hi")],
     ("attack", {"attack": {"eps": 1.0, "steps": 2, "step": 0.2}}, [],
@@ -340,6 +355,11 @@ def _bad_input_cfg(pipeline, out, stage):
      [], "unknown config key config.train.attack_step"),
     # a zero noise level certifies nothing
     ("certify", {"sigma": 0}, [], "config.sigma: must be > 0"),
+    # schedules start at 0, but no learning rate or KL weight is negative
+    ("train-cvae", {"train": {"epochs": 1, "lr": {"epochs": [0, 1], "values": [0.0, -0.01]}}},
+     [], "config.train.lr.values[1]: must be >= 0"),
+    ("train-cvae", {"train": {"epochs": 1, "beta": {"epochs": [0, 1], "values": [-1, 0.01]}}},
+     [], "config.train.beta.values[0]: must be >= 0"),
 ])
 def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, patch, flags,
                                            field):
@@ -360,7 +380,8 @@ def _write_idx(path, magic, dims, n_bytes):
 
 
 @pytest.mark.parametrize("case, bad", [
-    ("short", "images"), ("magic", "images"), ("truncated", "images"), ("count", "labels")])
+    ("short", "images"), ("magic", "images"), ("truncated", "images"), ("count", "labels"),
+    ("dims", "images")])
 def test_malformed_idx_source_exits_3_naming_file(tmp_path, capsys, case, bad):
     images = _write_idx(tmp_path / "images", 0x803, (3, 8, 8), 192)
     labels = _write_idx(tmp_path / "labels", 0x801, (3,), 3)
@@ -370,6 +391,8 @@ def test_malformed_idx_source_exits_3_naming_file(tmp_path, capsys, case, bad):
         _write_idx(tmp_path / "images", 0x804, (3, 8, 8), 192)
     elif case == "truncated":
         _write_idx(tmp_path / "images", 0x803, (3, 8, 8), 100)
+    elif case == "dims":    # 2 x 4294967294 x 4294967294 images, read as unsigned
+        _write_idx(tmp_path / "images", 0x803, (2, -2, -2), 8)
     else:
         _write_idx(tmp_path / "labels", 0x801, (2,), 2)
     cfg = {"out_dir": str(tmp_path / "out"),
@@ -468,7 +491,7 @@ def test_load_pairs_validation(tmp_path):
         cli._load_pairs(pair_dir("nan", [0.5, np.nan], [0.5, 0.5]))
     with pytest.raises(cli.MissingArtifactError, match="equal"):
         cli._load_pairs(pair_dir("length", [0.5], [0.5, 0.5]))
-    pairs, _ = cli._load_pairs(pair_dir("ok", [0.0, 1.0], [0.5, 0.5], labels=[1]))
+    pairs = cli._load_pairs(pair_dir("ok", [0.0, 1.0], [0.5, 0.5], labels=[1]))
     assert pairs.labels.tolist() == [1]
 
 
@@ -502,8 +525,7 @@ def test_bad_pair_set_exits_naming_file(pipeline, tmp_path, capsys, stage, case,
 
 
 @pytest.mark.parametrize("stage, meta", [
-    ("eval-set", "{not json"), ("bounds", "[]"),
-    ("train-cvae", '{"pairs": []}'), ("train-cvae", '{"pairs": {"pairing": "sideways"}}')])
+    ("eval-set", "{not json"), ("bounds", "[]"), ("train-cvae", '"pairs"')])
 def test_bad_pairs_meta_exits_3_naming_it(pipeline, tmp_path, capsys, stage, meta):
     bad = tmp_path / "bad"
     shutil.copytree(pipeline / "data" / ("train" if stage == "train-cvae" else "test"), bad)
@@ -522,7 +544,7 @@ def test_width_mismatch_exits_3(pipeline, tmp_path, capsys, stage, key):
     # a 64-pixel pair set or classifier against the 144-pixel generator
     narrow = tmp_path / "narrow"
     if key == "data":
-        src, _ = cli._load_pairs(str(pipeline / "data" / "test"))
+        src = cli._load_pairs(str(pipeline / "data" / "test"))
         cli._save_pairs(str(narrow), type(src)(src.perturbed[:, :64], src.conditioned[:, :64],
                                                src.labels), {})
     else:
@@ -600,7 +622,7 @@ def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem)
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": None}}, "NoneType"),
     ("certify", "classifier", {"edit_meta": lambda m: m | {"m": float("inf")}}, "infinity"),
     # every meta value has one type: ints that are not bools, a list of ints
-    # for the classifier's hidden widths, finite floats, a string pairing
+    # for the classifier's hidden widths, finite floats
     ("bounds", "model", {"edit_meta": lambda m: m | {"m": "12"}},
      "model.meta.json: 'm' is \"12\" (str)"),
     ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": True}},
@@ -609,8 +631,8 @@ def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem)
      "model.meta.json: 'k' is 4.0 (float)"),
     ("bounds", "model", {"edit_meta": lambda m: m | {"logvar_lo": float("nan")}},
      "model.meta.json: 'logvar_lo' is NaN"),
-    ("eval-set", "model", {"edit_meta": lambda m: m | {"pairing": 1}},
-     "model.meta.json: 'pairing' is 1 (int)"),
+    ("eval-set", "model", {"edit_meta": lambda m: m | {"logvar_hi": 1}},
+     "model.meta.json: 'logvar_hi' is 1 (int)"),
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": True}},
      "classifier.meta.json: 'hidden' is true (bool)"),
     ("certify", "classifier", {"edit_meta": lambda m: m | {"hidden": [16.0]}},

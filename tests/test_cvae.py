@@ -528,7 +528,6 @@ def test_model_save_load_roundtrip(tmp_path):
     assert list(model.meta()) == list(CvaeModel.META)
     assert set(meta) == set(CvaeModel.META) | {"selected_eps"}
     assert meta["selected_eps"] == 1.25
-    assert meta["pairing"] == "centered"
     y = rng.uniform(0, 1, (1, 6)).astype(np.float32)
     z = rng.standard_normal((1, 3)).astype(np.float32)
     np.testing.assert_array_equal(model.decode(z, y), loaded.decode(z, y))

@@ -478,12 +478,6 @@ def test_schedule_validation():
         nn.Schedule([], [])
 
 
-def test_schedule_json_roundtrip():
-    s = nn.Schedule([0, 10, 15, 20], [0.0, 0.001, 0.0005, 0.0001])
-    s2 = nn.Schedule(**s.to_json())
-    assert s2.epochs == s.epochs and s2.values == s.values
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -686,14 +680,14 @@ def test_finite_guard():
 
 
 def test_meta_values_check_each_kind():
-    meta = {"m": 4, "hidden": [8, 2], "lo": -6.0, "hi": 2.5, "pairing": "centered"}
-    kinds = {"hi": "float", "m": "int", "hidden": "ints", "lo": "float", "pairing": "str"}
-    assert nn.meta_values("c", meta, kinds) == [2.5, 4, [8, 2], -6.0, "centered"]
+    meta = {"m": 4, "hidden": [8, 2], "lo": -6.0, "hi": 2.5}
+    kinds = {"hi": "float", "m": "int", "hidden": "ints", "lo": "float"}
+    assert nn.meta_values("c", meta, kinds) == [2.5, 4, [8, 2], -6.0]
     for key, value, shown in (("m", True, "true (bool)"), ("m", 4.0, "4.0 (float)"),
                               ("m", "4", '"4" (str)'), ("hidden", [8, True], "[8, true] (list)"),
                               ("hidden", 8, "8 (int)"), ("lo", -math.inf, "-infinity"),
                               ("lo", 10 ** 400, f"{10 ** 400} (int)"),
-                              ("hi", math.nan, "NaN"), ("pairing", None, "null (NoneType)")):
+                              ("hi", math.nan, "NaN"), ("hi", None, "null (NoneType)")):
         with pytest.raises(ValueError, match=re.escape(f"c.meta.json: '{key}' is {shown}, ")):
             nn.meta_values("c", {**meta, key: value}, kinds)
     with pytest.raises(ValueError, match=re.escape("c.meta.json: key 'lo' missing")):

@@ -1,6 +1,7 @@
 """Tests for pair generation, the affine warp, IDX parsing, synthetic shapes."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -239,7 +240,8 @@ def ref_synth_shapes(n, size, rng):
             dist = np.hypot(rr - cy, cc - cx)
             images[i] = np.clip(radius + 0.5 - dist, 0.0, 1.0)
         else:
-            len_hi = min(0.4 * size, (size - 1) / 2 - 0.6)
+            len_hi = min(0.4 * size,
+                         math.sqrt(((size - 1) / 2) ** 2 - (0.08 * size + 0.5) ** 2) - 0.5)
             half_len = rng.uniform(0.25 * size, len_hi)
             half_th = rng.uniform(0.04, 0.08) * size
             angle = rng.uniform(0.0, math.pi)
@@ -357,6 +359,12 @@ def test_read_idx_rejects_truncation(tmp_path):
     path2.write_bytes(struct.pack(">i", 0x00000803) + b"\x00\x00")
     with pytest.raises(ValueError):
         read_idx(str(path2))
+    # dimensions are unsigned: -2 reads as 4294967294, far more than 8 bytes
+    path3 = tmp_path / "huge.idx"
+    path3.write_bytes(idx_image_bytes((2, -2, -2), [0] * 8))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path3}: expected {2 * (2 ** 32 - 2) ** 2} data bytes after byte 16, found 8")):
+        read_idx(str(path3))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +382,15 @@ def test_synth_shapes_balance_and_range():
 
 
 def test_synth_shapes_fit_inside_frame():
-    rng = np.random.default_rng(12)
-    data = synth_shapes(300, 14, rng)
-    border = np.concatenate([data.images[:, 0, :].ravel(), data.images[:, -1, :].ravel(),
-                             data.images[:, :, 0].ravel(), data.images[:, :, -1].ravel()])
-    assert border.max() == 0.0
+    # also the smallest sizes over many seeds: at sizes 8-11 a long bar at a
+    # diagonal angle has the least room
+    cases = [(300, 14, 12)] + [(50, size, seed) for size in (8, 9, 10, 11)
+                               for seed in range(150)]
+    for n, size, seed in cases:
+        data = synth_shapes(n, size, np.random.default_rng(seed))
+        border = np.concatenate([data.images[:, 0, :].ravel(), data.images[:, -1, :].ravel(),
+                                 data.images[:, :, 0].ravel(), data.images[:, :, -1].ravel()])
+        assert border.max() == 0.0, (size, seed)
 
 
 def test_synth_shapes_deterministic():

@@ -58,8 +58,6 @@ def test_attack_config_validation():
         AttackConfig(-1.0)
     with pytest.raises(ValueError):
         AttackConfig(1.0, steps=0)
-    with pytest.raises(ValueError):
-        AttackConfig(1.0, step=0.0)
 
 
 def test_classifier_shapes_and_roundtrip(tmp_path):
