@@ -649,15 +649,13 @@ def cmd_train_robust(cfg: dict) -> dict:
     epochs = ts.take("epochs", _COUNT)
     batch_size = ts.take("batch_size", _COUNT, 128)
     lr = ts.take("lr", _POSITIVE, 1e-3)
-    eps = ts.take("eps", _POSITIVE, None)
-    sigma = ts.take("sigma", _NONNEGATIVE, None)
+    # eps and sigma are keys of the modes that read them, unknown in the others;
+    # attack_steps, read by adv alone, is accepted and recorded in every mode
+    eps = ts.take("eps", _POSITIVE) if mode in ("adv", "augment") else None
+    sigma = ts.take("sigma", _NONNEGATIVE) if mode == "noise" else None
     attack_steps = ts.take("attack_steps", _COUNT, 7)
     ts.done()
     resolved = top.done()
-    if mode in ("adv", "augment") and eps is None:
-        raise ConfigError(f"config.train.eps: mode {mode!r} needs eps > 0")
-    if mode == "noise" and sigma is None:
-        raise ConfigError("config.train.sigma: mode 'noise' needs sigma >= 0")
 
     model, pairs, _ = _stage_inputs(model_dir, data_dir, labeled=True)
     if n_classes <= pairs.labels.max():

@@ -28,16 +28,16 @@ LOGVAR_HI = math.log(10.0)
 
 @dataclass
 class GaussianDiag:
-    """Diagonal Gaussian; fields are (B, k) arrays or recorded Vars."""
+    """Diagonal Gaussian; fields are (B, k) arrays."""
 
-    mean: object
-    logvar: object
+    mean: np.ndarray
+    logvar: np.ndarray
 
     def std(self):
-        return np.exp(0.5 * np.asarray(nn._val(self.logvar)))
+        return np.exp(0.5 * self.logvar)
 
     def var(self):
-        return np.exp(np.asarray(nn._val(self.logvar)))
+        return np.exp(self.logvar)
 
 
 @dataclass
@@ -112,30 +112,28 @@ class CvaeModel:
                      self.prior_trunk, self.prior_mean, self.prior_logvar, self.decoder]
         self.params = nn.model_params(self.nets, params, rng)
 
-    def encode_posterior(self, x, y, rec=None) -> GaussianDiag:
-        h = self.post_trunk.apply(self.params, [x, y], rec=rec)
-        return GaussianDiag(self.post_mean.apply(self.params, h, rec=rec),
-                            self.post_logvar.apply(self.params, h, rec=rec))
+    def encode_posterior(self, x, y) -> GaussianDiag:
+        h = self.post_trunk.apply(self.params, [x, y])
+        return GaussianDiag(self.post_mean.apply(self.params, h),
+                            self.post_logvar.apply(self.params, h))
 
-    def encode_prior(self, y, rec=None) -> GaussianDiag:
-        h = self.prior_trunk.apply(self.params, y, rec=rec)
-        return GaussianDiag(self.prior_mean.apply(self.params, h, rec=rec),
-                            self.prior_logvar.apply(self.params, h, rec=rec))
+    def encode_prior(self, y) -> GaussianDiag:
+        h = self.prior_trunk.apply(self.params, y)
+        return GaussianDiag(self.prior_mean.apply(self.params, h),
+                            self.prior_logvar.apply(self.params, h))
 
-    def decode(self, z, y, rec=None):
+    def decode(self, z, y, acts: list = None):
         """g(z, y) for (B, k) latents z: relu(z @ W0[:k] + proj) through the
         decoder, where proj is y's share of the first layer, taken from y when
         it is a Condition and computed from the (B, m) or (1, m) rows y
-        otherwise; a single row of y conditions every row of z. Outside
-        training (rec None, whose loss check covers it) a non-finite output
-        raises FloatingPointError."""
+        otherwise; a single row of y conditions every row of z. A non-finite
+        output raises FloatingPointError. `acts` keeps the decoder's
+        activations for its reverse pass (nn.Network.apply)."""
         if isinstance(y, Condition):
-            out = self.decoder.apply(self.params, [z], rec=rec, proj=y.proj)
+            out = self.decoder.apply(self.params, [z], proj=y.proj, acts=acts)
         else:
-            out = self.decoder.apply(self.params, [z, y], rec=rec)
-        if rec is None:
-            nn.finite_or_raise(nn._val(out), "decoded outputs")
-        return out
+            out = self.decoder.apply(self.params, [z, y], acts=acts)
+        return nn.finite_or_raise(out, "decoded outputs")
 
     def condition(self, y) -> Condition:
         """y with its prior p(z|y) and first-layer projection, computed once
@@ -145,13 +143,16 @@ class CvaeModel:
         return Condition(y, prior, np.asarray(prior.mean), prior.std(),
                          self.decoder.project(self.params, y))
 
-    def decode_u(self, u, cond: Condition):
+    def decode_u(self, u, cond: Condition, acts: list = None):
         """The perturbation-set map g(u * sigma(y) + mu(y), y) of standardized
-        latents u: arrays, taken in float32, or a Var (gradients flow into u
-        only)."""
-        if not isinstance(u, nn.Var):
-            u = np.asarray(u, dtype=np.float32)
-        return self.decode(nn.add(nn.mul(u, cond.std), cond.mean), cond)
+        latents u, taken in float32. `acts` keeps what decode_u_grad reads."""
+        return self.decode(np.asarray(u, dtype=np.float32) * cond.std + cond.mean, cond, acts)
+
+    def decode_u_grad(self, cond: Condition, acts: list, g):
+        """The gradient in u of the decode_u(u, cond, acts) call, from g, the
+        gradient in its output: the decoder's reverse pass into the latents,
+        times sigma(y). No weight gradient is formed."""
+        return nn.backward(self.decoder, self.params, acts, g, input_grad=True) * cond.std
 
     # -- persistence ---------------------------------------------------------
 
@@ -173,19 +174,22 @@ def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
 
 def kl_diag(q: GaussianDiag, p: GaussianDiag):
     """KL(q || p) for diagonal Gaussians, summed over latent dims: (B,) from
-    (B, k) fields. Works on recorded Vars as well as arrays.
-    """
-    dl = nn.add(q.logvar, nn.mul(p.logvar, -1.0))          # logvar_q - logvar_p
-    ratio = nn.exp(dl)                                      # var_q / var_p
-    dm = nn.add(q.mean, nn.mul(p.mean, -1.0))
-    maha = nn.mul(nn.mul(dm, dm), nn.exp(nn.mul(p.logvar, -1.0)))
-    inner = nn.add(nn.add(ratio, maha), nn.add(nn.mul(dl, -1.0), -1.0))
-    return nn.mul(nn.row_sum(inner), 0.5)
+    (B, k) fields."""
+    return _kl_terms(q, p)[0]
+
+
+def _kl_terms(q: GaussianDiag, p: GaussianDiag):
+    # KL(q || p) per row, plus the terms its gradient reads: the variance
+    # ratio var_q / var_p, the mean gap mu_q - mu_p and 1 / var_p
+    dl = q.logvar - p.logvar
+    ratio, dm, inv_var_p = np.exp(dl), q.mean - p.mean, np.exp(-p.logvar)
+    kl = ((ratio + (dm * dm) * inv_var_p) + (-dl - 1.0)).sum(axis=-1) * 0.5
+    return kl, ratio, dm, inv_var_p
 
 
 def reparameterize(q: GaussianDiag, u):
-    """z = mean + u * std for standard-normal u; recordable."""
-    return nn.add(q.mean, nn.mul(u, nn.exp(nn.mul(q.logvar, 0.5))))
+    """z = mean + u * std for standard-normal u."""
+    return q.mean + u * np.exp(q.logvar * 0.5)
 
 
 def sample_truncated_ball(k: int, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,19 +247,20 @@ def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: boo
     """Projected gradient search over the l2 ball of radius eps, one problem
     per row of u0.
 
-    objective(u) takes the (B, k) latents as a Var and returns the per-row
-    values (B,) to compare and the scalar Var to differentiate. The search
-    starts at u0 projected into the ball and takes `steps` steps of length
-    `step` along each row's normalized gradient (ascent when maximize), rows
-    with zero gradient staying put. The best iterate per row is kept and the
-    start counts as one, so no row ends worse than its start. Returns
-    (best values, best u); transcript, when given, gets one entry per iterate.
+    objective(u, want_grad) takes the (B, k) latents and returns the per-row
+    values (B,) to compare and, when want_grad, the gradient of their sum in
+    u (else None): each objective writes out the reverse pass of its own
+    graph. The search starts at u0 projected into the ball and takes `steps`
+    steps of length `step` along each row's normalized gradient (ascent when
+    maximize), rows with zero gradient staying put. The best iterate per row
+    is kept and the start counts as one, so no row ends worse than its
+    start; the last iterate is scored but not differentiated. Returns (best
+    values, best u); transcript, when given, gets one entry per iterate.
     """
     u = project_ball(u0, eps)
     sign = 1.0 if maximize else -1.0
     for t in range(steps + 1):
-        uvar = nn.Var(u)
-        val, loss = objective(uvar)
+        val, g = objective(u, t < steps)
         if t == 0:
             best_val, best_u = val.copy(), u.copy()
         else:
@@ -267,9 +272,6 @@ def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: boo
                                "u_norm": float(np.linalg.norm(u, axis=1).mean())})
         if t == steps:
             break
-        nn.backward(loss)
-        g = uvar.grad
-        del uvar, loss      # free this iterate's tape before the next is built
         gn = np.linalg.norm(g, axis=1, keepdims=True)
         direction = np.where(gn > 0, g / np.where(gn == 0, 1.0, gn), 0.0)
         u = project_ball(u + sign * step * direction, eps)
@@ -280,22 +282,56 @@ def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: boo
 # Objective
 
 
-def elbo_loss(model: CvaeModel, rec: nn.Rec, x, y, u, beta: float):
+def elbo_loss(model: CvaeModel, x, y, u, beta: float):
     """Negative ELBO with constants dropped: mean over the batch of
     0.5*||x - g(z,y)||^2 + beta * KL(q || p), one posterior sample z per pair.
 
     x, y: (B, m) arrays; u: (B, k) standard normal draws. Returns the scalar
-    loss Var plus per-pair reconstruction SSE and KL arrays for logging.
+    loss, per-pair reconstruction SSE and KL arrays for logging, and
+    reverse(grads), which writes the loss's gradient in every parameter into
+    grads (nn.backprop_gradients). No output check runs here: the caller
+    checks the loss.
     """
-    q = model.encode_posterior(x, y, rec=rec)
-    p = model.encode_prior(y, rec=rec)
-    z = reparameterize(q, u)
-    g = model.decode(z, y, rec=rec)
-    diff = nn.add(g, nn.mul(x, -1.0))
-    sse = nn.row_sum(nn.mul(diff, diff))
-    kl = kl_diag(q, p)
-    loss = nn.mean_all(nn.add(nn.mul(sse, 0.5), nn.mul(kl, float(beta))))
-    return loss, np.asarray(nn._val(sse)), np.asarray(nn._val(kl))
+    params = model.params
+    acts = {net.name: [] for net in model.nets}
+
+    def run(net, inputs):
+        return net.apply(params, inputs, acts=acts[net.name])
+
+    hq = run(model.post_trunk, [x, y])
+    q = GaussianDiag(run(model.post_mean, hq), run(model.post_logvar, hq))
+    hp = run(model.prior_trunk, y)
+    p = GaussianDiag(run(model.prior_mean, hp), run(model.prior_logvar, hp))
+    std_q = np.exp(q.logvar * 0.5)
+    z = q.mean + u * std_q
+    diff = run(model.decoder, [z, y]) - x
+    sse = (diff * diff).sum(axis=-1)
+    kl, ratio, dm, inv_var_p = _kl_terms(q, p)
+    loss = (sse * 0.5 + kl * float(beta)).sum() * (1.0 / len(sse))
+
+    def reverse(grads):
+        def back(net, g, input_grad=True):
+            return nn.backward(net, params, acts[net.name], g, grads, input_grad)
+
+        # d loss / d (each pair's term); the squared error and the KL sum
+        # over columns, so their row weights broadcast
+        g_pair = np.full(len(sse), 1.0 / len(sse), dtype=sse.dtype)
+        t = (g_pair * 0.5)[:, None] * diff
+        g_z = back(model.decoder, t + t)
+        # z = mu_q + u * exp(logvar_q / 2)
+        g_lq = ((g_z * u) * std_q) * 0.5
+        # KL rows: sum of ratio + dm^2 / var_p - (logvar_q - logvar_p) - 1, halved
+        gi = ((g_pair * float(beta)) * 0.5)[:, None]
+        g_dl = gi * ratio + gi * -1.0
+        g_nlp = (gi * (dm * dm)) * inv_var_p      # in -logvar_p, through 1 / var_p
+        t = (gi * inv_var_p) * dm
+        g_dm = t + t
+        back(model.post_trunk, back(model.post_mean, g_z + g_dm)
+             + back(model.post_logvar, g_lq + g_dl), input_grad=False)
+        back(model.prior_trunk, back(model.prior_mean, -g_dm)
+             + back(model.prior_logvar, -g_nlp - g_dl), input_grad=False)
+
+    return loss, sse, kl, reverse
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +377,12 @@ def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]
             lr = cfg.lr.value(frac)
             beta = cfg.beta.value(frac)
             u = noise_rng.standard_normal((len(idx), cfg.k), dtype=np.float32)
-            rec = nn.Rec(model.params)
-            loss, sse, kl = elbo_loss(model, rec, pairs.perturbed[idx],
-                                      pairs.conditioned[idx], u, beta)
-            if not np.isfinite(loss.value):
+            loss, sse, kl, reverse = elbo_loss(model, pairs.perturbed[idx],
+                                               pairs.conditioned[idx], u, beta)
+            if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-            grads = nn.backprop_gradients(rec, loss)
-            nn.adam_step(model.params, grads, lr)
-            tot_loss += float(loss.value) * len(idx)
+            nn.adam_step(model.params, nn.backprop_gradients(model.params, reverse), lr)
+            tot_loss += float(loss) * len(idx)
             tot_sse += float(sse.sum())
             tot_kl += float(kl.sum())
         entry = {"epoch": epoch, "loss": tot_loss / n, "recon_sse": tot_sse / n,

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
 from .cvae import (CvaeModel, Condition, PairSet, kl_diag, latent_pgd, project_ball,
-                   sample_truncated_ball)
+                   reparameterize, sample_truncated_ball)
 
 METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
 
@@ -28,32 +27,42 @@ def _encoder_points(model: CvaeModel, x, cond: Condition):
     """Standardized posterior-mean latents (float32) and their norms
     (float64, since they set the reported radius), plus the posterior."""
     q = model.encode_posterior(x, cond.y)
-    u = (np.asarray(q.mean) - cond.mean) / cond.std
+    u = (q.mean - cond.mean) / cond.std
     return u, np.linalg.norm(u.astype(np.float64), axis=1), q
 
 
 def _sse_rows(out, x):
-    # per-row SSE of decodes (arrays or a Var) against float32 targets; the
-    # metrics and the PGD objective share it, so the best-iterate invariants
-    # compare exactly equal arithmetic
-    diff = nn.add(out, -np.asarray(x, dtype=np.float32))
-    return nn.row_sum(nn.mul(diff, diff))
+    # per-row SSE of decodes against float32 targets, and the differences;
+    # the metrics and the PGD objective share it, so the best-iterate
+    # invariants compare exactly equal arithmetic
+    diff = out + -np.asarray(x, dtype=np.float32)
+    return (diff * diff).sum(axis=-1), diff
 
 
 def _mse_rows(model: CvaeModel, u, cond: Condition, x):
-    return _sse_rows(model.decode_u(u, cond), x) / x.shape[1]
+    return _sse_rows(model.decode_u(u, cond), x)[0] / x.shape[1]
+
+
+def _recon_objective(model: CvaeModel, x, cond: Condition):
+    """latent_pgd's objective on reconstruction error: each row's per-pixel
+    squared error against x of the decode of u and, when asked, the gradient
+    of the rows' SSE sum in u, through the decoder's reverse pass (no weight
+    gradient is formed)."""
+    def recon_error(u, want_grad):
+        acts = [] if want_grad else None
+        sse, diff = _sse_rows(model.decode_u(u, cond, acts), x)
+        if not want_grad:
+            return sse / x.shape[1], None
+        return sse / x.shape[1], model.decode_u_grad(cond, acts, diff + diff)
+    return recon_error
 
 
 def _pgd_best(model, x, cond: Condition, eps, steps, step, start_u, maximize=False):
     """Latent PGD on per-pixel reconstruction error, descent or ascent.
 
     Returns per-row (best per-pixel MSE, best u); never worse than start_u."""
-    def recon_error(u):
-        sse = _sse_rows(model.decode_u(u, cond), x)
-        return np.asarray(nn._val(sse)) / x.shape[1], nn.sum_all(sse)
-
-    return latent_pgd(recon_error, np.asarray(start_u, dtype=np.float32), eps, steps, step,
-                      maximize)
+    return latent_pgd(_recon_objective(model, x, cond), np.asarray(start_u, dtype=np.float32),
+                      eps, steps, step, maximize)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +145,7 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         cond = model.condition(y)
         u_enc, norms, q = _encoder_points(model, x, cond)
         out["latent_norm"].append(norms)
-        out["kl"].append(np.asarray(kl_diag(q, cond.prior)))
+        out["kl"].append(kl_diag(q, cond.prior))
 
         u_proj = project_ball(u_enc, eps)
         out["enc_ae"].append(_mse_rows(model, u_proj, cond, x))
@@ -147,7 +156,7 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         rngs = [np.random.default_rng(s) for s in _pair_seeds(x, y, base)]
 
         noise = np.stack([r.standard_normal(model.k) for r in rngs])
-        z = np.asarray(q.mean) + q.std() * noise
+        z = reparameterize(q, noise)
         out["recon_err"].append(_mse_rows(model, (z - cond.mean) / cond.std, cond, x))
 
         draws = np.stack([sample_truncated_ball(model.k, eps, n_expected, r)

@@ -1,19 +1,26 @@
-"""Minimal reverse-mode autodiff and training utilities on numpy arrays.
+"""Dense networks, their reverse pass, and training utilities on numpy arrays.
 
-Networks are flat stacks of three layer kinds: dense, relu and scaled_tanh,
-each one recorded op. A network over several input streams starts with a
-dense layer that multiplies each stream by its own block of weight rows, so
-a fixed stream's share can be computed once (Network.project) and reused.
-The recorded graph additionally supports the elementwise ops that the
-variational objective and the latent attacks compose on top of network
-outputs (add/mul/exp/sums/cross-entropy).
+Networks are flat stacks of three layer kinds: dense, relu and scaled_tanh.
+A network over several input streams starts with a dense layer that
+multiplies each stream by its own block of weight rows, so a fixed stream's
+share can be computed once (Network.project) and reused.
+
+The package differentiates three fixed graphs: the negative ELBO, the
+classifier cross-entropy and the latent-PGD objectives. There is no general
+tape. Network.apply keeps the activations a reverse pass reads when given a
+list, and `backward` runs one network's reverse pass from the gradient in
+its output: a relu or scaled_tanh step is one elementwise product on the
+gradient, each parameter gradient is written into a dict it is given, and
+the gradient in the first input stream is formed only when asked for. Each graph
+writes out its own glue (KL, reparameterization, squared error,
+cross-entropy) around these passes, and `backprop_gradients` collects one
+step's parameter gradients for adam_step.
 
 Dtype rule: network math runs in float32, and every op preserves its array
 operands' dtype. Python int and float operands stay Python numbers, so they
 are weak under NumPy's promotion rules and never widen a float32 array; a
 graph fed float64 arrays stays float64 (the tests drive the same ops that
-way). Gradients flow only into recorded operands: a VJP forms no term for a
-plain-array parent such as a frozen weight or a raw input batch.
+way).
 
 Adam updates parameters and moments in place, one cache-sized block of rows
 at a time through two small scratch buffers, so no full-size temporary is
@@ -35,240 +42,6 @@ def finite_or_raise(x, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Recorded computation
-
-
-class Var:
-    """Node in a recorded computation: value, accumulated grad, backward rule."""
-
-    __slots__ = ("value", "grad", "_parents", "_vjp")
-
-    def __init__(self, value, parents=(), vjp=None):
-        self.value = np.asarray(value)
-        self.grad = None
-        self._parents = parents
-        self._vjp = vjp
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape}, dtype={self.value.dtype})"
-
-
-def _val(x):
-    # python scalars pass through unconverted: np.asarray would make them
-    # 0-d float64 arrays, which promote float32 operands to float64
-    if isinstance(x, Var):
-        return x.value
-    return x if isinstance(x, (int, float)) else np.asarray(x)
-
-
-def _is_rec(*xs):
-    return any(isinstance(x, Var) for x in xs)
-
-
-def _accum(node, g):
-    if isinstance(node, Var):
-        node.grad = g if node.grad is None else node.grad + g
-
-
-def _unbroadcast(g, shape):
-    """Sum g down to `shape` (inverse of numpy broadcasting)."""
-    g = np.asarray(g)
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a, b):
-    av, bv = _val(a), _val(b)
-    out = av + bv
-    if not _is_rec(a, b):
-        return out
-
-    def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g, av.shape))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(g, bv.shape))
-
-    return Var(out, (a, b), vjp)
-
-
-def mul(a, b):
-    av, bv = _val(a), _val(b)
-    out = av * bv
-    if not _is_rec(a, b):
-        return out
-
-    def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g * bv, av.shape))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(g * av, bv.shape))
-
-    return Var(out, (a, b), vjp)
-
-
-def relu(a):
-    av = _val(a)
-    out = np.maximum(av, 0)
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, g * (av > 0))
-
-    return Var(out, (a,), vjp)
-
-
-def scaled_tanh(a, lo: float, hi: float):
-    """Squash onto (lo, hi): (tanh(a) + 1) * (hi - lo) / 2 + lo, one node."""
-    av = _val(a)
-    c = 0.5 * (hi - lo)
-    t = np.tanh(av)
-    out = (t + 1.0) * c
-    if lo != 0.0:
-        out = out + lo
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, (g * c) * (1.0 - t * t))
-
-    return Var(out, (a,), vjp)
-
-
-def exp(a):
-    av = _val(a)
-    out = np.exp(av)
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, g * out)
-
-    return Var(out, (a,), vjp)
-
-
-def dense(parts, w, b):
-    """Dense layer over input streams: sum_i parts[i] @ w[rows_i] + b, where
-    stream i feeds the i-th block of rows of w. Shares are added last stream
-    first onto b, so b plus the last stream's share is exactly the projection
-    Network.project caches. Rows of w past the streams belong to inputs
-    whose share is already in b. A one-row stream conditions every row of the
-    others. The weight gradient is formed as one array."""
-    wv, bv = _val(w), _val(b)
-    blocks, width = [], 0
-    for p in parts:
-        v = _val(p)
-        blocks.append((v, width, width + v.shape[-1]))
-        width += v.shape[-1]
-    out = bv
-    for v, s, e in reversed(blocks):
-        out = v @ wv[s:e] + out
-    if not _is_rec(w, b, *parts):
-        return out
-
-    def vjp(g):
-        for p, (v, s, e) in zip(parts, blocks):
-            if isinstance(p, Var):
-                _accum(p, _unbroadcast(g @ wv[s:e].T, v.shape))
-        if isinstance(w, Var):
-            gw = np.empty(wv.shape, dtype=np.result_type(g, *(v for v, _, _ in blocks)))
-            for v, s, e in blocks:
-                np.matmul(v.T, g if len(v) == len(g) else g.sum(axis=0, keepdims=True),
-                          out=gw[s:e])
-            gw[width:] = 0
-            _accum(w, gw)
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(g, bv.shape))
-
-    return Var(out, (*parts, w, b), vjp)
-
-
-def sum_all(a):
-    av = _val(a)
-    out = av.sum()
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, np.broadcast_to(np.asarray(g, dtype=av.dtype), av.shape))
-
-    return Var(out, (a,), vjp)
-
-
-def row_sum(a):
-    """Sum over the last axis: (B, m) -> (B,)."""
-    av = _val(a)
-    out = av.sum(axis=-1)
-    if not _is_rec(a):
-        return out
-
-    def vjp(g):
-        _accum(a, np.broadcast_to(np.expand_dims(g, -1), av.shape).astype(av.dtype))
-
-    return Var(out, (a,), vjp)
-
-
-def mean_all(a):
-    av = _val(a)
-    return mul(sum_all(a), 1.0 / av.size)
-
-
-def cross_entropy(logits, labels):
-    """Per-example softmax cross-entropy: (B, C) x (B,) int -> (B,)."""
-    lv = _val(logits)
-    labels = np.asarray(labels)
-    m = lv.max(axis=-1, keepdims=True)
-    z = lv - m
-    lse = np.log(np.exp(z).sum(axis=-1)) + m[..., 0]
-    picked = np.take_along_axis(lv, labels[:, None], axis=-1)[:, 0]
-    out = lse - picked
-    if not _is_rec(logits):
-        return out
-
-    softmax = np.exp(z)
-    softmax /= softmax.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        gg = softmax.copy()
-        gg[np.arange(gg.shape[0]), labels] -= 1.0
-        _accum(logits, gg * np.expand_dims(g, -1))
-
-    return Var(out, (logits,), vjp)
-
-
-def backward(loss):
-    """Reverse pass from a scalar Var; fills .grad on every reachable node."""
-    if not isinstance(loss, Var):
-        raise ValueError("loss is not a recorded value")
-    if loss.value.size != 1:
-        raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-    order = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if isinstance(p, Var) and id(p) not in seen:
-                stack.append((p, False))
-    loss.grad = np.asarray(1.0, dtype=loss.value.dtype)
-    for node in reversed(order):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
-
-
-# ---------------------------------------------------------------------------
 # Parameters and the Adam optimizer
 
 
@@ -280,35 +53,6 @@ class ParamSet:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
-
-
-class Rec:
-    """Recording context tying one loss graph to a ParamSet's leaves."""
-
-    def __init__(self, params: ParamSet):
-        self.params = params
-        self._vars: dict[str, Var] = {}
-
-    def param(self, name: str) -> Var:
-        if name not in self._vars:
-            self._vars[name] = Var(self.params.values[name])
-        return self._vars[name]
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """Gradients for every parameter; zeros where the graph never used one."""
-        out = {}
-        for name, value in self.params.values.items():
-            node = self._vars.get(name)
-            if node is None or node.grad is None:
-                out[name] = np.zeros_like(value)
-            else:
-                out[name] = np.asarray(node.grad, dtype=value.dtype).reshape(value.shape)
-        return out
-
-
-def backprop_gradients(rec: Rec, loss: Var) -> dict[str, np.ndarray]:
-    backward(loss)
-    return rec.grads()
 
 
 # elements in one row block of an Adam update: a block of each array the
@@ -382,6 +126,44 @@ def adam_step(params: ParamSet, grads: dict, lr: float,
 _LAYER_KINDS = ("dense", "relu", "scaled_tanh")
 
 
+def dense(parts, w, b):
+    """Dense layer over input streams: sum_i parts[i] @ w[rows_i] + b, where
+    stream i feeds the i-th block of rows of w. Shares are added last stream
+    first onto b, so b plus the last stream's share is exactly the projection
+    Network.project caches. Rows of w past the streams belong to inputs
+    whose share is already in b. A one-row stream conditions every row of the
+    others."""
+    out, end = b, sum(v.shape[-1] for v in parts)
+    for v in reversed(parts):
+        out = v @ w[end - v.shape[-1]:end] + out
+        end -= v.shape[-1]
+    return out
+
+
+def scaled_tanh(a, lo: float, hi: float):
+    """Squash onto (lo, hi): (tanh(a) + 1) * (hi - lo) / 2 + lo. Returns the
+    output and tanh(a), which the reverse pass reads."""
+    t = np.tanh(a)
+    out = (t + 1.0) * (0.5 * (hi - lo))
+    if lo != 0.0:
+        out = out + lo
+    return out, t
+
+
+def cross_entropy(logits, labels):
+    """Per-example softmax cross-entropy, (B, C) x (B,) int -> (B,), and its
+    gradient in the logits: each row's softmax minus its one-hot label."""
+    labels = np.asarray(labels)
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(logits, labels[:, None], axis=-1)[:, 0]
+    out = (np.log(s[..., 0]) + m[..., 0]) - picked
+    grad = e / s
+    grad[np.arange(len(grad)), labels] -= 1.0
+    return out, grad
+
+
 class Network:
     """A named stack of layers over one or more input streams.
 
@@ -402,24 +184,28 @@ class Network:
         if len(self.in_dims) > 1 and (not self.layers or self.layers[0][0] != "dense"):
             raise ValueError(f"{name}: {len(self.in_dims)} input streams need a dense first layer")
         self._shapes = {}
+        self._dense_names = []      # per layer: (weight, bias) names of a dense one, else None
         width = sum(self.in_dims)
         dense_i = 0
         for layer in self.layers:
             kind = layer[0]
             if kind not in _LAYER_KINDS:
                 raise ValueError(f"{name}: unknown layer kind {kind!r}")
+            names = None
             if kind == "dense":
                 out = int(layer[1])
                 if out < 1:
                     raise ValueError(f"{name}: dense width must be positive, got {out}")
-                self._shapes[f"{name}/w{dense_i}"] = (width, out)
-                self._shapes[f"{name}/b{dense_i}"] = (out,)
+                names = (f"{name}/w{dense_i}", f"{name}/b{dense_i}")
+                self._shapes[names[0]] = (width, out)
+                self._shapes[names[1]] = (out,)
                 dense_i += 1
                 width = out
             elif kind == "scaled_tanh":
                 lo, hi = float(layer[1]), float(layer[2])
                 if not lo < hi:
                     raise ValueError(f"{name}: scaled_tanh needs lo < hi, got ({lo}, {hi})")
+            self._dense_names.append(names)
         self.out_dim = width
 
     def param_shapes(self) -> dict:
@@ -444,10 +230,10 @@ class Network:
         if len(inputs) != len(dims):
             raise ValueError(f"{self.name}: expected {len(dims)} inputs, got {len(inputs)}")
         for x, d in zip(inputs, dims):
-            shape = _val(x).shape
+            shape = np.shape(x)
             if len(shape) != 2 or shape[1] != d:
                 raise ValueError(f"{self.name}: input of shape {shape}, expected (rows, {d})")
-        return list(inputs)
+        return [np.asarray(x) for x in inputs]
 
     def project(self, params: ParamSet, x):
         """The first layer's bias plus the last input stream's share,
@@ -457,31 +243,76 @@ class Network:
         return dense(self._streams([x], [d]), params.values[f"{self.name}/w0"][-d:],
                      params.values[f"{self.name}/b0"])
 
-    def apply(self, params: ParamSet, inputs, rec: Rec = None, proj=None):
-        """Forward pass. `inputs` is an array or list of arrays/Vars, shaped
+    def apply(self, params: ParamSet, inputs, proj=None, acts: list = None):
+        """Forward pass. `inputs` is an array or list of arrays, shaped
         (B, d); with `proj` from `project`, every stream but the last.
-        Returns ndarray, or a Var when recording (rec given or any input is a
-        Var)."""
+        With `acts`, a list, appends per layer what `backward` reads: a dense
+        layer's input streams, a relu's output, a scaled_tanh's tanh."""
         if not isinstance(inputs, (list, tuple)):
             inputs = [inputs]
         streams = self._streams(inputs, self.in_dims if proj is None else self.in_dims[:-1])
-
-        def param(name):
-            return rec.param(f"{self.name}/{name}") if rec else params.values[f"{self.name}/{name}"]
-
         h = streams[0]      # several streams only ever meet a dense first layer
-        dense_i = 0
-        for layer in self.layers:
-            kind = layer[0]
-            if kind == "dense":
-                b = proj if dense_i == 0 and proj is not None else param(f"b{dense_i}")
-                h = dense(streams if dense_i == 0 else [h], param(f"w{dense_i}"), b)
-                dense_i += 1
-            elif kind == "relu":
-                h = relu(h)
+        for i, (layer, names) in enumerate(zip(self.layers, self._dense_names)):
+            if names is not None:
+                saved = streams if i == 0 else [h]
+                w, b = (params.values[n] for n in names)
+                h = dense(saved, w, proj if i == 0 and proj is not None else b)
+            elif layer[0] == "relu":
+                h = saved = np.maximum(h, 0)
             else:
-                h = scaled_tanh(h, layer[1], layer[2])
+                h, saved = scaled_tanh(h, layer[1], layer[2])
+            if acts is not None:
+                acts.append(saved)
         return h
+
+
+def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
+             input_grad: bool = False):
+    """Reverse pass of the net.apply call that filled `acts`, from g, the
+    gradient in its output. With `grads`, writes each of the net's parameter
+    gradients into the array grads[name], allocated uninitialized when the
+    dict lacks it: a weight's block per input stream (every stream as many
+    rows as g, or one row, which conditioned them all) and a bias's row sum.
+    A pass through `proj` has no parameter gradients: given grads, it raises
+    ValueError. Returns the gradient in the first input stream when
+    input_grad, else None: a first dense layer forms no product that is not
+    asked for."""
+    for i in reversed(range(len(net.layers))):
+        layer, names, saved = net.layers[i], net._dense_names[i], acts[i]
+        if layer[0] == "relu":
+            g = g * (saved > 0)
+        elif layer[0] == "scaled_tanh":
+            g = (g * (0.5 * (layer[2] - layer[1]))) * (1.0 - saved * saved)
+        else:
+            wname, bname = names
+            w = params.values[wname]
+            if grads is not None:
+                if sum(v.shape[1] for v in saved) != len(w):
+                    raise ValueError(f"{net.name}: a pass through proj has no parameter gradients")
+                for name in names:
+                    if name not in grads:
+                        grads[name] = np.empty_like(params.values[name])
+                s = 0
+                for v in saved:
+                    np.matmul(v.T, g if len(v) == len(g) else g.sum(axis=0, keepdims=True),
+                              out=grads[wname][s:s + v.shape[1]])
+                    s += v.shape[1]
+                grads[bname][...] = g.sum(axis=0)
+            if i == 0 and not input_grad:
+                return None
+            g = g @ w[:saved[0].shape[1]].T
+    return g if input_grad else None
+
+
+def backprop_gradients(params: ParamSet, reverse) -> dict[str, np.ndarray]:
+    """One step's parameter gradients, the dict adam_step takes, in the
+    order of params: reverse(grads) fills an empty dict through the reverse
+    passes (`backward`) of its graph, and a parameter no pass reaches gets a
+    zero gradient."""
+    grads = {}
+    reverse(grads)
+    return {name: grads[name] if name in grads else np.zeros_like(value)
+            for name, value in params.values.items()}
 
 
 def model_params(nets, params: ParamSet = None, rng: np.random.Generator = None) -> ParamSet:

@@ -49,16 +49,13 @@ class Classifier:
         self.net = nn.Network("classifier", self.m, layers)
         self.params = nn.model_params([self.net], params, rng)
 
-    def logits(self, x, rec=None):
-        """Class logits. Outside training (rec None, whose loss check covers
-        it) a non-finite logit raises FloatingPointError."""
-        out = self.net.apply(self.params, x, rec=rec)
-        if rec is None:
-            nn.finite_or_raise(nn._val(out), "classifier logits")
-        return out
+    def logits(self, x, acts: list = None):
+        """Class logits; a non-finite logit raises FloatingPointError. `acts`
+        keeps the activations of the reverse pass (nn.Network.apply)."""
+        return nn.finite_or_raise(self.net.apply(self.params, x, acts=acts), "classifier logits")
 
     def predict(self, x) -> np.ndarray:
-        return np.argmax(np.asarray(self.logits(x)), axis=-1)
+        return np.argmax(self.logits(x), axis=-1)
 
     def meta(self) -> dict:
         return {key: getattr(self, key) for key in self.META}
@@ -87,18 +84,27 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float32))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    B = x.shape[0]
     cond = model.condition(x)
-    u0 = np.zeros((B, model.k), dtype=np.float32)
-
-    def cross_entropy(u):
-        ce = nn.cross_entropy(h.logits(model.decode_u(u, cond)), labels)
-        return nn._val(ce), nn.sum_all(ce)
-
+    u0 = np.zeros((x.shape[0], model.k), dtype=np.float32)
     steps = cfg.steps if cfg.eps > 0 else 0
-    _, best_u = latent_pgd(cross_entropy, u0, cfg.eps, steps, cfg.step, maximize=True,
-                           transcript=transcript)
-    return np.asarray(model.decode_u(best_u, cond)), best_u
+    _, best_u = latent_pgd(_attack_objective(h, model, cond, labels), u0, cfg.eps, steps,
+                           cfg.step, maximize=True, transcript=transcript)
+    return model.decode_u(best_u, cond), best_u
+
+
+def _attack_objective(h: Classifier, model: CvaeModel, cond, labels):
+    """latent_pgd's objective for the attack: each row's cross-entropy of
+    its decode under h and, when asked, the gradient of their sum in u,
+    through the classifier's and the decoder's reverse passes (no weight
+    gradient is formed). Every decode and logit is checked finite."""
+    def cross_entropy(u, want_grad):
+        dec, clf = ([], []) if want_grad else (None, None)
+        ce, g = nn.cross_entropy(h.logits(model.decode_u(u, cond, dec), clf), labels)
+        if not want_grad:
+            return ce, None
+        g = nn.backward(h.net, h.params, clf, g, input_grad=True)
+        return ce, model.decode_u_grad(cond, dec, g)
+    return cross_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +112,19 @@ def latent_pgd_attack(h: Classifier, model: CvaeModel, x, labels,
 
 
 def _train_step(h: Classifier, inputs, labels, lr: float):
-    rec = nn.Rec(h.params)
-    ce = nn.cross_entropy(h.logits(inputs, rec=rec), labels)
-    loss = nn.mean_all(ce)
-    if not np.isfinite(loss.value):
+    """One Adam step on the mean cross-entropy of a batch. The inputs are
+    data, so no gradient in them is formed; a non-finite loss raises."""
+    acts = []
+    ce, g = nn.cross_entropy(h.net.apply(h.params, inputs, acts=acts), labels)
+    loss = ce.sum() * (1.0 / len(ce))
+    if not np.isfinite(loss):
         raise FloatingPointError("non-finite classifier training loss")
-    grads = nn.backprop_gradients(rec, loss)
-    nn.adam_step(h.params, grads, lr)
-    return float(nn._val(loss))
+
+    def reverse(grads):
+        nn.backward(h.net, h.params, acts, g * (1.0 / len(ce)), grads)
+
+    nn.adam_step(h.params, nn.backprop_gradients(h.params, reverse), lr)
+    return float(loss)
 
 
 def _train_epoch(mode: str, h: Classifier, x, labels, lr: float,
@@ -147,7 +158,7 @@ def augment_train_epoch(h: Classifier, model: CvaeModel, x, labels, eps: float,
     training step."""
     def decode_ball(xb, yb):
         u = sample_truncated_ball(model.k, eps, len(xb), rng)
-        return np.asarray(model.decode_u(u, model.condition(xb)))
+        return model.decode_u(u, model.condition(xb))
     return _train_epoch("augment", h, x, labels, lr, rng, batch_size, decode_ball)
 
 

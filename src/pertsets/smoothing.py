@@ -91,7 +91,7 @@ def noise_train_epoch(h: Classifier, model: CvaeModel, x, labels, sigma: float,
     losses = []
     for idx in nn.epoch_batches(len(x), batch_size, rng):
         u = sigma * rng.standard_normal((len(idx), model.k))
-        dec = np.asarray(model.decode_u(u, model.condition(x[idx])))
+        dec = model.decode_u(u, model.condition(x[idx]))
         losses.append(_train_step(h, dec, labels[idx], lr))
     log.info("noise epoch: mean loss %.4f over %d batches", np.mean(losses), len(losses))
     return h

@@ -26,7 +26,7 @@ from pertsets import cli, robust, smoothing, theory
 from pertsets.cvae import (CvaeModel, GaussianDiag, TrainConfig, kl_diag,
                            sample_truncated_ball, train_cvae)
 from pertsets.evalmetrics import evaluate_set, select_radius
-from pertsets.nn import Schedule, Var, backward, dense, relu, sum_all
+from pertsets.nn import Network, ParamSet, Schedule, backprop_gradients, backward
 from pertsets.pertgen import gen_linf_pairs, synth_shapes
 from pertsets.robust import AttackConfig, Classifier
 from pertsets.specialfn import clopper_pearson_lower, lambert_w, reg_lower_gamma
@@ -341,27 +341,31 @@ def test_criterion_7_numerics_oracles():
     mc = float((logq - logp).mean())
     assert abs(mc - closed) <= 0.01 * closed
 
-    # reverse-mode gradients vs central finite differences
+    # reverse-pass gradients vs central finite differences
     rng = np.random.default_rng(7)
-    w1 = Var(rng.normal(size=(4, 8)) * 0.5)
-    w2 = Var(rng.normal(size=(8, 3)) * 0.5)
+    net = Network("f", 4, [("dense", 8), ("relu",), ("dense", 3)])
+    params = ParamSet({"f/w0": rng.normal(size=(4, 8)) * 0.5, "f/b0": np.zeros(8),
+                       "f/w1": rng.normal(size=(8, 3)) * 0.5, "f/b1": np.zeros(3)})
     x = rng.normal(size=(5, 4))
-    backward(sum_all(dense([relu(dense([x], w1, 0.0))], w2, 0.0)))
+    acts = []
+    out = net.apply(params, x, acts=acts)
+    grads = backprop_gradients(
+        params, lambda grads: backward(net, params, acts, np.ones_like(out), grads))
 
     def f(w1v, w2v):
         return float((np.maximum(x @ w1v, 0.0) @ w2v).sum())
 
     h = 1e-6
     idx = (1, 2)
-    for var, args in ((w1, 0), (w2, 1)):
-        vp, vm = var.value.copy(), var.value.copy()
+    for name, args in (("f/w0", 0), ("f/w1", 1)):
+        vp, vm = params.values[name].copy(), params.values[name].copy()
         vp[idx] += h
         vm[idx] -= h
-        vals = [w1.value, w2.value]
+        vals = [params.values["f/w0"], params.values["f/w1"]]
         hi = f(*(vp if j == args else vals[j] for j in range(2)))
         lo = f(*(vm if j == args else vals[j] for j in range(2)))
         fd = (hi - lo) / (2 * h)
-        ad = var.grad[idx]
+        ad = grads[name][idx]
         assert abs(fd - ad) <= 1e-3 * max(1.0, abs(fd))
 
     # Clopper-Pearson vs direct bisection on the exact binomial tail

@@ -284,7 +284,8 @@ def test_attack_requires_labels(pipeline, tmp_path, capsys):
 
 def test_config_json_records_defaults(pipeline, tmp_path):
     # config.json holds every key a stage read, defaults filled in, and no
-    # other: an absent optional key (limit, eps, sigma) stays absent
+    # other: an absent optional key (limit) stays absent; train-robust
+    # records attack_steps in every mode, clean included
     common = {"out_dir": None, "model": str(pipeline / "cvae")}
     knots = lambda s: {"epochs": s.epochs, "values": s.values}
     cases = {
@@ -360,6 +361,15 @@ def _bad_input_cfg(pipeline, out, stage):
      [], "config.train.lr.values[1]: must be >= 0"),
     ("train-cvae", {"train": {"epochs": 1, "beta": {"epochs": [0, 1], "values": [-1, 0.01]}}},
      [], "config.train.beta.values[0]: must be >= 0"),
+    # train-robust takes eps in adv and augment only, and sigma in noise only
+    *[("train-robust", {"train": {"mode": mode, "epochs": 1, "eps": 1.0, **extra}}, [],
+       "unknown config key config.train.eps")
+      for mode, extra in (("clean", {}), ("noise", {"sigma": 0.5}))],
+    *[("train-robust", {"train": {"mode": mode, "epochs": 1, "sigma": 0.5, **extra}}, [],
+       "unknown config key config.train.sigma")
+      for mode, extra in (("clean", {}), ("adv", {"eps": 1.0}), ("augment", {"eps": 1.0}))],
+    ("train-robust", {"train": {"mode": "noise", "epochs": 1}}, [],
+     "config.train.sigma: required key missing"),
 ])
 def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, patch, flags,
                                            field):
@@ -591,9 +601,16 @@ def test_non_finite_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("stage, stem", [
-    ("attack", "classifier"), ("certify", "classifier"), ("eval-set", "model")])
-def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem):
+@pytest.mark.parametrize("stage, stem, train", [
+    *[pytest.param(stage, stem, None, id=f"{stage}-{stem}")
+      for stage, stem in (("attack", "classifier"), ("certify", "classifier"),
+                          ("eval-set", "model"))],
+    # the decodes inside classifier training: attacked, sampled and noised
+    *[pytest.param("train-robust", "model", {"mode": mode, "epochs": 1, **extra},
+                   id=f"train-robust-{mode}")
+      for mode, extra in (("adv", {"eps": 1.0, "attack_steps": 2}), ("augment", {"eps": 1.0}),
+                          ("noise", {"sigma": 0.5}))]])
+def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem, train):
     # finite weights scaled by 1e30: the forward pass overflows to inf logits
     # or NaN decodes, which no stage may turn into a report
     src = pipeline / ("cvae" if stem == "model" else "clf")
@@ -601,6 +618,8 @@ def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem)
                            edit_blob=lambda raw: raw * np.float32(1e30))
     cfg = _bad_input_cfg(pipeline, tmp_path / "out", stage)
     cfg["model" if stem == "model" else "classifier"] = bad
+    if train is not None:
+        cfg["train"] = train
     with np.errstate(all="ignore"):
         code, err = run_cli([stage, "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
     assert code == 4, err
@@ -660,8 +679,8 @@ def test_every_stage_feeds_matmul_float32(pipeline, tmp_path, monkeypatch):
 
     def checked(parts, w, b):
         for v in (*parts, w, b):
-            if cli.nn._val(v).dtype != np.float32:
-                widened.append(cli.nn._val(v).dtype)
+            if np.asarray(v).dtype != np.float32:
+                widened.append(np.asarray(v).dtype)
         return dense(parts, w, b)
 
     monkeypatch.setattr(cli.nn, "dense", checked)

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import reftape as ref
 from pertsets import nn
 from pertsets.cvae import (
     Condition,
@@ -24,6 +25,7 @@ from pertsets.cvae import (
     sample_truncated_ball,
     train_cvae,
 )
+from pertsets.evalmetrics import _recon_objective
 
 
 def tiny_pairs(rng, n=48, m=12):
@@ -171,11 +173,11 @@ def test_project_ball_float32_rows_stay_inside():
 
 
 def sq_dist(target):
-    """Per-row squared distance to target rows, and its sum to differentiate."""
-    def objective(u):
-        d = nn.add(u, -target)
-        sq = nn.row_sum(nn.mul(d, d))
-        return np.asarray(nn._val(sq)), nn.sum_all(sq)
+    """Per-row squared distance to target rows and, when asked, the gradient
+    of their sum."""
+    def objective(u, want_grad):
+        d = u - target
+        return (d * d).sum(axis=1), (d + d if want_grad else None)
     return objective
 
 
@@ -184,10 +186,10 @@ def test_latent_pgd_never_worse_than_start(maximize):
     rng = np.random.default_rng(40)
     target = rng.normal(0.0, 2.0, (12, 3))
     u0 = rng.normal(0.0, 1.0, (12, 3))
-    start, _ = sq_dist(target)(nn.Var(project_ball(u0, 1.5)))
+    start, _ = sq_dist(target)(project_ball(u0, 1.5), False)
     best, u = latent_pgd(sq_dist(target), u0, 1.5, 10, 0.3, maximize)
     assert (np.linalg.norm(u, axis=1) <= 1.5 + 1e-12).all()
-    np.testing.assert_array_equal(best, sq_dist(target)(nn.Var(u))[0])
+    np.testing.assert_array_equal(best, sq_dist(target)(u, False)[0])
     if maximize:
         assert (best >= start).all() and (best > start).any()
     else:
@@ -202,19 +204,19 @@ def test_latent_pgd_reaches_ball_boundary_optimum():
     np.testing.assert_allclose(u, want, atol=0.05)
 
 
-def test_latent_pgd_keeps_start_and_skips_last_backward(monkeypatch):
+def test_latent_pgd_keeps_start_and_skips_last_backward():
     # steps overshoot the optimum at the start point, so the start stays best;
     # the last iterate is scored but never differentiated
     calls = []
-    real_backward = nn.backward
-    monkeypatch.setattr(nn, "backward", lambda loss: calls.append(1) or real_backward(loss))
     target = np.array([[0.5, 0.0], [0.0, 0.5]])
+    objective = sq_dist(target)
     u0 = target + 1e-3
     rows = []
-    best, u = latent_pgd(sq_dist(target), u0, 1.0, 4, 0.5, maximize=False, transcript=rows)
+    best, u = latent_pgd(lambda u, want_grad: calls.append(want_grad) or objective(u, want_grad),
+                         u0, 1.0, 4, 0.5, maximize=False, transcript=rows)
     np.testing.assert_array_equal(u, u0)
     np.testing.assert_allclose(best, 2e-6, rtol=1e-9)
-    assert len(calls) == 4
+    assert calls == [True] * 4 + [False]
     assert [r["iteration"] for r in rows] == list(range(5))
 
 
@@ -255,9 +257,8 @@ def test_elbo_beta_zero_is_half_sse():
     x = rng.uniform(0, 1, (4, 6)).astype(np.float32)
     y = rng.uniform(0, 1, (4, 6)).astype(np.float32)
     u = rng.standard_normal((4, 3)).astype(np.float32)
-    rec = nn.Rec(model.params)
-    loss, sse, kl = elbo_loss(model, rec, x, y, u, beta=0.0)
-    assert float(loss.value) == pytest.approx(0.5 * sse.mean(), rel=1e-6)
+    loss, sse, kl, _ = elbo_loss(model, x, y, u, beta=0.0)
+    assert float(loss) == pytest.approx(0.5 * sse.mean(), rel=1e-6)
     # and reconstruct sse by hand
     q = model.encode_posterior(x, y)
     z = reparameterize(q, u)
@@ -274,12 +275,9 @@ def test_elbo_gradients_match_finite_differences():
     u = rng.standard_normal((3, 2))
 
     def numeric_loss():
-        loss, _, _ = elbo_loss(model, None, x, y, u, beta=0.37)
-        return float(loss)
+        return float(elbo_loss(model, x, y, u, beta=0.37)[0])
 
-    rec = nn.Rec(model.params)
-    loss, _, _ = elbo_loss(model, rec, x, y, u, beta=0.37)
-    grads = nn.backprop_gradients(rec, loss)
+    grads = nn.backprop_gradients(model.params, elbo_loss(model, x, y, u, beta=0.37)[3])
     step = 1e-5
     worst = 0.0
     for name, value in model.params.values.items():
@@ -301,10 +299,11 @@ def test_elbo_gradients_match_finite_differences():
 def test_decode_u_gradient_flows_to_latent():
     model = make_model()
     y = np.full((1, 6), 0.5, dtype=np.float32)
-    u = nn.Var(np.zeros((1, 3), dtype=np.float32))
-    out = model.decode_u(u, model.condition(y))
-    nn.backward(nn.sum_all(nn.mul(out, out)))
-    assert u.grad is not None and u.grad.shape == (1, 3)
+    cond = model.condition(y)
+    acts = []
+    out = model.decode_u(np.zeros((1, 3), dtype=np.float32), cond, acts)
+    g = model.decode_u_grad(cond, acts, 2 * out)
+    assert g.shape == (1, 3) and g.dtype == np.float32 and np.abs(g).max() > 0
 
 
 def test_decode_u_is_decode_of_standardized_latent():
@@ -399,21 +398,15 @@ def test_one_row_condition_decode_u_equals_per_row_decodes():
 
 
 def _concat_elbo(model, rec, x, y, u, beta):
-    # elbo_loss with the decoder's first layer over a recorded concat([z, y])
+    # the reference tape's elbo_loss with the decoder's first layer over a
+    # recorded concat([z, y])
     def concat(z):
-        zv = nn._val(z)
+        return ref.Var(np.concatenate([z.value, y], axis=1), (z,),
+                       lambda g: ref._accum(z, g[:, :z.value.shape[1]]))
 
-        def vjp(g):
-            nn._accum(z, g[:, :zv.shape[1]])
-        return nn.Var(np.concatenate([zv, y], axis=1), (z,), vjp)
-
-    ref = nn.Network("decoder", model.k + model.m, model.decoder.layers)
-    q = model.encode_posterior(x, y, rec=rec)
-    p = model.encode_prior(y, rec=rec)
-    g = ref.apply(model.params, concat(reparameterize(q, u)), rec=rec)
-    diff = nn.add(g, nn.mul(x, -1.0))
-    sse = nn.row_sum(nn.mul(diff, diff))
-    return nn.mean_all(nn.add(nn.mul(sse, 0.5), nn.mul(kl_diag(q, p), float(beta))))
+    decoder = nn.Network("decoder", model.k + model.m, model.decoder.layers)
+    return ref.elbo_loss(model, rec, x, y, u, beta,
+                         decode=lambda z: ref.apply(decoder, model.params, concat(z), rec))[0]
 
 
 def test_elbo_decoder_w0_gradient_matches_concat_reference():
@@ -422,13 +415,12 @@ def test_elbo_decoder_w0_gradient_matches_concat_reference():
     x = rng.uniform(0, 1, (32, 12)).astype(np.float32)
     y = rng.uniform(0, 1, (32, 12)).astype(np.float32)
     u = rng.standard_normal((32, 4)).astype(np.float32)
-    rec = nn.Rec(model.params)
-    loss, _, _ = elbo_loss(model, rec, x, y, u, beta=0.1)
-    got = nn.backprop_gradients(rec, loss)
-    ref_rec = nn.Rec(model.params)
+    loss, _, _, reverse = elbo_loss(model, x, y, u, beta=0.1)
+    got = nn.backprop_gradients(model.params, reverse)
+    ref_rec = ref.Rec(model.params)
     ref_loss = _concat_elbo(model, ref_rec, x, y, u, beta=0.1)
-    want = nn.backprop_gradients(ref_rec, ref_loss)
-    np.testing.assert_allclose(float(loss.value), float(ref_loss.value), rtol=1e-6)
+    want = ref.backprop_gradients(ref_rec, ref_loss)
+    np.testing.assert_allclose(float(loss), float(ref_loss.value), rtol=1e-6)
     assert got["decoder/w0"].shape == (16, 16) and got["decoder/w0"].dtype == np.float32
     scale = np.abs(want["decoder/w0"]).max()
     for rows in (slice(0, 4), slice(4, 16)):     # the latent block and the y block
@@ -463,9 +455,8 @@ def test_condition_projects_y_once(monkeypatch):
     dense = nn.dense
 
     def counted(parts, w, b):
-        widths = [nn._val(p).shape[-1] for p in parts]
-        if np.shares_memory(nn._val(w), w0) and widths[-1] == model.m \
-                and nn._val(w).shape[0] == sum(widths):
+        widths = [p.shape[-1] for p in parts]
+        if np.shares_memory(w, w0) and widths[-1] == model.m and w.shape[0] == sum(widths):
             y_shares.append(widths)
         return dense(parts, w, b)
 
@@ -476,7 +467,7 @@ def test_condition_projects_y_once(monkeypatch):
     assert len(y_shares) == 1
     for _ in range(4):
         model.decode_u(rng.standard_normal((3, 4)), cond)
-    latent_pgd(lambda u: (np.zeros(3), nn.sum_all(model.decode_u(u, cond))),
+    latent_pgd(_recon_objective(model, np.zeros((3, 12), np.float32), cond),
                np.zeros((3, 4), np.float32), 1.0, 3, 0.2, maximize=True)
     assert len(y_shares) == 1
     model.decode(np.zeros((3, 4), np.float32), y)     # from rows: computed again

@@ -14,6 +14,7 @@ from pertsets.evalmetrics import (
     _encoder_points,
     _mse_rows,
     _pgd_best,
+    _recon_objective,
     evaluate_set,
     select_radius,
 )
@@ -131,22 +132,13 @@ def test_pgd_never_exceeds_encoder():
         assert pgd >= 0.0
 
 
-def recon_mse(model, x, cond):
-    """pgd_ae's objective: per-pixel reconstruction error of x per latent row."""
-    def objective(u):
-        diff = nn.add(model.decode_u(u, cond), -x)
-        sse = nn.row_sum(nn.mul(diff, diff))
-        return np.asarray(nn._val(sse)) / x.shape[1], nn.sum_all(sse)
-    return objective
-
-
 def test_pgd_restarted_at_planted_optimum():
     model = rand_model(13)
     rng = np.random.default_rng(14)
     cond = model.condition(rng.uniform(0, 1, (1, M)).astype(np.float32))
     u_star = sample_truncated_ball(K, 1.0, 1, rng)
     x = np.clip(np.asarray(model.decode_u(u_star, cond)), 0, 1)
-    err, _ = latent_pgd(recon_mse(model, x, cond), u_star.astype(np.float32), 1.0, 5,
+    err, _ = latent_pgd(_recon_objective(model, x, cond), u_star.astype(np.float32), 1.0, 5,
                         1.0 / 20, maximize=False)
     assert err[0] <= 1e-6
 
@@ -156,7 +148,7 @@ def test_pgd_nested_radius_monotone():
     # above it
     model = rand_model(15)
     pairs = rand_pairs(1, seed=16)
-    objective = recon_mse(model, pairs.perturbed, model.condition(pairs.conditioned))
+    objective = _recon_objective(model, pairs.perturbed, model.condition(pairs.conditioned))
     small, u_small = latent_pgd(objective, np.zeros((1, K), np.float32), 0.5, 25, 0.5 / 20,
                                 maximize=False)
     large, _ = latent_pgd(objective, u_small, 1.5, 25, 1.5 / 20, maximize=False)
@@ -305,9 +297,9 @@ def test_evaluate_set_encodes_prior_once_per_batch():
     model = rand_model(41)
     encode, rows = model.encode_prior, []
 
-    def counted(y, rec=None):
+    def counted(y):
         rows.append(len(y))
-        return encode(y, rec=rec)
+        return encode(y)
 
     model.encode_prior = counted
     evaluate_set(model, rand_pairs(5, seed=45), 1.0, np.random.default_rng(1), steps=2,

@@ -1,4 +1,5 @@
-"""Contract tests for the autodiff core, Adam, schedules, and checkpoints."""
+"""Contract tests for networks and their reverse pass, Adam, schedules, and
+checkpoints."""
 
 import json
 import math
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reftape as ref
 from pertsets import nn
-from pertsets.cvae import CvaeModel
+from pertsets.cvae import CvaeModel, elbo_loss
 
 
 def make_net(name, in_dims, layers, rng, dtype=np.float64):
@@ -117,6 +119,15 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
+def param_grads(net, params, inputs, loss_grad):
+    """Parameter gradients of one net.apply pass through backward, from
+    loss_grad(out), the gradient in the output."""
+    acts = []
+    out = net.apply(params, inputs, acts=acts)
+    return nn.backprop_gradients(
+        params, lambda grads: nn.backward(net, params, acts, loss_grad(out), grads))
+
+
 @pytest.mark.parametrize("layers,in_dims", [
     ([("dense", 3)], 4),
     ([("dense", 5), ("relu",), ("dense", 2)], 3),
@@ -136,10 +147,7 @@ def test_gradcheck_layer_stacks(layers, in_dims):
             out = net.apply(params, xs if len(dims) > 1 else xs[0])
             return float((out * out).sum())
 
-        rec = nn.Rec(params)
-        out = net.apply(params, xs if len(dims) > 1 else xs[0], rec=rec)
-        loss = nn.sum_all(nn.mul(out, out))
-        grads = nn.backprop_gradients(rec, loss)
+        grads = param_grads(net, params, xs if len(dims) > 1 else xs[0], lambda out: 2 * out)
         fd = fd_param_grads(loss_fn, params)
         for name in params.values:
             assert rel_err(grads[name], fd[name]) <= 1e-3, (name, trial)
@@ -149,10 +157,9 @@ def test_gradcheck_input_side():
     rng = np.random.default_rng(5)
     net, params = make_net("g", 3, [("dense", 4), ("relu",), ("dense", 2)], rng)
     x = rng.normal(size=(2, 3)) + 0.05
-    xin = nn.Var(x)
-    out = net.apply(params, xin)
-    loss = nn.sum_all(nn.mul(out, out))
-    nn.backward(loss)
+    acts = []
+    out = net.apply(params, x, acts=acts)
+    gx = nn.backward(net, params, acts, 2 * out, input_grad=True)
     step = 1e-5
     fd = np.zeros_like(x)
     for i in np.ndindex(x.shape):
@@ -161,62 +168,76 @@ def test_gradcheck_input_side():
         hi = float((net.apply(params, xp) ** 2).sum())
         lo = float((net.apply(params, xm) ** 2).sum())
         fd[i] = (hi - lo) / (2 * step)
-    assert rel_err(xin.grad, fd) <= 1e-3
+    assert rel_err(gx, fd) <= 1e-3
 
 
 @pytest.mark.parametrize("y_rows", [5, 1])
-def test_dense_vjp_over_streams(y_rows, monkeypatch):
-    # the weight gradient is the concatenated input's, formed as one array;
-    # a one-row stream's block sums the output gradient over rows, and only
-    # recorded operands get a term
+def test_dense_vjp_over_streams(y_rows):
+    # the weight gradient is the concatenated input's, one block per stream;
+    # a one-row stream's block sums the output gradient over rows, and the
+    # input gradient is the first stream's
     rng = np.random.default_rng(12)
-    z, y = nn.Var(rng.normal(size=(5, 2))), rng.normal(size=(y_rows, 3))
-    w, b = nn.Var(rng.normal(size=(5, 4))), nn.Var(rng.normal(size=4))
-    out = nn.dense([z, y], w, b)
-    yb = np.broadcast_to(y, (5, 3))
-    xcat = np.concatenate([z.value, yb], axis=1)
-    np.testing.assert_allclose(out.value, xcat @ w.value + b.value, rtol=1e-12)
+    net, params = make_net("f", [2, 3], [("dense", 4)], rng)
+    z, y = rng.normal(size=(5, 2)), rng.normal(size=(y_rows, 3))
+    w, b = params.values["f/w0"], params.values["f/b0"]
+    acts = []
+    out = net.apply(params, [z, y], acts=acts)
+    xcat = np.concatenate([z, np.broadcast_to(y, (5, 3))], axis=1)
+    np.testing.assert_allclose(out, xcat @ w + b, rtol=1e-12)
     g = rng.normal(size=(5, 4))
-    accumulated = []
-    accum = nn._accum
-    monkeypatch.setattr(nn, "_accum",
-                        lambda node, grad: accumulated.append(node) or accum(node, grad))
-    out._vjp(g)
-    assert accumulated == [z, w, b]
-    np.testing.assert_allclose(w.grad, xcat.T @ g, rtol=1e-12)
-    np.testing.assert_allclose(z.grad, g @ w.value[:2].T, rtol=1e-12)
-    np.testing.assert_allclose(b.grad, g.sum(axis=0), rtol=1e-12)
-    # rows of w past the streams (their share is in b) get a zero gradient
-    w2 = nn.Var(rng.normal(size=(5, 4)))
-    nn.dense([z], w2, np.zeros((1, 4)))._vjp(g)
-    np.testing.assert_array_equal(w2.grad[2:], 0.0)
-    np.testing.assert_allclose(w2.grad[:2], z.value.T @ g, rtol=1e-12)
+    grads = {name: np.full_like(v, np.nan) for name, v in params.values.items()}
+    gz = nn.backward(net, params, acts, g, grads, input_grad=True)
+    np.testing.assert_allclose(grads["f/w0"], xcat.T @ g, rtol=1e-12)
+    np.testing.assert_allclose(grads["f/b0"], g.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(gz, g @ w[:2].T, rtol=1e-12)
+    # a pass through proj took b0's place and leaves rows of w0 unread: it
+    # has an input gradient and refuses parameter gradients
+    acts = []
+    net.apply(params, [z], proj=net.project(params, y), acts=acts)
+    np.testing.assert_array_equal(nn.backward(net, params, acts, g, input_grad=True), gz)
+    with pytest.raises(ValueError, match="proj"):
+        nn.backward(net, params, acts, g, {}, input_grad=True)
+
+
+def test_reference_dense_zeroes_weight_rows_past_the_streams():
+    # the reference tape's dense: rows of w past the streams (their share is
+    # in b) get a zero gradient, the others the stream's product
+    rng = np.random.default_rng(12)
+    z, g = ref.Var(rng.normal(size=(5, 2))), rng.normal(size=(5, 4))
+    w = ref.Var(rng.normal(size=(5, 4)))
+    ref.dense([z], w, np.zeros((1, 4)))._vjp(g)
+    np.testing.assert_array_equal(w.grad[2:], 0.0)
+    np.testing.assert_allclose(w.grad[:2], z.value.T @ g, rtol=1e-12)
 
 
 def test_scaled_tanh_is_one_node_with_the_chained_arithmetic():
+    # output and reverse pass give the bits of the chained tanh, add and
+    # scale ops on the reference tape
     rng = np.random.default_rng(13)
     h = rng.normal(size=(4, 3)).astype(np.float32)
     for lo, hi in ((0.0, 1.0), (math.log(1e-3), math.log(10.0))):
-        a = nn.Var(h)
-        out = nn.scaled_tanh(a, lo, hi)
-        assert out._parents == (a,)
-        chained = nn.Var(h)
-        ref = nn.add(nn.mul(nn.add(tanh(chained), 1.0), 0.5 * (hi - lo)), lo)
-        assert out.value.dtype == np.float32 and out.value.tobytes() == ref.value.tobytes()
-        nn.backward(nn.sum_all(out))
-        nn.backward(nn.sum_all(ref))
-        assert a.grad.tobytes() == chained.grad.tobytes()
+        net = nn.Network("f", 3, [("scaled_tanh", lo, hi)])
+        acts = []
+        out = net.apply(nn.ParamSet(), h, acts=acts)
+        chained = ref.Var(h)
+        want = ref.add(ref.mul(ref.add(tanh(chained), 1.0), 0.5 * (hi - lo)), lo)
+        assert out.dtype == np.float32 and out.tobytes() == want.value.tobytes()
+        g = nn.backward(net, nn.ParamSet(), acts, np.ones_like(out), input_grad=True)
+        ref.backward(ref.sum_all(want))
+        assert g.dtype == np.float32 and g.tobytes() == chained.grad.tobytes()
 
 
 def test_gradcheck_elementwise_composition():
-    # exp/mul/add/row_sum composition, the shape the variational loss uses;
-    # scaled_tanh onto (-0.5, 0.5) is tanh(a) * 0.5
+    # the reference tape's exp/mul/add/row_sum composition, the shape the
+    # variational loss takes, against finite differences; scaled_tanh onto
+    # (-0.5, 0.5) is tanh(a) * 0.5
     rng = np.random.default_rng(9)
-    a = nn.Var(rng.normal(size=(3, 4)))
-    b = nn.Var(rng.normal(size=(3, 4)))
-    loss = nn.mean_all(nn.row_sum(nn.add(nn.add(nn.mul(nn.exp(a), b), nn.scaled_tanh(a, -0.5, 0.5)),
-                                         nn.mul(b, -1.0))))
-    nn.backward(loss)
+    a = ref.Var(rng.normal(size=(3, 4)))
+    b = ref.Var(rng.normal(size=(3, 4)))
+    loss = ref.mean_all(ref.row_sum(ref.add(ref.add(ref.mul(ref.exp(a), b),
+                                                    ref.scaled_tanh(a, -0.5, 0.5)),
+                                            ref.mul(b, -1.0))))
+    ref.backward(loss)
     ga, gb = a.grad.copy(), b.grad.copy()
     av, bv = a.value, b.value
 
@@ -237,34 +258,32 @@ def test_cross_entropy_matches_manual_gradient():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(6, 4))
     labels = rng.integers(0, 4, size=6)
-    lv = nn.Var(logits)
-    loss = nn.mean_all(nn.cross_entropy(lv, labels))
-    nn.backward(loss)
+    ce, grad = nn.cross_entropy(logits, labels)
     z = logits - logits.max(axis=1, keepdims=True)
     sm = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     manual = sm.copy()
     manual[np.arange(6), labels] -= 1.0
-    manual /= 6.0
-    assert rel_err(lv.grad, manual) <= 1e-10
+    assert rel_err(grad, manual) <= 1e-10
     # value check against logsumexp form
     lse = np.log(np.exp(z).sum(axis=1)) + logits.max(axis=1)
-    assert float(loss.value) == pytest.approx(float((lse - logits[np.arange(6), labels]).mean()))
+    np.testing.assert_allclose(ce, lse - logits[np.arange(6), labels], rtol=1e-12)
 
 
 def test_backward_rejects_non_scalar():
-    v = nn.Var(np.ones((2, 2)))
+    # the reference tape differentiates scalar losses only
+    v = ref.Var(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        nn.backward(nn.mul(v, 2.0))
+        ref.backward(ref.mul(v, 2.0))
 
 
 def test_unused_parameter_gets_zero_gradient():
     rng = np.random.default_rng(0)
     net, params = make_net("g", 2, [("dense", 2)], rng)
-    params.values["orphan"] = np.ones(3, dtype=np.float64)
-    rec = nn.Rec(params)
-    out = net.apply(params, np.ones((1, 2)), rec=rec)
-    grads = nn.backprop_gradients(rec, nn.sum_all(out))
+    params.values = {"orphan": np.ones(3, dtype=np.float64), **params.values}
+    grads = param_grads(net, params, np.ones((1, 2)), np.ones_like)
+    assert list(grads) == list(params.values)
     np.testing.assert_array_equal(grads["orphan"], np.zeros(3))
+    np.testing.assert_array_equal(grads["g/w0"], np.ones((2, 2)))
 
 
 def test_float32_params_keep_network_outputs_float32():
@@ -274,8 +293,9 @@ def test_float32_params_keep_network_outputs_float32():
     z = rng.normal(size=(4, 3)).astype(np.float32)
     prior = model.encode_prior(y)
     post = model.encode_posterior(y, y)
-    for out in (model.decode(z, y), prior.std(), prior.logvar, post.logvar,
-                nn.mean_all(nn.mul(nn.Var(z), 0.5)).value):
+    loss, _, _, reverse = elbo_loss(model, y, y, z, 0.5)
+    for out in (model.decode(z, y), prior.std(), prior.logvar, post.logvar, loss,
+                *nn.backprop_gradients(model.params, reverse).values()):
         assert out.dtype == np.float32
     # a float64 graph stays float64
     model.params.values = {k: v.astype(np.float64) for k, v in model.params.values.items()}
@@ -283,18 +303,6 @@ def test_float32_params_keep_network_outputs_float32():
     for out in (model.decode(z64, y64), model.encode_prior(y64).std(),
                 model.encode_posterior(y64, y64).logvar):
         assert out.dtype == np.float64
-
-
-def matmul(a, b):
-    """A bare product a @ b through nn.dense: one stream, no bias."""
-    return nn.dense([a], b, 0.0)
-
-
-def tanh(a):
-    """The recorded tanh that scaled_tanh folds into one node, kept as its
-    reference."""
-    out = np.tanh(a.value)
-    return nn.Var(out, (a,), lambda g: nn._accum(a, g * (1.0 - out * out)))
 
 
 class _UfuncLog(np.ndarray):
@@ -305,28 +313,63 @@ class _UfuncLog(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         _UfuncLog.calls.append((ufunc.__name__, method))
         inputs = [np.asarray(x) for x in inputs]
+        out = kwargs.get("out")
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-@pytest.mark.parametrize("op, frozen_first", [
-    (matmul, False), (matmul, True), (nn.mul, False), (nn.add, False)])
-def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch):
-    # the VJP computes one term per recorded operand only: no gradient for a
-    # frozen weight, a constant scale or bias, or a raw input batch
+@pytest.mark.parametrize("weights, inputs", [(True, False), (False, True), (True, True)])
+def test_backward_forms_only_the_products_asked_for(weights, inputs):
+    # a classifier step on a raw batch asks for weight gradients only, and a
+    # latent-PGD pass for the input gradient only: the first dense layer
+    # forms one product per gradient asked for and no other
     rng = np.random.default_rng(4)
-    shapes = {matmul: ((5, 3), (3, 2)), nn.mul: ((5, 3), (3,)), nn.add: ((5, 3), (3,))}[op]
+    net, params = make_net("f", 3, [("dense", 2)], rng)
+    acts = []
+    out = net.apply(params, rng.normal(size=(5, 3)), acts=acts)
+    grads = {name: np.zeros_like(v) for name, v in params.values.items()} if weights else None
+    _UfuncLog.calls = []
+    gx = nn.backward(net, params, acts, np.ones_like(out).view(_UfuncLog), grads, inputs)
+    assert (gx is not None) == inputs
+    want = ([("matmul", "__call__"), ("add", "reduce")] if weights else []) \
+        + ([("matmul", "__call__")] if inputs else [])
+    assert _UfuncLog.calls == want
+
+
+def matmul(a, b):
+    """A bare product a @ b through the reference tape's dense: one stream,
+    no bias."""
+    return ref.dense([a], b, 0.0)
+
+
+def tanh(a):
+    """The recorded tanh that scaled_tanh folds into one node, kept as its
+    reference."""
+    out = np.tanh(a.value)
+    return ref.Var(out, (a,), lambda g: ref._accum(a, g * (1.0 - out * out)))
+
+
+@pytest.mark.parametrize("op, frozen_first", [
+    (matmul, False), (matmul, True), (ref.mul, False), (ref.add, False)])
+def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch):
+    # the reference tape's VJP computes one term per recorded operand only:
+    # no gradient for a frozen weight, a constant scale or bias, or a raw
+    # input batch
+    rng = np.random.default_rng(4)
+    shapes = {matmul: ((5, 3), (3, 2)), ref.mul: ((5, 3), (3,)), ref.add: ((5, 3), (3,))}[op]
     frozen_shape, var_shape = shapes if frozen_first else shapes[::-1]
-    frozen, var = rng.normal(size=frozen_shape), nn.Var(rng.normal(size=var_shape))
+    frozen, var = rng.normal(size=frozen_shape), ref.Var(rng.normal(size=var_shape))
     out = op(frozen, var) if frozen_first else op(var, frozen)
     reduced_to = []
-    unbroadcast = nn._unbroadcast
-    monkeypatch.setattr(nn, "_unbroadcast",
+    unbroadcast = ref._unbroadcast
+    monkeypatch.setattr(ref, "_unbroadcast",
                         lambda g, shape: reduced_to.append(shape) or unbroadcast(g, shape))
     _UfuncLog.calls = []
     out._vjp(np.ones_like(out.value).view(_UfuncLog))
     assert var.grad.shape == var.value.shape
-    expected = {matmul: [("matmul", "__call__")], nn.mul: [("multiply", "__call__")],
-                nn.add: []}[op]
+    expected = {matmul: [("matmul", "__call__")], ref.mul: [("multiply", "__call__")],
+                ref.add: []}[op]
     assert _UfuncLog.calls == expected
     # dense reduces an input stream's gradient (a one-row stream conditions
     # every row); a recorded weight's gradient is formed at its shape

@@ -1,9 +1,12 @@
 """The traced benchmark in perfbench/ wraps package names from outside; this
-checks that every operation it wraps still resolves and that every by-name
-import it must also wrap is still there."""
+checks that every operation it wraps still resolves, that every by-name
+import it must also wrap is still there, and that each span counter reads
+the rows a call was given."""
 
 import os
 import sys
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -15,5 +18,46 @@ def test_tracer_resolves_every_op_and_required_site():
     try:
         missing = [site for site in spans.REQUIRED_SITES if site not in tracer.sites]
         assert not missing
+    finally:
+        tracer.close()
+
+
+def test_each_counted_span_records_the_rows_it_was_given():
+    # the counters read rows from positional arguments (or the result), so
+    # a signature shift would leave --trace 1 counting the wrong thing: one
+    # tiny call of each counted op, through the names the tracer wraps
+    mods = spans.import_package()
+    cvae, robust = mods["cvae"], mods["robust"]
+    rng = np.random.default_rng(0)
+    model = cvae.CvaeModel(6, 2, 5, rng=rng)
+    h = robust.Classifier(6, 2, (4,), rng=rng)
+    x = rng.uniform(0, 1, (3, 6)).astype(np.float32)
+    labels = np.array([0, 1, 0])
+    cond = model.condition(x)
+    u = np.zeros((3, 2), np.float32)
+    calls = [
+        ("nn.apply", lambda: model.decoder.apply(model.params, [u, x]), 3),
+        ("cvae.encode_posterior", lambda: model.encode_posterior(x, x), 3),
+        ("cvae.encode_prior", lambda: model.encode_prior(x), 3),
+        ("cvae.decode", lambda: model.decode(u, x), 3),
+        ("cvae.decode_u", lambda: model.decode_u(u, cond), 3),
+        ("cvae.ball", lambda: cvae.sample_truncated_ball(2, 1.0, 4, rng), 4),
+        ("robust.pgd", lambda: robust.latent_pgd_attack(h, model, x, labels,
+                                                        robust.AttackConfig(1.0, steps=2)), 3),
+        ("smoothing.sample",
+         lambda: mods["smoothing"].sample_under_noise(h, model, x[0], 5, 0.5, rng), 5),
+        ("evalmetrics.evaluate", lambda: mods["evalmetrics"].evaluate_set(
+            model, cvae.PairSet(x, x), 1.0, rng, steps=1, n_expected=1), 3),
+    ]
+    tracer = spans.Tracer(mods)
+    try:
+        for name, call, rows in calls:
+            sid = len(tracer.spans)
+            call()
+            _, op, _, parent, _, _, outer, n, x_count = tracer.spans[sid]
+            assert (".".join(tracer.ops[op]), parent, outer) == (name, -1, True)
+            assert n == rows, name
+            if name == "robust.pgd":
+                assert x_count == rows * 2      # rows times attack steps
     finally:
         tracer.close()

@@ -10,6 +10,7 @@ from pertsets.cvae import CvaeModel, latent_pgd, sample_truncated_ball
 from pertsets.robust import (
     AttackConfig,
     Classifier,
+    _attack_objective,
     _train_step,
     accuracy,
     adv_train_epoch,
@@ -43,7 +44,7 @@ def ce_at(h, model, x, labels, u):
     z = u * prior.std().astype(np.float64) + np.asarray(prior.mean, np.float64)
     adv = np.asarray(model.decode(z, x))
     logits = np.asarray(h.logits(adv.astype(np.float32)), dtype=np.float64)
-    return nn.cross_entropy(logits, labels)
+    return nn.cross_entropy(logits, labels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +159,8 @@ def test_attack_budget_monotonicity():
     model, h = rand_model(7), rand_clf(8)
     x, labels = rand_data(5, seed=9)
     _, u_small = latent_pgd_attack(h, model, x, labels, AttackConfig(0.5, steps=10))
-    cond = model.condition(x)
-
-    def cross_entropy(u):
-        ce = nn.cross_entropy(h.logits(model.decode_u(u, cond)), labels)
-        return nn._val(ce), nn.sum_all(ce)
-
-    _, u_large = latent_pgd(cross_entropy, u_small, 1.5, 10, 1.5 / 5, maximize=True)
+    objective = _attack_objective(h, model, model.condition(x), labels)
+    _, u_large = latent_pgd(objective, u_small, 1.5, 10, 1.5 / 5, maximize=True)
     small = ce_at(h, model, x, labels, u_small)
     large = ce_at(h, model, x, labels, u_large)
     assert (large >= small - 1e-10).all()
