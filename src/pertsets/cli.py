@@ -561,7 +561,7 @@ def cmd_bounds(cfg: dict) -> dict:
     records = [{"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
                 "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
                 "ln_h": tb.ln_h,
-                "theorem2_bound": theory.theorem2_bound(tb)}
+                "ln_theorem2_bound": theory.theorem2_bound(tb)}
                for i, (est, tb) in enumerate(zip(ests, bounds))]
 
     stage = ArtifactDir(out_dir)

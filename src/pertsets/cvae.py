@@ -92,14 +92,12 @@ class CvaeModel:
     """
 
     # checkpoint meta: each constructor argument, in order, and its kind
-    META = {"m": "int", "k": "int", "hidden": "int", "logvar_lo": "float", "logvar_hi": "float"}
+    META = {"m": "int", "k": "int", "hidden": "int"}
 
     def __init__(self, m: int, k: int, hidden: int,
-                 logvar_lo: float = LOGVAR_LO, logvar_hi: float = LOGVAR_HI,
                  params: nn.ParamSet = None, rng: np.random.Generator = None):
         self.m, self.k, self.hidden = int(m), int(k), int(hidden)
-        self.logvar_lo, self.logvar_hi = float(logvar_lo), float(logvar_hi)
-        clamp = ("scaled_tanh", self.logvar_lo, self.logvar_hi)
+        clamp = ("scaled_tanh", LOGVAR_LO, LOGVAR_HI)
         self.post_trunk = nn.Network("posterior", [m, m], [("dense", hidden), ("relu",)])
         self.post_mean = nn.Network("posterior_mean", hidden, [("dense", k)])
         self.post_logvar = nn.Network("posterior_logvar", hidden, [("dense", k), clamp])
@@ -122,17 +120,12 @@ class CvaeModel:
         return GaussianDiag(self.prior_mean.apply(self.params, h),
                             self.prior_logvar.apply(self.params, h))
 
-    def decode(self, z, y, acts: list = None):
-        """g(z, y) for (B, k) latents z: relu(z @ W0[:k] + proj) through the
-        decoder, where proj is y's share of the first layer, taken from y when
-        it is a Condition and computed from the (B, m) or (1, m) rows y
-        otherwise; a single row of y conditions every row of z. A non-finite
-        output raises FloatingPointError. `acts` keeps the decoder's
-        activations for its reverse pass (nn.Network.apply)."""
-        if isinstance(y, Condition):
-            out = self.decoder.apply(self.params, [z], proj=y.proj, acts=acts)
-        else:
-            out = self.decoder.apply(self.params, [z, y], acts=acts)
+    def decode(self, z, cond: Condition, acts: list = None):
+        """g(z, y) for (B, k) latents z against the Condition of rows y:
+        relu(z @ W0[:k] + cond.proj) through the decoder. A non-finite output
+        raises FloatingPointError. `acts` keeps the decoder's activations for
+        its reverse pass (nn.Network.apply)."""
+        out = self.decoder.apply(self.params, [z], proj=cond.proj, acts=acts)
         return nn.finite_or_raise(out, "decoded outputs")
 
     def condition(self, y) -> Condition:

@@ -57,14 +57,6 @@ def _recon_objective(model: CvaeModel, x, cond: Condition):
     return recon_error
 
 
-def _pgd_best(model, x, cond: Condition, eps, steps, step, start_u, maximize=False):
-    """Latent PGD on per-pixel reconstruction error, descent or ascent.
-
-    Returns per-row (best per-pixel MSE, best u); never worse than start_u."""
-    return latent_pgd(_recon_objective(model, x, cond), np.asarray(start_u, dtype=np.float32),
-                      eps, steps, step, maximize)
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
@@ -150,7 +142,9 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         u_proj = project_ball(u_enc, eps)
         out["enc_ae"].append(_mse_rows(model, u_proj, cond, x))
 
-        pgd_err, _ = _pgd_best(model, x, cond, eps, steps, step, u_proj, maximize=False)
+        # the least per-pixel error latent PGD finds from the encoder point
+        recon = _recon_objective(model, x, cond)
+        pgd_err, _ = latent_pgd(recon, u_proj, eps, steps, step, maximize=False)
         out["pgd_ae"].append(pgd_err)
 
         rngs = [np.random.default_rng(s) for s in _pair_seeds(x, y, base)]
@@ -167,7 +161,7 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         out["eae"].append(eae / n_expected)
 
         u0 = np.stack([sample_truncated_ball(model.k, eps, 1, r)[0] for r in rngs])
-        oae_err, _ = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=True)
+        oae_err, _ = latent_pgd(recon, u0.astype(np.float32), eps, steps, step, maximize=True)
         out["oae"].append(oae_err)
 
     # float32 network values, widened so the summary and CSV reduce in float64

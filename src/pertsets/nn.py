@@ -131,8 +131,7 @@ def dense(parts, w, b):
     stream i feeds the i-th block of rows of w. Shares are added last stream
     first onto b, so b plus the last stream's share is exactly the projection
     Network.project caches. Rows of w past the streams belong to inputs
-    whose share is already in b. A one-row stream conditions every row of the
-    others."""
+    whose share is already in b."""
     out, end = b, sum(v.shape[-1] for v in parts)
     for v in reversed(parts):
         out = v @ w[end - v.shape[-1]:end] + out
@@ -226,13 +225,17 @@ class Network:
                 params.values[pname] = np.zeros(shape, dtype=np.float32)
 
     def _streams(self, inputs, dims):
-        # input streams are (B, d) rows
+        # input streams are (B, d) rows, B the same for every stream: a
+        # forward pass must not broadcast what its reverse pass cannot undo
         if len(inputs) != len(dims):
             raise ValueError(f"{self.name}: expected {len(dims)} inputs, got {len(inputs)}")
         for x, d in zip(inputs, dims):
             shape = np.shape(x)
             if len(shape) != 2 or shape[1] != d:
                 raise ValueError(f"{self.name}: input of shape {shape}, expected (rows, {d})")
+            if shape[0] != len(inputs[0]):
+                raise ValueError(f"{self.name}: input streams of {len(inputs[0])} and "
+                                 f"{shape[0]} rows")
         return [np.asarray(x) for x in inputs]
 
     def project(self, params: ParamSet, x):
@@ -271,10 +274,9 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
     """Reverse pass of the net.apply call that filled `acts`, from g, the
     gradient in its output. With `grads`, writes each of the net's parameter
     gradients into the array grads[name], allocated uninitialized when the
-    dict lacks it: a weight's block per input stream (every stream as many
-    rows as g, or one row, which conditioned them all) and a bias's row sum.
-    A pass through `proj` has no parameter gradients: given grads, it raises
-    ValueError. Returns the gradient in the first input stream when
+    dict lacks it: a weight's block v.T @ g per input stream v and a bias's
+    row sum. A pass through `proj` has no parameter gradients: given grads,
+    it raises ValueError. Returns the gradient in the first input stream when
     input_grad, else None: a first dense layer forms no product that is not
     asked for."""
     for i in reversed(range(len(net.layers))):
@@ -294,8 +296,7 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
                         grads[name] = np.empty_like(params.values[name])
                 s = 0
                 for v in saved:
-                    np.matmul(v.T, g if len(v) == len(g) else g.sum(axis=0, keepdims=True),
-                              out=grads[wname][s:s + v.shape[1]])
+                    np.matmul(v.T, g, out=grads[wname][s:s + v.shape[1]])
                     s += v.shape[1]
                 grads[bname][...] = g.sum(axis=0)
             if i == 0 and not input_grad:
@@ -402,7 +403,6 @@ def read_json(path: str) -> dict:
 _META_KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "ints": ("a list of integers", lambda v: type(v) is list and all(type(d) is int for d in v)),
-    "float": ("a finite float", lambda v: type(v) is float and math.isfinite(v)),
 }
 
 
@@ -414,9 +414,9 @@ def _shown(v) -> str:
 
 def meta_values(stem: str, meta: dict, kinds: dict) -> list:
     """The values of the checkpoint meta read from `<stem>.meta.json` under
-    each key of kinds, in its order. A kind is "int" (not a bool), "ints" (a
-    list of them) or "float" (finite); a value missing or of another kind
-    raises ValueError naming the key and the file."""
+    each key of kinds, in its order. A kind is "int" (not a bool) or "ints" (a
+    list of them); a value missing or of another kind raises ValueError
+    naming the key and the file."""
     values = []
     for key, kind in kinds.items():
         if key not in meta:

@@ -5,9 +5,9 @@ latent radius bound eps = B*r + sqrt(sum K_i) with its paired reconstruction
 error bound delta, and the truncated-expectation bound delta * H where H
 multiplies per-dimension density-ratio constants. theorem1_bounds takes a
 stage's estimates together and computes their per-dimension intervals and
-ln H terms as float64 arrays; the rest is plain float arithmetic. H is
-handled in log scale because it overflows for trained models almost
-immediately.
+ln H terms as float64 arrays; the rest is plain float arithmetic. H, and so
+delta * H, is handled in log scale only, because it overflows float64 for
+trained models almost immediately.
 """
 
 import math
@@ -20,8 +20,6 @@ from .cvae import CvaeModel
 from .specialfn import chi_square_quantile, lambert_w
 
 LN_2PI = math.log(2.0 * math.pi)
-# exp() overflows float64 just above 709.78
-_LN_HUGE = 300.0 * math.log(10.0)
 
 
 @dataclass
@@ -124,16 +122,10 @@ def theorem1_bounds(estimates, alpha: float = 0.01) -> list:
 
 
 def theorem2_bound(bounds: TheoryBounds) -> float:
-    """Bound on the truncated expected reconstruction SSE under the prior:
-    delta * H = exp(theorem2_ln_bound), from theorem1_bounds' result. Returns
-    inf once the product leaves float64 range; use theorem2_ln_bound for
-    comparisons at that scale."""
-    ln_total = theorem2_ln_bound(bounds)
-    return math.exp(ln_total) if ln_total <= _LN_HUGE else math.inf
-
-
-def theorem2_ln_bound(bounds: TheoryBounds) -> float:
-    """ln(delta * H), finite whenever delta > 0 and H is; -inf at delta = 0."""
+    """The log of the bound on the truncated expected reconstruction SSE
+    under the prior: ln(delta * H) = ln(delta) + ln H, from theorem1_bounds'
+    result. H overflows float64 for trained models, so the bound is only
+    ever reported in log scale. -inf at delta = 0, inf when ln H is."""
     if bounds.delta_sse == 0.0:
         return -math.inf
     return math.log(bounds.delta_sse) + bounds.ln_h

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -185,8 +186,7 @@ def test_train_cvae_artifacts_self_describing(pipeline):
     history = json.load(open(pipeline / "cvae" / "history.json"))
     assert len(history["epochs"]) == 2
     meta = json.load(open(pipeline / "cvae" / "model.meta.json"))
-    assert meta == {"m": 144, "k": 4, "hidden": 32, "logvar_lo": cvae.LOGVAR_LO,
-                    "logvar_hi": cvae.LOGVAR_HI, "train_pairs": 80}
+    assert meta == {"m": 144, "k": 4, "hidden": 32, "train_pairs": 80}
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +198,17 @@ def test_bounds_jsonl_records(pipeline, tmp_path):
     assert cli.main(["bounds", "--config", write_cfg(tmp_path / "b.json", cfg)]) == 0
     with open(tmp_path / "b" / "bounds.jsonl", encoding="utf-8") as f:
         recs = [json.loads(line) for line in f]
+    m = json.load(open(pipeline / "cvae" / "model.meta.json"))["m"]
     assert len(recs) == 5
     for i, rec in enumerate(recs):
         assert rec["pair"] == i
         assert set(rec) == {"pair", "R", "K_sum", "r", "eps", "delta_per_pixel",
-                            "ln_h", "theorem2_bound"}
+                            "ln_h", "ln_theorem2_bound"}
         assert rec["eps"] >= rec["r"] > 0
         assert rec["delta_per_pixel"] >= 0
+        # ln(delta * H) with delta in SSE units: m pixels of delta_per_pixel
+        assert math.isclose(rec["ln_theorem2_bound"],
+                            math.log(rec["delta_per_pixel"] * m) + rec["ln_h"], rel_tol=1e-12)
 
 
 def test_attack_summary_and_rows(pipeline, tmp_path):
@@ -640,18 +644,18 @@ def test_overflowing_checkpoint_exits_4(pipeline, tmp_path, capsys, stage, stem,
      "'k'"),
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": None}}, "NoneType"),
     ("certify", "classifier", {"edit_meta": lambda m: m | {"m": float("inf")}}, "infinity"),
-    # every meta value has one type: ints that are not bools, a list of ints
-    # for the classifier's hidden widths, finite floats
+    # every meta value has one type: ints that are not bools, or a list of
+    # ints for the classifier's hidden widths
     ("bounds", "model", {"edit_meta": lambda m: m | {"m": "12"}},
      "model.meta.json: 'm' is \"12\" (str)"),
     ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": True}},
      "model.meta.json: 'hidden' is true (bool)"),
     ("eval-set", "model", {"edit_meta": lambda m: m | {"k": 4.0}},
      "model.meta.json: 'k' is 4.0 (float)"),
-    ("bounds", "model", {"edit_meta": lambda m: m | {"logvar_lo": float("nan")}},
-     "model.meta.json: 'logvar_lo' is NaN"),
-    ("eval-set", "model", {"edit_meta": lambda m: m | {"logvar_hi": 1}},
-     "model.meta.json: 'logvar_hi' is 1 (int)"),
+    ("bounds", "model", {"edit_meta": lambda m: m | {"k": float("nan")}},
+     "model.meta.json: 'k' is NaN"),
+    ("eval-set", "model", {"edit_meta": lambda m: m | {"hidden": -float("inf")}},
+     "model.meta.json: 'hidden' is -infinity"),
     ("attack", "classifier", {"edit_meta": lambda m: m | {"hidden": True}},
      "classifier.meta.json: 'hidden' is true (bool)"),
     ("certify", "classifier", {"edit_meta": lambda m: m | {"hidden": [16.0]}},

@@ -262,7 +262,7 @@ def test_elbo_beta_zero_is_half_sse():
     # and reconstruct sse by hand
     q = model.encode_posterior(x, y)
     z = reparameterize(q, u)
-    g = model.decode(z, y)
+    g = model.decoder.apply(model.params, [z, y])
     np.testing.assert_allclose(sse, ((x - g) ** 2).sum(axis=1), rtol=1e-5)
 
 
@@ -316,7 +316,9 @@ def test_decode_u_is_decode_of_standardized_latent():
     assert cond.mean.dtype == cond.std.dtype == np.float32
     np.testing.assert_array_equal(cond.mean, prior.mean)
     np.testing.assert_array_equal(cond.std, prior.std())
-    want = np.asarray(model.decode(u * prior.std() + np.asarray(prior.mean), y))
+    # the decoder over both streams adds y's share onto b0 first, as the
+    # Condition's cached projection does
+    want = model.decoder.apply(model.params, [u * prior.std() + np.asarray(prior.mean), y])
     got = np.asarray(model.decode_u(u, cond))
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
     # float64 latents are taken in float32, the dtype of the network math
@@ -324,20 +326,21 @@ def test_decode_u_is_decode_of_standardized_latent():
 
 
 def one_row_and_repeated_decodes(m, k, hidden):
-    """decode(z, y) and decode_u(z, condition(y)) for one row y, after checking
-    that every one-row path gives the same bits, plus the same two decodes
-    with y repeated once per latent row."""
+    """decode(z, cond) and decode_u(z, cond) for the Condition of one row y,
+    after checking that they agree bit for bit, plus the same two decodes
+    through the decoder's two input streams with y repeated once per latent
+    row."""
     model = CvaeModel(m, k, hidden, rng=np.random.default_rng(0))
     rng = np.random.default_rng(5)
     y = rng.uniform(0, 1, (1, m)).astype(np.float32)
     z = rng.standard_normal((7, k)).astype(np.float32)
     cond = model.condition(y)
     zu = z * cond.std + cond.mean
-    got = np.asarray(model.decode(z, y))
+    got = np.asarray(model.decode(z, cond))
     got_u = np.asarray(model.decode_u(z, cond))
-    assert got_u.tobytes() == np.asarray(model.decode(zu, y)).tobytes()
+    assert got_u.tobytes() == np.asarray(model.decode(zu, cond)).tobytes()
     rows = np.repeat(y, 7, axis=0)
-    return (got, got_u), (np.asarray(model.decode(z, rows)), np.asarray(model.decode(zu, rows)))
+    return (got, got_u), tuple(model.decoder.apply(model.params, [v, rows]) for v in (z, zu))
 
 
 def test_one_row_condition_is_shared_by_every_latent_row():
@@ -376,7 +379,11 @@ def test_decode_matches_concat_reference(rows, y_rows):
     z = rng.standard_normal((rows, 4)).astype(np.float32)
     y = rng.uniform(0, 1, (1 if y_rows == "one" else rows, 12)).astype(np.float32)
     want = concat_decode(model, z, y)
-    for got in (model.decode(z, y), model.decode(z, model.condition(y))):
+    # the two input streams take y once per latent row; a Condition takes
+    # one row of y for any number of latents
+    y_each = np.broadcast_to(y, (rows, 12))
+    for got in (model.decoder.apply(model.params, [z, y_each]),
+                model.decode(z, model.condition(y))):
         assert got.dtype == np.float32 and got.shape == (rows, 12)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
@@ -390,10 +397,11 @@ def test_one_row_condition_decode_u_equals_per_row_decodes():
     assert cond.proj.shape == (1, 16) and cond.proj.dtype == np.float32
     got = np.asarray(model.decode_u(u, cond))
     z = u * cond.std + cond.mean
-    # the cached projection is the one decode computes from the same row
-    assert got.tobytes() == np.asarray(model.decode(z, y)).tobytes()
+    # the cached projection is the one the two-stream pass computes from
+    # the same row
+    assert cond.proj.tobytes() == model.decoder.project(model.params, y).tobytes()
     for i in range(len(u)):
-        np.testing.assert_allclose(got[i], np.asarray(model.decode(z[i:i + 1], y))[0],
+        np.testing.assert_allclose(got[i], model.decoder.apply(model.params, [z[i:i + 1], y])[0],
                                    rtol=0, atol=1e-6)
 
 
@@ -441,7 +449,7 @@ def test_presplit_checkpoint_loads_and_decodes():
     z = rng.standard_normal((5, 4)).astype(np.float32)
     y = rng.uniform(0, 1, (5, 12)).astype(np.float32)
     want = np.load(stem.replace("model", "decode.npy"))
-    np.testing.assert_allclose(np.asarray(model.decode(z, y)), want, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(model.decoder.apply(model.params, [z, y]), want, rtol=0, atol=1e-6)
     np.testing.assert_allclose(np.asarray(model.decode(z, model.condition(y))), want,
                                rtol=0, atol=1e-6)
 
@@ -470,7 +478,7 @@ def test_condition_projects_y_once(monkeypatch):
     latent_pgd(_recon_objective(model, np.zeros((3, 12), np.float32), cond),
                np.zeros((3, 4), np.float32), 1.0, 3, 0.2, maximize=True)
     assert len(y_shares) == 1
-    model.decode(np.zeros((3, 4), np.float32), y)     # from rows: computed again
+    model.decoder.apply(model.params, [np.zeros((3, 4), np.float32), y])  # computed again
     assert len(y_shares) == 2
 
 
@@ -480,7 +488,7 @@ def test_non_finite_decode_raises():
     # that into NaN, which the squash would carry to the output
     model.params.values["decoder/w0"][:] = np.float32(3e38)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="decoded"):
-        model.decode(np.ones((2, 3), np.float32), np.ones((2, 6), np.float32))
+        model.decode(np.ones((2, 3), np.float32), model.condition(np.ones((2, 6), np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +529,8 @@ def test_model_save_load_roundtrip(tmp_path):
     assert meta["selected_eps"] == 1.25
     y = rng.uniform(0, 1, (1, 6)).astype(np.float32)
     z = rng.standard_normal((1, 3)).astype(np.float32)
-    np.testing.assert_array_equal(model.decode(z, y), loaded.decode(z, y))
+    np.testing.assert_array_equal(model.decode(z, model.condition(y)),
+                                  loaded.decode(z, loaded.condition(y)))
 
 
 @pytest.mark.parametrize("source", ["fresh", "presplit"])
@@ -552,7 +561,7 @@ def test_decoder_output_in_unit_interval():
     model = make_model()
     rng = np.random.default_rng(0)
     out = model.decode(rng.standard_normal((50, 3)).astype(np.float32) * 10,
-                       rng.uniform(0, 1, (50, 6)).astype(np.float32))
+                       model.condition(rng.uniform(0, 1, (50, 6)).astype(np.float32)))
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 

@@ -13,7 +13,6 @@ from pertsets.evalmetrics import (
     METRICS,
     _encoder_points,
     _mse_rows,
-    _pgd_best,
     _recon_objective,
     evaluate_set,
     select_radius,
@@ -34,7 +33,7 @@ def pgd_ae(model: CvaeModel, x, y, eps: float, steps: int = 50, step: float = No
         step = eps / 20.0
     cond = model.condition(y)
     u0, _, _ = _encoder_points(model, x, cond)
-    err, _ = _pgd_best(model, x, cond, eps, steps, step, u0, maximize=False)
+    err, _ = latent_pgd(_recon_objective(model, x, cond), u0, eps, steps, step, maximize=False)
     return float(err[0])
 
 
@@ -203,7 +202,8 @@ def test_over_ae_at_least_init_error():
     cond = model.condition(pairs.conditioned)
     x = pairs.perturbed.astype(np.float64)
     init_err = _mse_rows(model, u0, cond, x)
-    got, u = _pgd_best(model, pairs.perturbed, cond, 1.0, 15, 0.05, u0, maximize=True)
+    got, u = latent_pgd(_recon_objective(model, pairs.perturbed, cond), u0.astype(np.float32),
+                        1.0, 15, 0.05, maximize=True)
     assert (got >= init_err - 1e-12).all()
     assert (np.linalg.norm(u, axis=1) <= 1.0 + 1e-12).all()
     np.testing.assert_array_equal(got, _mse_rows(model, u, cond, x))
@@ -254,7 +254,7 @@ def test_evaluate_set_single_pair_matches_ops():
     q, prior = model.encode_posterior(x, y), model.encode_prior(y)
     u = (np.asarray(q.mean) - np.asarray(prior.mean)) / prior.std()
     u = u * min(1.0, 1.0 / float(np.linalg.norm(u, axis=1)[0]))
-    dec = np.asarray(model.decode(u * prior.std() + np.asarray(prior.mean), y))
+    dec = model.decoder.apply(model.params, [u * prior.std() + np.asarray(prior.mean), y])
     enc = float(np.mean((dec - x) ** 2))
     assert math.isclose(report.records["enc_ae"][0], enc, rel_tol=1e-10)
     assert math.isclose(report.records["kl"][0],

@@ -1,10 +1,11 @@
 """Static checks on the package sources: every top-level import is used,
-no two modules define the same top-level function or class, and every
-top-level function or class is named somewhere in the package. No linter
-ships with the test dependencies, and a module that stops using an import
-(json, once checkpoints moved behind nn) leaves it behind silently, as a
-helper copied into a second module or one that its last caller stopped
-calling does."""
+no two modules define the same top-level function or class, every
+top-level function or class is named somewhere in the package, and every
+top-level assignment is read somewhere in it. No linter ships with the test
+dependencies, and a module that stops using an import (json, once
+checkpoints moved behind nn) leaves it behind silently, as a helper copied
+into a second module, one that its last caller stopped calling, or a
+constant whose last reader went does."""
 
 import ast
 import collections
@@ -104,3 +105,37 @@ def test_every_top_level_def_is_named_or_traced():
     traced = {(mname, path) for _, _, mname, path, _ in spans.OPS}
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_defs(sources, exempt=traced) == []
+
+
+def unread_assignments(sources: dict) -> list:
+    """(module, name) of each name a top-level assignment of the {module:
+    source} binds that no code of any of them reads (as a name, an attribute
+    or an import), dunder names aside."""
+    assigned, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [(module, sub.id) for t in targets for sub in ast.walk(t)
+                             if isinstance(sub, ast.Name)]
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                read.add(sub.name)
+    return [(module, name) for module, name in assigned
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_checker_finds_an_unread_assignment():
+    sources = {"a": "X = 1\nY: int = 2\n_Z, W = 3, 4\n__all__ = []\ndef f(): return X\n",
+               "b": "import a\nfrom a import W\nV = a.Y\n"}
+    assert unread_assignments(sources) == [("a", "_Z"), ("b", "V")]
+
+
+def test_every_top_level_assignment_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_assignments(sources) == []

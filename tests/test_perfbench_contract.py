@@ -39,7 +39,7 @@ def test_each_counted_span_records_the_rows_it_was_given():
         ("nn.apply", lambda: model.decoder.apply(model.params, [u, x]), 3),
         ("cvae.encode_posterior", lambda: model.encode_posterior(x, x), 3),
         ("cvae.encode_prior", lambda: model.encode_prior(x), 3),
-        ("cvae.decode", lambda: model.decode(u, x), 3),
+        ("cvae.decode", lambda: model.decode(u, cond), 3),
         ("cvae.decode_u", lambda: model.decode_u(u, cond), 3),
         ("cvae.ball", lambda: cvae.sample_truncated_ball(2, 1.0, 4, rng), 4),
         ("robust.pgd", lambda: robust.latent_pgd_attack(h, model, x, labels,

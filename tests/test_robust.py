@@ -42,7 +42,7 @@ def rand_data(n, seed=2, m=M, n_classes=3):
 def ce_at(h, model, x, labels, u):
     prior = model.encode_prior(x)
     z = u * prior.std().astype(np.float64) + np.asarray(prior.mean, np.float64)
-    adv = np.asarray(model.decode(z, x))
+    adv = np.asarray(model.decode(z, model.condition(x)))
     logits = np.asarray(h.logits(adv.astype(np.float32)), dtype=np.float64)
     return nn.cross_entropy(logits, labels)[0]
 
@@ -136,7 +136,7 @@ def test_attack_zero_radius_returns_prior_mean_decode():
     np.testing.assert_array_equal(u, 0.0)
     prior = model.encode_prior(x)
     want = np.asarray(model.decode(np.zeros((4, K)) * prior.std()
-                                   + np.asarray(prior.mean, np.float64), x))
+                                   + np.asarray(prior.mean, np.float64), model.condition(x)))
     np.testing.assert_allclose(adv, want.astype(np.float32), atol=1e-7)
 
 
@@ -241,7 +241,7 @@ def test_adv_epoch_zero_eps_equals_clean_on_decoded():
     adv_train_epoch(ha, model, x, labels, AttackConfig(0.0), 1e-3,
                     np.random.default_rng(23), batch_size=10)
     prior = model.encode_prior(x)
-    dec = np.asarray(model.decode(np.asarray(prior.mean), x))
+    dec = np.asarray(model.decode(np.asarray(prior.mean), model.condition(x)))
     clean_train_epoch(hc, dec, labels, 1e-3,
                       np.random.default_rng(23), batch_size=10)
     for name in ha.params.values:

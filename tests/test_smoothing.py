@@ -52,7 +52,7 @@ def threshold_setup(t, m=3):
     x = np.full(m, 0.5, dtype=np.float32)
     prior = model.encode_prior(x[None])
     z_t = np.array([[t]]) * prior.std().astype(np.float64) + np.asarray(prior.mean, np.float64)
-    thr = np.asarray(model.decode(z_t, x[None])).sum()
+    thr = np.asarray(model.decode(z_t, model.condition(x[None]))).sum()
     h = Classifier(m, 2, (), rng=np.random.default_rng(1))
     h.params.values["classifier/w0"][:] = 0.0
     h.params.values["classifier/w0"][:, 1] = 1.0
@@ -76,7 +76,7 @@ def test_counts_sigma_zero_is_prior_mean_vote():
     x = np.random.default_rng(6).uniform(0, 1, M).astype(np.float32)
     counts = sample_under_noise(h, model, x, 17, 0.0, np.random.default_rng(7))
     prior = model.encode_prior(x[None])
-    dec = np.asarray(model.decode(np.asarray(prior.mean, np.float64), x[None]))
+    dec = np.asarray(model.decode(np.asarray(prior.mean, np.float64), model.condition(x[None])))
     want = int(h.predict(dec.astype(np.float32))[0])
     assert counts[want] == 17 and counts.sum() == 17
 
@@ -207,7 +207,7 @@ def test_noise_epoch_deterministic_and_sigma_zero():
     noise_train_epoch(hz, model, x, labels, 0.0, 1e-3,
                       np.random.default_rng(22), batch_size=10)
     prior = model.encode_prior(x)
-    dec = np.asarray(model.decode(np.asarray(prior.mean), x))
+    dec = np.asarray(model.decode(np.asarray(prior.mean), model.condition(x)))
     clean_train_epoch(hc, dec, labels, 1e-3,
                       np.random.default_rng(22), batch_size=10)
     for name in hz.params.values:

@@ -12,12 +12,12 @@ from pertsets.specialfn import lambert_w
 from pertsets.theory import (
     LN_2PI,
     ObjectiveEstimate,
+    TheoryBounds,
     estimate_R_K,
     lemma3_interval,
     mahalanobis_radius,
     theorem1_bounds,
     theorem2_bound,
-    theorem2_ln_bound,
 )
 
 M, K_DIM, HID = 6, 2, 8
@@ -111,7 +111,7 @@ def test_lemma3_past_underflow(K):
     assert math.isclose(b - math.log(b), K + 1.0, rel_tol=1e-12)
     assert math.isfinite(got.eps)
     assert got.ln_h == math.inf
-    assert theorem2_bound(got) == math.inf and theorem2_ln_bound(got) == math.inf
+    assert theorem2_bound(got) == math.inf
 
 
 def test_lemma3_domain():
@@ -365,10 +365,10 @@ def test_theorem1_takes_one_latent_width():
 
 
 def test_theorem2_equals_delta_without_kl():
+    # H = 1 when every K_i is 0, so the log bound is ln delta
     est = ObjectiveEstimate(R=-0.5 * 9 * LN_2PI - 2.0, K=np.zeros(4), m=9)
     t1 = theorem1_bounds([est], alpha=0.02)[0]
-    assert math.isclose(theorem2_bound(t1), t1.delta_sse,
-                        rel_tol=1e-6)
+    assert math.isclose(theorem2_bound(t1), math.log(t1.delta_sse), rel_tol=1e-6)
 
 
 def test_theorem2_hand_composed_oracle():
@@ -382,11 +382,8 @@ def test_theorem2_hand_composed_oracle():
     c2 = ((1.0 - a) * r * r + 2.0 * r + 1.0) / a
     want = (1.0 / (1.0 - alpha)) * math.sqrt(b) * math.exp(max(c1, c2))
     t1 = theorem1_bounds([est], alpha=alpha)[0]
-    got = theorem2_bound(t1)
     # r carries the quantile solver tolerance into the exponent
-    assert math.isclose(got, want, rel_tol=1e-4)
-    assert math.isclose(theorem2_ln_bound(t1), math.log(want),
-                        rel_tol=1e-6)
+    assert math.isclose(theorem2_bound(t1), math.log(want), rel_tol=1e-6)
 
 
 def test_theorem2_never_below_delta():
@@ -397,17 +394,26 @@ def test_theorem2_never_below_delta():
                                 K=rng.uniform(0, 3, k), m=7)
         alpha = float(rng.uniform(0.01, 0.3))
         t1 = theorem1_bounds([est], alpha)[0]
-        ln2 = theorem2_ln_bound(t1)
-        assert ln2 >= math.log(t1.delta_sse) - 1e-12
+        assert theorem2_bound(t1) >= math.log(t1.delta_sse) - 1e-12
 
 
 def test_theorem2_overflow_reports_ln_scale():
     est = ObjectiveEstimate(R=-0.5 * 4 * LN_2PI - 1.0,
                             K=np.array([600.0, 600.0]), m=4)
     t1 = theorem1_bounds([est], alpha=0.01)[0]
+    # H itself is past float64 range; its log, and the bound's, are not
     assert math.log(sys.float_info.max) < t1.ln_h < math.inf
-    assert theorem2_bound(t1) == math.inf
-    assert math.isfinite(theorem2_ln_bound(t1))
+    assert theorem2_bound(t1) == math.log(t1.delta_sse) + t1.ln_h
+
+
+@pytest.mark.parametrize("delta, ln_h, want", [
+    (0.0, 3.0, -math.inf), (0.0, math.inf, -math.inf), (2.0, math.inf, math.inf),
+    (2.0, 1e9, math.log(2.0) + 1e9)])
+def test_theorem2_log_bound_at_its_edges(delta, ln_h, want):
+    # delta = 0 is a zero bound, whatever H is; an infinite H an infinite one
+    tb = TheoryBounds(r=1.0, alpha=0.01, eps=2.0, delta_sse=delta, delta_per_pixel=delta / 4,
+                      B=1.5, ln_h=ln_h)
+    assert theorem2_bound(tb) == want
 
 
 def test_objective_estimate_validation():
@@ -460,14 +466,16 @@ def test_estimate_r_at_perfect_reconstruction():
 @pytest.mark.parametrize("m,k,hidden", [(256, 8, 128), (784, 784, 784), (64, 16, 64)])
 def test_estimate_through_condition_equals_raw_rows(m, k, hidden):
     # estimate_R_K decodes against y's Condition and reads its prior; that
-    # gives the bits of the prior and decode computed from y's raw row
+    # gives the bits of the prior encoded from y's raw row and of the decode
+    # through the decoder's projection of that row
     model = CvaeModel(m, k, hidden, rng=np.random.default_rng(1))
     rng = np.random.default_rng(2)
     x, y = (rng.uniform(0, 1, (1, m)).astype(np.float32) for _ in range(2))
     est = estimate_R_K(model, x, y, np.random.default_rng(3), samples=64)
     q, p = model.encode_posterior(x, y), model.encode_prior(y)
     noise = np.random.default_rng(3).standard_normal((64, k)).astype(np.float32)
-    out = np.asarray(model.decode(np.asarray(q.mean) + q.std() * noise, y))
+    out = model.decoder.apply(model.params, [np.asarray(q.mean) + q.std() * noise],
+                              proj=model.decoder.project(model.params, y))
     diff = out.astype(np.float64) - x
     R = float(np.mean(-0.5 * np.sum(diff * diff, axis=1))) - 0.5 * m * LN_2PI
     ratio = (q.std()[0].astype(np.float64) / p.std()[0]) ** 2
@@ -485,7 +493,7 @@ def test_estimate_r_matches_high_sample_oracle():
     rng = np.random.default_rng(6)
     q = model.encode_posterior(x, y)
     z = np.asarray(q.mean, dtype=np.float64) + q.std() * rng.standard_normal((10_000, K_DIM))
-    out = np.asarray(model.decode(z, np.repeat(y, 10_000, axis=0)))
+    out = model.decoder.apply(model.params, [z, np.repeat(y, 10_000, axis=0)])
     half_sse = 0.5 * np.sum((out - x[0].astype(np.float64)) ** 2, axis=1)
     oracle = float(np.mean(-half_sse)) - 0.5 * M * LN_2PI
     se64 = float(np.std(half_sse)) / math.sqrt(64)
