@@ -208,9 +208,10 @@ def sample_truncated_ball(k: int, eps: float, n: int, rng: np.random.Generator) 
 
 @functools.lru_cache(maxsize=64)
 def _chi_ball_cdf(k: int, eps: float):
-    # radius CDF table; cached because evaluation draws per pair with one eps
+    # radius CDF table P(k/2, t^2/2), built in one array pass on first use;
+    # cached because evaluation draws per pair with one eps
     grid = np.linspace(0.0, eps, 4097)
-    cdf = np.array([reg_lower_gamma(0.5 * k, 0.5 * t * t) if t > 0 else 0.0 for t in grid])
+    cdf = reg_lower_gamma(0.5 * k, 0.5 * grid * grid)
     grid.setflags(write=False)
     cdf.setflags(write=False)
     return grid, cdf

@@ -2,12 +2,14 @@
 the latent-ball PGD engine, the variational objective and its gradients, and
 training determinism."""
 
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
+import refgamma
 import reftape as ref
 from pertsets import nn
 from pertsets.cvae import (
@@ -16,6 +18,7 @@ from pertsets.cvae import (
     GaussianDiag,
     PairSet,
     TrainConfig,
+    _chi_ball_cdf,
     elbo_loss,
     kl_diag,
     latent_pgd,
@@ -130,6 +133,29 @@ def test_truncated_ball_directions_uniform():
     assert np.abs(d.mean(axis=0)).max() < 0.02
     cov = d.T @ d / d.shape[0]
     np.testing.assert_allclose(cov, np.eye(3) / 3, atol=0.02)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 128, 784])
+def test_radius_table_matches_the_per_point_reference(k):
+    # the one-pass table gives the bytes of one scalar call per grid point
+    for eps in (0.05, 0.3, 1.0, 2.5, 7.0, 31.0, 60.0):
+        grid, cdf = _chi_ball_cdf(k, eps)
+        ref_grid, ref_cdf = refgamma.chi_ball_cdf(k, eps)
+        assert grid.tobytes() == ref_grid.tobytes()
+        assert cdf.tobytes() == ref_cdf.tobytes(), (k, eps)
+
+
+@pytest.mark.parametrize("k,eps,n,seed,digest", [
+    (1, 0.05, 64, 0, "5cd0efa562ca1db5"),
+    (2, 1.0, 64, 1, "28976b0cca0fb4e8"),
+    (8, 2.5, 64, 2, "2636f6304806caed"),
+    (128, 12.0, 16, 3, "38a7a1407f89be83"),
+    (784, 31.0, 4, 4, "174ec03c1adc4cff"),
+])
+def test_truncated_ball_draws_are_frozen(k, eps, n, seed, digest):
+    # digests of draws made when the radius table was built point by point
+    u = sample_truncated_ball(k, eps, n, np.random.default_rng(seed))
+    assert hashlib.sha256(u.tobytes()).hexdigest()[:16] == digest
 
 
 def test_truncated_ball_domain_errors():

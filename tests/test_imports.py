@@ -1,4 +1,5 @@
-"""Static checks on the package sources: every top-level import is used,
+"""Static checks on the package sources: every import is of the standard
+library, numpy or the package itself, every top-level import is used,
 no two modules define the same top-level function or class, every
 top-level function or class is named somewhere in the package, and every
 top-level assignment is read somewhere in it. No linter ships with the test
@@ -20,6 +21,32 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench
 import spans  # noqa: E402
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pertsets"
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level module of each import in the source, at any depth, that is
+    neither in the standard library nor numpy nor relative to the package:
+    numpy is the only runtime dependency pyproject.toml declares."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in allowed]
+
+
+def test_checker_finds_a_foreign_import():
+    source = ("import math\nimport numpy as np\nimport scipy\nfrom . import nn\n"
+              "from .cvae import f\nfrom os import path\nfrom scipy.special import gammainc\n"
+              "def f():\n    import hypothesis.strategies\n")
+    assert foreign_imports(source) == ["scipy", "scipy.special", "hypothesis.strategies"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list:

@@ -1,4 +1,4 @@
-"""Oracle tests for the scalar special functions.
+"""Oracle tests for the special functions.
 
 Expected values here were produced by the independent oracles defined in this
 file (bisection solvers, Monte Carlo, exhaustive pmf sums) and then frozen.
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import special as sps
 from scipy import stats as sstats
 
+import refgamma
 from pertsets.specialfn import (
     binom_two_sided_pvalue,
     chi_square_cdf,
@@ -193,12 +194,12 @@ def test_chi_square_quantile_k128_against_mc_median():
 
 
 def test_chi_square_against_scipy():
-    for k in (1, 2, 5, 32, 128, 512):
+    for k in (1, 2, 5, 32, 128, 512, 784):
         for p in (0.01, 0.5, 0.9, 0.99, 0.999):
             assert chi_square_quantile(p, k) == pytest.approx(
                 sstats.chi2.ppf(p, k), rel=1e-6
             )
-    for k in (1, 3, 64, 512):
+    for k in (1, 3, 64, 512, 784):
         for x in (0.5, float(k), 2.0 * k):
             assert chi_square_cdf(x, k) == pytest.approx(sstats.chi2.cdf(x, k), abs=1e-10)
 
@@ -211,11 +212,55 @@ def test_reg_lower_gamma_matches_scipy():
         assert reg_lower_gamma(s, x) == pytest.approx(sps.gammainc(s, x), abs=1e-11)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 392.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       st.floats(1.0, 1e6))
+def test_reg_lower_gamma_array_matches_the_scalar_reference(s, fractions, far):
+    # zero, both sides of the series / continued-fraction switch at s + 1,
+    # the switch itself, and large x: every element gets the bits of the
+    # scalar loops, and a float gets a float
+    edge = s + 1.0
+    xs = np.array([0.0, np.nextafter(edge, 0.0), edge, far * edge, 1e300]
+                  + [f * edge for f in fractions] + [(1.0 + 2.0 * f) * edge for f in fractions])
+    got = reg_lower_gamma(s, xs)
+    want = np.array([refgamma.reg_lower_gamma(s, float(x)) for x in xs])
+    assert got.tobytes() == want.tobytes()
+    assert reg_lower_gamma(s, xs.reshape(1, -1)).shape == (1, xs.size)
+    for x in xs[:4]:
+        value = reg_lower_gamma(s, float(x))
+        assert type(value) is float and value == refgamma.reg_lower_gamma(s, float(x))
+
+
+def test_reg_lower_gamma_is_one_at_infinity():
+    assert reg_lower_gamma(4.0, math.inf) == 1.0
+    got = reg_lower_gamma(4.0, np.array([0.0, 4.0, math.inf]))
+    assert got[0] == 0.0 and 0.0 < got[1] < 1.0 and got[2] == 1.0
+    assert chi_square_cdf(math.inf, 3) == 1.0
+
+
+@pytest.mark.parametrize("s,x,name", [
+    (4.0, math.nan, "x"), (4.0, np.array([1.0, math.nan]), "x"),
+    (4.0, -1.0, "x"), (4.0, np.array([1.0, -1.0]), "x"),
+    (math.nan, 1.0, "s"), (math.inf, np.array([1.0]), "s"), (0.0, 1.0, "s"),
+])
+def test_reg_lower_gamma_domain_errors(s, x, name):
+    with pytest.raises(ValueError, match=f"gamma (shape|argument) {name} "):
+        reg_lower_gamma(s, x)
+
+
 def test_chi_square_quantile_cdf_residual():
-    for k in (1, 2, 7, 64, 512):
+    for k in (1, 2, 7, 64, 512, 784):
         for p in (0.001, 0.05, 0.5, 0.95, 0.9999):
             q = chi_square_quantile(p, k)
             assert abs(chi_square_cdf(q, k) - p) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 128, 784])
+def test_chi_square_quantile_matches_one_call_per_halving(k):
+    # the five-halvings-per-call walk returns the bits of the plain bisection
+    for p in (1e-12, 0.001, 0.05, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-9):
+        assert chi_square_quantile(p, k) == refgamma.chi_square_quantile(p, k), (k, p)
 
 
 def test_chi_square_domain_errors():
