@@ -236,7 +236,7 @@ def project_ball(u, eps: float) -> np.ndarray:
     return out
 
 
-def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: bool,
+def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize,
                transcript: list = None):
     """Projected gradient search over the l2 ball of radius eps, one problem
     per row of u0.
@@ -244,21 +244,25 @@ def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: boo
     objective(u, want_grad) takes the (B, k) latents and returns the per-row
     values (B,) to compare and, when want_grad, the gradient of their sum in
     u (else None): each objective writes out the reverse pass of its own
-    graph. The search starts at u0 projected into the ball and takes `steps`
-    steps of length `step` along each row's normalized gradient (ascent when
-    maximize), rows with zero gradient staying put. The best iterate per row
-    is kept and the start counts as one, so no row ends worse than its
-    start; the last iterate is scored but not differentiated. Returns (best
-    values, best u); transcript, when given, gets one entry per iterate.
+    graph. maximize is a bool for every row or a (B,) boolean mask, one
+    search direction per row. The search starts at u0 projected into the
+    ball and takes `steps` steps of length `step` along each row's
+    normalized gradient (ascent where maximize), rows with zero gradient
+    staying put; the signed step is rounded to the gradient's dtype, so a
+    row's arithmetic does not depend on the other rows' directions. The
+    best iterate per row is kept and the start counts as one, so no row
+    ends worse than its start; the last iterate is scored but not
+    differentiated. Returns (best values, best u); transcript, when given,
+    gets one entry per iterate, its loss and u_norm the means over all rows.
     """
     u = project_ball(u0, eps)
-    sign = 1.0 if maximize else -1.0
+    ascend = np.broadcast_to(np.asarray(maximize, dtype=bool), u.shape[:1])
     for t in range(steps + 1):
         val, g = objective(u, t < steps)
         if t == 0:
             best_val, best_u = val.copy(), u.copy()
         else:
-            better = val > best_val if maximize else val < best_val
+            better = np.where(ascend, val > best_val, val < best_val)
             best_val[better] = val[better]
             best_u[better] = u[better]
         if transcript is not None:
@@ -268,7 +272,8 @@ def latent_pgd(objective, u0, eps: float, steps: int, step: float, maximize: boo
             break
         gn = np.linalg.norm(g, axis=1, keepdims=True)
         direction = np.where(gn > 0, g / np.where(gn == 0, 1.0, gn), 0.0)
-        u = project_ball(u + sign * step * direction, eps)
+        signed = np.where(ascend, step, -step).astype(direction.dtype)[:, None]
+        u = project_ball(u + signed * direction, eps)
     return best_val, best_u
 
 

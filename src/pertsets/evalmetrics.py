@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cvae import (CvaeModel, Condition, PairSet, kl_diag, latent_pgd, project_ball,
-                   reparameterize, sample_truncated_ball)
+from .cvae import (CvaeModel, Condition, GaussianDiag, PairSet, kl_diag, latent_pgd,
+                   project_ball, reparameterize, sample_truncated_ball)
 
 METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
 
@@ -23,12 +23,11 @@ METRICS = ("enc_ae", "pgd_ae", "eae", "oae", "recon_err", "kl")
 # Batched internals
 
 
-def _encoder_points(model: CvaeModel, x, cond: Condition):
+def _encoder_points(post_mean, prior: GaussianDiag):
     """Standardized posterior-mean latents (float32) and their norms
-    (float64, since they set the reported radius), plus the posterior."""
-    q = model.encode_posterior(x, cond.y)
-    u = (q.mean - cond.mean) / cond.std
-    return u, np.linalg.norm(u.astype(np.float64), axis=1), q
+    (float64, since they set the reported radius)."""
+    u = (post_mean - prior.mean) / prior.std()
+    return u, np.linalg.norm(u.astype(np.float64), axis=1)
 
 
 def _sse_rows(out, x):
@@ -63,14 +62,18 @@ def _recon_objective(model: CvaeModel, x, cond: Condition):
 
 def select_radius(model: CvaeModel, pairs: PairSet, batch_size: int = 512) -> float:
     """Smallest ball radius containing every standardized mean encoding:
-    eps = max over pairs of ||(mu_q - mu_p) / sigma_p||_2."""
+    eps = max over pairs of ||(mu_q - mu_p) / sigma_p||_2. Only the two
+    means and the prior's variance are encoded: no posterior variance and no
+    decoder projection."""
     if len(pairs) == 0:
         raise ValueError("radius selection needs a non-empty pair set")
+    params = model.params
     best = 0.0
     for lo in range(0, len(pairs), batch_size):
         x = pairs.perturbed[lo:lo + batch_size]
         y = pairs.conditioned[lo:lo + batch_size]
-        _, norms, _ = _encoder_points(model, x, model.condition(y))
+        post_mean = model.post_mean.apply(params, model.post_trunk.apply(params, [x, y]))
+        _, norms = _encoder_points(post_mean, model.encode_prior(y))
         best = max(best, float(norms.max()))
     return best
 
@@ -122,7 +125,12 @@ def _pair_seeds(x, y, base: int):
 def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
                  rng: np.random.Generator, steps: int = 50, n_expected: int = 5,
                  batch_size: int = 256) -> EvalReport:
-    """All six metrics for every pair, plus latent norms and aggregates."""
+    """All six metrics for every pair, plus latent norms and aggregates.
+
+    Pairs go in blocks of batch_size. A block's two latent-PGD searches run
+    as one latent_pgd call over its rows stacked twice: descent from the
+    projected encoder point (pgd_ae), then ascent from a random ball draw
+    (oae)."""
     if len(pairs) == 0:
         raise ValueError("evaluation needs a non-empty pair set")
     if eps <= 0:
@@ -135,17 +143,13 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         y = pairs.conditioned[lo:lo + batch_size]
         B = x.shape[0]
         cond = model.condition(y)
-        u_enc, norms, q = _encoder_points(model, x, cond)
+        q = model.encode_posterior(x, y)
+        u_enc, norms = _encoder_points(q.mean, cond.prior)
         out["latent_norm"].append(norms)
         out["kl"].append(kl_diag(q, cond.prior))
 
         u_proj = project_ball(u_enc, eps)
         out["enc_ae"].append(_mse_rows(model, u_proj, cond, x))
-
-        # the least per-pixel error latent PGD finds from the encoder point
-        recon = _recon_objective(model, x, cond)
-        pgd_err, _ = latent_pgd(recon, u_proj, eps, steps, step, maximize=False)
-        out["pgd_ae"].append(pgd_err)
 
         rngs = [np.random.default_rng(s) for s in _pair_seeds(x, y, base)]
 
@@ -160,9 +164,17 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
             eae += _mse_rows(model, draws[:, j], cond, x)
         out["eae"].append(eae / n_expected)
 
+        # pgd_ae descends over the first B rows of one search, oae ascends
+        # over the second B
         u0 = np.stack([sample_truncated_ball(model.k, eps, 1, r)[0] for r in rngs])
-        oae_err, _ = latent_pgd(recon, u0.astype(np.float32), eps, steps, step, maximize=True)
-        out["oae"].append(oae_err)
+        twice = lambda a: np.concatenate([a, a])
+        prior2 = GaussianDiag(twice(cond.prior.mean), twice(cond.prior.logvar))
+        cond2 = Condition(twice(y), prior2, twice(cond.mean), twice(cond.std), twice(cond.proj))
+        err, _ = latent_pgd(_recon_objective(model, twice(x), cond2),
+                            np.concatenate([u_proj, u0.astype(np.float32)]), eps, steps, step,
+                            maximize=np.arange(2 * B) >= B)
+        out["pgd_ae"].append(err[:B])
+        out["oae"].append(err[B:])
 
     # float32 network values, widened so the summary and CSV reduce in float64
     records = {name: np.concatenate(v).astype(np.float64) for name, v in out.items()}

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+import refeval as ref_pgd
 import refgamma
 import reftape as ref
 from pertsets import nn
@@ -251,6 +252,54 @@ def test_latent_pgd_zero_steps_scores_projected_start():
     best, u = latent_pgd(sq_dist(target), np.array([[3.0, 4.0]]), 2.0, 0, 1.0, maximize=True)
     np.testing.assert_allclose(u, [[1.2, 1.6]])
     np.testing.assert_allclose(best, [4.0])
+
+
+def _quadratic_search():
+    # float64 rows; rows 2 and 7 start on their target inside the ball, so
+    # their gradient is zero and they never move
+    rng = np.random.default_rng(41)
+    target = rng.normal(0.0, 2.0, (10, 3))
+    target[[2, 7]] *= 0.1
+    u0 = rng.normal(0.0, 1.0, (10, 3))
+    u0[[2, 7]] = target[[2, 7]]
+    return sq_dist(target), u0, 1.5, 0.3
+
+
+def _decoder_search():
+    # float32 rows through a small decoder's reconstruction error
+    model = make_model(m=12, k=4, hidden=16, seed=7)
+    rng = np.random.default_rng(42)
+    x = rng.uniform(0, 1, (10, 12)).astype(np.float32)
+    cond = model.condition(rng.uniform(0, 1, (10, 12)).astype(np.float32))
+    u0 = rng.standard_normal((10, 4)).astype(np.float32)
+    return _recon_objective(model, x, cond), u0, 1.2, 0.06
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("search", [_quadratic_search, _decoder_search])
+@pytest.mark.parametrize("steps", [0, 9])
+def test_latent_pgd_mask_runs_each_row_as_its_own_search(search, steps):
+    # a mixed mask gives every row, bit for bit, what the one-direction
+    # reference loop gives it, run over the same rows in that row's
+    # direction; the bool runs match the reference loop too
+    objective, u0, eps, step = search()
+    mask = np.array([False, True, True, False, False, True, False, True, True, False])
+    ref = {b: ref_pgd.latent_pgd(objective, u0, eps, steps, step, b) for b in (False, True)}
+    got = latent_pgd(objective, u0, eps, steps, step, maximize=mask)
+    for i, row in enumerate(mask):
+        assert _same_bytes(got[0][i], ref[row][0][i]) and _same_bytes(got[1][i], ref[row][1][i])
+    if steps:
+        assert not np.array_equal(ref[False][0], ref[True][0])
+    for b in (False, True):
+        want = []
+        ref_pgd.latent_pgd(objective, u0, eps, steps, step, b, transcript=want)
+        for maximize in (b, np.full(10, b)):
+            t = []
+            best, u = latent_pgd(objective, u0, eps, steps, step, maximize, transcript=t)
+            assert _same_bytes(best, ref[b][0]) and _same_bytes(u, ref[b][1]) and t == want
 
 
 # ---------------------------------------------------------------------------

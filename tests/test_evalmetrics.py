@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import refeval
 from pertsets import nn
 from pertsets.cli import ArtifactDir
 from pertsets.cvae import CvaeModel, PairSet, kl_diag, latent_pgd, sample_truncated_ball
@@ -32,7 +33,7 @@ def pgd_ae(model: CvaeModel, x, y, eps: float, steps: int = 50, step: float = No
     if step is None:
         step = eps / 20.0
     cond = model.condition(y)
-    u0, _, _ = _encoder_points(model, x, cond)
+    u0, _ = _encoder_points(model.encode_posterior(x, y).mean, cond.prior)
     err, _ = latent_pgd(_recon_objective(model, x, cond), u0, eps, steps, step, maximize=False)
     return float(err[0])
 
@@ -291,6 +292,46 @@ def test_evaluate_set_deterministic_and_batch_invariant():
                      batch_size=2)
     for name in METRICS + ("latent_norm",):
         np.testing.assert_array_equal(a.records[name], b.records[name])
+
+
+@pytest.mark.parametrize("m, k, hidden, n, steps, batch_size", [
+    (M, K, HID, 7, 8, 3),
+    (784, 784, 784, 8, 3, 256),     # mnist-linf widths, one block
+])
+def test_evaluate_set_matches_the_two_search_reference(m, k, hidden, n, steps, batch_size):
+    # the stacked search gives the bytes of separate descent and ascent
+    # searches over each block
+    model = CvaeModel(m, k, hidden, rng=np.random.default_rng(50))
+    rng = np.random.default_rng(51)
+    pairs = PairSet(rng.uniform(0, 1, (n, m)).astype(np.float32),
+                    rng.uniform(0, 1, (n, m)).astype(np.float32))
+    got = evaluate_set(model, pairs, 1.0, np.random.default_rng(52), steps=steps,
+                       batch_size=batch_size)
+    want = refeval.evaluate_set(model, pairs, 1.0, np.random.default_rng(52), steps=steps,
+                                batch_size=batch_size)
+    for name in METRICS + ("latent_norm",):
+        assert got.records[name].tobytes() == want.records[name].tobytes(), name
+    assert got.summary() == want.summary()
+    assert (got.records["pgd_ae"] <= got.records["enc_ae"]).all()
+
+
+def test_evaluate_set_block_size_moves_only_the_searches_in_the_last_bit():
+    # smoke widths: the decoder's reverse pass into k = 8 latents multiplies
+    # through a transposed weight view, and the BLAS may round that product
+    # differently for a different number of rows, so a block of 256 pairs
+    # and blocks of 64 can differ in the last bit of the two searches; every
+    # other column is exactly equal
+    model = CvaeModel(256, 8, 128, rng=np.random.default_rng(53))
+    rng = np.random.default_rng(54)
+    pairs = PairSet(rng.uniform(0, 1, (300, 256)).astype(np.float32),
+                    rng.uniform(0, 1, (300, 256)).astype(np.float32))
+    a = evaluate_set(model, pairs, 2.0, np.random.default_rng(55), batch_size=256)
+    b = evaluate_set(model, pairs, 2.0, np.random.default_rng(55), batch_size=64)
+    for name in METRICS + ("latent_norm",):
+        if name in ("pgd_ae", "oae"):
+            np.testing.assert_allclose(a.records[name], b.records[name], rtol=1e-6, atol=0)
+        else:
+            np.testing.assert_array_equal(a.records[name], b.records[name])
 
 
 def test_evaluate_set_encodes_prior_once_per_batch():

@@ -3,6 +3,7 @@ checks that every operation it wraps still resolves, that every by-name
 import it must also wrap is still there, and that each span counter reads
 the rows a call was given."""
 
+import json
 import os
 import sys
 
@@ -59,5 +60,40 @@ def test_each_counted_span_records_the_rows_it_was_given():
             assert n == rows, name
             if name == "robust.pgd":
                 assert x_count == rows * 2      # rows times attack steps
+    finally:
+        tracer.close()
+
+
+def test_eval_set_stage_fires_the_sites_the_trace_requires(tmp_path):
+    # a gen-data -> train-cvae -> eval-set chain through cli.main under the
+    # tracer: an eval refactor that drops a by-name import the trace wraps,
+    # or stops counting pairs, fails here and not only in a traced benchmark
+    mods = spans.import_package()
+    cli = mods["cli"]
+    data, cvae = str(tmp_path / "data"), str(tmp_path / "cvae")
+    stages = [
+        ("gen-data", {"out_dir": data, "seed": 7,
+                      "source": {"kind": "synth-shapes", "n": 60, "size": 8},
+                      "pairs": {"kind": "linf", "eps": 0.3}, "split": {"test": 20}}),
+        ("train-cvae", {"out_dir": cvae, "seed": 1, "data": os.path.join(data, "train"),
+                        "model": {"k": 3, "hidden": 16},
+                        "train": {"epochs": 1, "batch_size": 16,
+                                  "lr": {"epochs": [0, 1], "values": [0.002, 0.002]},
+                                  "beta": {"epochs": [0, 1], "values": [0.01, 0.01]}}}),
+        ("eval-set", {"out_dir": str(tmp_path / "eval"), "seed": 2, "model": cvae,
+                      "data": os.path.join(data, "test"),
+                      "eps": {"select_from": os.path.join(data, "train")},
+                      "steps": 2, "n_expected": 2, "limit": 9}),
+    ]
+    tracer = spans.Tracer(mods)
+    try:
+        for stage, cfg in stages:
+            path = tmp_path / f"{stage}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            assert cli.main([stage, "--config", str(path)]) == 0, stage
+        fired = tracer.fired_sites()
+        for site in ("cli.evaluate_set", "cli.select_radius", "evalmetrics.sample_truncated_ball"):
+            assert site in fired, site
+        assert tracer.metrics({""})["evalmetrics.pairs"] == 9
     finally:
         tracer.close()
