@@ -185,7 +185,7 @@ def _choice(*options):
 
 _SEED = _int_at_least(0)   # SeedSequence entropy is non-negative
 _COUNT = _int_at_least(1)
-_FRACTION = _checked(_as_float, lambda x: 0 < x < 1, "in (0, 1)")
+_FRACTION = _checked(_as_float, lambda x: 0 < x < 1 and 1.0 - x < 1.0, "in (0, 1) with 1 - x < 1")
 _POSITIVE = _checked(_as_float, lambda x: x > 0, "> 0")
 _NONNEGATIVE = _checked(_as_float, lambda x: x >= 0, ">= 0")
 
@@ -344,7 +344,7 @@ def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int
     None) of a stage. The pairs and the classifier must be as wide as the
     generator's images, and labeled when the stage needs labels, with every
     label one of the classifier's classes (else exit 3)."""
-    model, _ = _load_checkpoint(model_dir, "model", load_cvae)
+    model = _load_checkpoint(model_dir, "model", load_cvae)
     h = None
     if clf_dir is not None:
         h = _load_checkpoint(clf_dir, "classifier", load_classifier)

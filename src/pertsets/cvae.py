@@ -156,9 +156,9 @@ class CvaeModel:
         nn.save_params(self.params, stem, {**self.meta(), **(extra_meta or {})})
 
 
-def load_cvae(stem: str) -> tuple[CvaeModel, dict]:
+def load_cvae(stem: str) -> CvaeModel:
     params, meta = nn.load_params(stem)
-    return CvaeModel(*nn.meta_values(stem, meta, CvaeModel.META), params=params), meta
+    return CvaeModel(*nn.meta_values(stem, meta, CvaeModel.META), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,8 @@ def train_cvae(pairs: PairSet, cfg: TrainConfig) -> tuple[CvaeModel, list[dict]]
                                                pairs.conditioned[idx], u, beta)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-            nn.adam_step(model.params, nn.backprop_gradients(model.params, reverse), lr)
+            nn.backprop_gradients(model.params, reverse)
+            nn.adam_step(model.params, lr)
             tot_loss += float(loss) * len(idx)
             tot_sse += float(sse.sum())
             tot_kl += float(kl.sum())

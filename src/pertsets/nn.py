@@ -10,11 +10,10 @@ classifier cross-entropy and the latent-PGD objectives. There is no general
 tape. Network.apply keeps the activations a reverse pass reads when given a
 list, and `backward` runs one network's reverse pass from the gradient in
 its output: a relu or scaled_tanh step is one elementwise product on the
-gradient, each parameter gradient is written into a dict it is given, and
-the gradient in the first input stream is formed only when asked for. Each graph
-writes out its own glue (KL, reparameterization, squared error,
-cross-entropy) around these passes, and `backprop_gradients` collects one
-step's parameter gradients for adam_step.
+gradient, each parameter gradient is written into the array it is given,
+and the gradient in the first input stream is formed only when asked for.
+Each graph writes out its own glue (KL, reparameterization, squared error,
+cross-entropy) around these passes.
 
 Dtype rule: network math runs in float32, and every op preserves its array
 operands' dtype. Python int and float operands stay Python numbers, so they
@@ -22,9 +21,8 @@ are weak under NumPy's promotion rules and never widen a float32 array; a
 graph fed float64 arrays stays float64 (the tests drive the same ops that
 way).
 
-Adam updates parameters and moments in place, one cache-sized block of rows
-at a time through two small scratch buffers, so no full-size temporary is
-formed and the result is bit for bit the whole-tensor formula's.
+A ParamSet keeps the parameters, Adam's moments and one step's gradients
+(`backprop_gradients`) in flat buffers of one layout, the checkpoint's.
 """
 
 import json
@@ -46,26 +44,47 @@ def finite_or_raise(x, what: str):
 
 
 class ParamSet:
-    """Named parameter tensors plus Adam moment state and a shared step count."""
+    """Named parameter tensors, their shapes in name order in `shapes`, each a
+    view into one flat buffer, `flat`, laid out in that order: the
+    checkpoint's byte order. Adam's moments m and v and one step's gradients,
+    `grad`, are flat buffers of that layout, allocated by the first step that
+    needs them; `step` counts Adam steps. ParamSet(values) copies the tensors
+    into one buffer of their common dtype."""
 
     def __init__(self, values=None):
-        self.values: dict[str, np.ndarray] = dict(values or {})
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        values = {name: np.asarray(v) for name, v in (values or {}).items()}
+        self._lay_out({name: v.shape for name, v in values.items()},
+                      np.result_type(*values.values()) if values else np.float32)
+        for name, value in values.items():
+            self.values[name][...] = value
+
+    def _lay_out(self, shapes: dict, dtype):
+        # zero tensors of the given shapes and dtype, and no Adam state
+        self.shapes = {name: tuple(shapes[name]) for name in sorted(shapes)}
+        self.flat = np.zeros(sum(map(math.prod, self.shapes.values())), dtype)
+        self.values = self.views(self.flat)
+        self.m = self.v = self.grad = None
         self.step = 0
 
+    def views(self, flat) -> dict[str, np.ndarray]:
+        """The tensors of a flat buffer of this layout, by name."""
+        out, end = {}, 0
+        for name, shape in self.shapes.items():
+            start, end = end, end + math.prod(shape)
+            out[name] = flat[start:end].reshape(shape)
+        return out
 
-# elements in one row block of an Adam update: a block of each array the
-# update touches (value, g, m, v and two scratch buffers) fits in L2 cache
+
+# elements in one block of an Adam update: six such blocks fit in L2 cache
 _BLOCK = 1 << 16
 
 
-def adam_step(params: ParamSet, grads: dict, lr: float,
+def adam_step(params: ParamSet, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update (Kingma & Ba) over every parameter, in
-    place. Each tensor is updated block by block, each block about _BLOCK
-    elements of whole rows (a bias vector is one block), through two scratch
-    buffers in the tensor's dtype, in the op order of
+    """One bias-corrected Adam update (Kingma & Ba) of every parameter from
+    params.grad, the gradients backprop_gradients wrote, in place. The flat
+    buffers are updated _BLOCK elements at a time, through two scratch
+    buffers, in the op order of
 
         m += (1 - beta1) * (g - m)
         v += (1 - beta2) * (g * g - v)
@@ -73,50 +92,34 @@ def adam_step(params: ParamSet, grads: dict, lr: float,
 
     so no full-size temporary is formed, and every element, hence every
     parameter and moment, is bit for bit what that formula gives with
-    Python-float hyperparameters (weak scalars: float32 tensors stay float32).
-    Every gradient is checked before any tensor changes."""
-    for name, value in params.values.items():
-        if name not in grads:
-            raise ValueError(f"missing gradient for parameter {name!r}")
-        if grads[name].shape != value.shape:
-            raise ValueError(f"gradient shape {grads[name].shape} != parameter shape "
-                             f"{value.shape} for {name!r}")
+    Python-float hyperparameters (weak scalars: float32 tensors stay float32)."""
+    g = params.grad
+    tmp = np.empty(min(_BLOCK, len(g)), dtype=g.dtype)
+    tmp2 = np.empty_like(tmp)
+    if params.m is None:
+        params.m, params.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     params.step += 1
     t = params.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    scalars = (1.0 - beta1, 1.0 - beta2, lr / c1, c2, eps)
-    # the scalars as 0-d arrays of each tensor dtype: a ufunc takes them
+    # the scalars as 0-d arrays of the buffer dtype: a ufunc takes them
     # faster than Python floats and rounds them the same way
-    typed = {}
-    for name, value in params.values.items():
-        g = grads[name].astype(value.dtype, copy=False)
-        if name not in params.m:
-            params.m[name] = np.zeros_like(value)
-            params.v[name] = np.zeros_like(value)
-        m, v = params.m[name], params.v[name]
-        if value.dtype not in typed:
-            typed[value.dtype] = [np.array(x, dtype=value.dtype) for x in scalars]
-        a, b, lr_c1, c2_, eps_ = typed[value.dtype]
-        rows = max(1, _BLOCK // max(1, math.prod(value.shape[1:])))
-        tmp = np.empty((min(rows, len(value)),) + value.shape[1:], dtype=value.dtype)
-        tmp2 = np.empty_like(tmp)
-        for s in range(0, len(value), rows):
-            pb, gb, mb, vb = value[s:s + rows], g[s:s + rows], m[s:s + rows], v[s:s + rows]
-            t1, t2 = tmp[:len(pb)], tmp2[:len(pb)]
-            np.subtract(gb, mb, out=t1)
-            t1 *= a
-            mb += t1
-            np.multiply(gb, gb, out=t1)
-            t1 -= vb
-            t1 *= b
-            vb += t1
-            np.multiply(mb, lr_c1, out=t1)
-            np.divide(vb, c2_, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += eps_
-            t1 /= t2
-            pb -= t1
+    a, b, lr_c1, c2, eps_ = (np.array(x, dtype=g.dtype) for x in (
+        1.0 - beta1, 1.0 - beta2, lr / (1.0 - beta1 ** t), 1.0 - beta2 ** t, eps))
+    for s in range(0, len(g), _BLOCK):
+        pb, gb, mb, vb = (x[s:s + _BLOCK] for x in (params.flat, g, params.m, params.v))
+        t1, t2 = tmp[:len(pb)], tmp2[:len(pb)]
+        np.subtract(gb, mb, out=t1)
+        t1 *= a
+        mb += t1
+        np.multiply(gb, gb, out=t1)
+        t1 -= vb
+        t1 *= b
+        vb += t1
+        np.multiply(mb, lr_c1, out=t1)
+        np.divide(vb, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps_
+        t1 /= t2
+        pb -= t1
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +213,6 @@ class Network:
     def param_shapes(self) -> dict:
         return dict(self._shapes)
 
-    def init(self, params: ParamSet, rng: np.random.Generator):
-        """Add this network's parameters: Glorot-uniform weights, zero biases.
-        A weight is drawn in row blocks straight into float32; the generator
-        fills values in order, so they equal one float64 draw cast down."""
-        for pname, shape in self._shapes.items():
-            if len(shape) == 2:
-                bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-                w = params.values[pname] = np.empty(shape, dtype=np.float32)
-                rows = max(1, _BLOCK // shape[1])
-                for s in range(0, shape[0], rows):
-                    w[s:s + rows] = rng.uniform(-bound, bound, size=w[s:s + rows].shape)
-            else:
-                params.values[pname] = np.zeros(shape, dtype=np.float32)
-
     def _streams(self, inputs, dims):
         # input streams are (B, d) rows, B the same for every stream: a
         # forward pass must not broadcast what its reverse pass cannot undo
@@ -273,12 +262,11 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
              input_grad: bool = False):
     """Reverse pass of the net.apply call that filled `acts`, from g, the
     gradient in its output. With `grads`, writes each of the net's parameter
-    gradients into the array grads[name], allocated uninitialized when the
-    dict lacks it: a weight's block v.T @ g per input stream v and a bias's
-    row sum. A pass through `proj` has no parameter gradients: given grads,
-    it raises ValueError. Returns the gradient in the first input stream when
-    input_grad, else None: a first dense layer forms no product that is not
-    asked for."""
+    gradients into the array grads[name]: a weight's block v.T @ g per input
+    stream v and a bias's row sum. A pass through `proj` has no parameter
+    gradients: given grads, it raises ValueError. Returns the gradient in the
+    first input stream when input_grad, else None: a first dense layer forms
+    no product that is not asked for."""
     for i in reversed(range(len(net.layers))):
         layer, names, saved = net.layers[i], net._dense_names[i], acts[i]
         if layer[0] == "relu":
@@ -291,9 +279,6 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
             if grads is not None:
                 if sum(v.shape[1] for v in saved) != len(w):
                     raise ValueError(f"{net.name}: a pass through proj has no parameter gradients")
-                for name in names:
-                    if name not in grads:
-                        grads[name] = np.empty_like(params.values[name])
                 s = 0
                 for v in saved:
                     np.matmul(v.T, g, out=grads[wname][s:s + v.shape[1]])
@@ -306,29 +291,39 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
 
 
 def backprop_gradients(params: ParamSet, reverse) -> dict[str, np.ndarray]:
-    """One step's parameter gradients, the dict adam_step takes, in the
-    order of params: reverse(grads) fills an empty dict through the reverse
-    passes (`backward`) of its graph, and a parameter no pass reaches gets a
-    zero gradient."""
-    grads = {}
+    """One step's parameter gradients, in params.grad (allocated by the first
+    call): the buffer is zero-filled, so a parameter no pass reaches gets a
+    zero gradient, and reverse(grads) fills its views, by name, through the
+    reverse passes (`backward`) of its graph. Returns those views."""
+    if params.grad is None:
+        params.grad = np.empty_like(params.flat)
+    params.grad.fill(0)
+    grads = params.views(params.grad)
     reverse(grads)
-    return {name: grads[name] if name in grads else np.zeros_like(value)
-            for name, value in params.values.items()}
+    return grads
 
 
 def model_params(nets, params: ParamSet = None, rng: np.random.Generator = None) -> ParamSet:
-    """The parameters of a model made of nets: drawn fresh from rng, net by
-    net in order, when params is None; otherwise params itself, checked to
+    """The parameters of a model made of nets: drawn fresh from rng when
+    params is None, Glorot-uniform weights and zero biases, net by net and
+    tensor by tensor in declared order; otherwise params itself, checked to
     hold exactly the tensors that nets declare, each in its declared shape.
-    ValueError names the first tensor, by name, that differs."""
+    ValueError names the first tensor, by name, that differs. A weight is
+    drawn in row blocks straight into float32; the generator fills values in
+    order, so they equal one float64 draw cast down."""
+    shapes = {name: shape for net in nets for name, shape in net.param_shapes().items()}
     if params is None:
         if rng is None:
             raise ValueError("need params or an rng to initialize them")
         params = ParamSet()
-        for net in nets:
-            net.init(params, rng)
+        params._lay_out(shapes, np.float32)
+        for name, shape in shapes.items():
+            if len(shape) == 2:
+                w, bound = params.values[name], math.sqrt(6.0 / (shape[0] + shape[1]))
+                rows = max(1, _BLOCK // shape[1])
+                for s in range(0, shape[0], rows):
+                    w[s:s + rows] = rng.uniform(-bound, bound, size=w[s:s + rows].shape)
         return params
-    shapes = {name: shape for net in nets for name, shape in net.param_shapes().items()}
     values = params.values
     for name in sorted(set(shapes) | set(values)):
         if name not in values:
@@ -432,22 +427,20 @@ def meta_values(stem: str, meta: dict, kinds: dict) -> list:
 def save_params(params: ParamSet, stem: str, meta: dict):
     """Write the checkpoint at stem: the manifest `<stem>.json` naming each
     tensor and its shape in name order, so the byte layout is deterministic;
-    `<stem>.bin`, the tensors as little-endian float32 in that order, each
-    written straight to the file (a float32 one without a copy); and meta,
-    the architecture a model is rebuilt from, as `<stem>.meta.json`."""
-    names = sorted(params.values)
+    `<stem>.bin`, the flat buffer as little-endian float32, written in one
+    call (a float32 buffer without a copy); and meta, the architecture a
+    model is rebuilt from, as `<stem>.meta.json`."""
     write_json(stem + ".json",
                {"format": _FORMAT, "extra": {},
-                "tensors": [{"name": n, "shape": list(params.values[n].shape)} for n in names]})
+                "tensors": [{"name": n, "shape": list(s)} for n, s in params.shapes.items()]})
     with open(stem + ".bin", "wb") as f:
-        for n in names:
-            f.write(np.ascontiguousarray(params.values[n], dtype="<f4"))
+        f.write(np.ascontiguousarray(params.flat, dtype="<f4"))
     write_json(stem + ".meta.json", meta)
 
 
 def load_params(stem: str) -> tuple[ParamSet, dict]:
-    """Inverse of save_params; returns (ParamSet, meta). Each tensor is read
-    into its own fresh array, with no copy of the whole blob. Raises
+    """Inverse of save_params; returns (ParamSet, meta). The blob is read with
+    one readinto into the flat buffer, with no other copy of it. Raises
     FileNotFoundError for a missing part, ValueError for a malformed part,
     and FloatingPointError naming a tensor that is not finite."""
     for suffix in CHECKPOINT_SUFFIXES:
@@ -456,22 +449,23 @@ def load_params(stem: str) -> tuple[ParamSet, dict]:
     manifest, meta = read_json(stem + ".json"), read_json(stem + ".meta.json")
     if manifest.get("format") != _FORMAT or not isinstance(manifest.get("tensors"), list):
         raise ValueError(f"{stem}.json: not a {_FORMAT} manifest")
-    params = ParamSet()
+    shapes = {}
+    for entry in manifest["tensors"]:
+        name, shape = ((entry.get("name"), entry.get("shape")) if isinstance(entry, dict)
+                       else (None, None))
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(type(d) is int and d >= 0 for d in shape)
+                or shapes and name <= next(reversed(shapes))):
+            raise ValueError(f"{stem}.json: malformed, repeated or unsorted entry {entry!r}")
+        shapes[name] = shape
+    params, need = ParamSet(), 4 * sum(map(math.prod, shapes.values()))
     with open(stem + ".bin", "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        for entry in manifest["tensors"]:
-            name, shape = ((entry.get("name"), entry.get("shape")) if isinstance(entry, dict)
-                           else (None, None))
-            if (not isinstance(name, str) or name in params.values or not isinstance(shape, list)
-                    or not all(type(d) is int and d >= 0 for d in shape)):
-                raise ValueError(f"{stem}.json: malformed or repeated tensor entry {entry!r}")
-            # sized against the blob first, so no shape allocates past it
-            fits = 4 * math.prod(shape) <= size - f.tell()
-            value = np.empty(shape, dtype="<f4") if fits else None
-            if not fits or f.readinto(value) != value.nbytes:
-                raise ValueError(f"checkpoint blob too short for tensor {name!r}")
-            params.values[name] = finite_or_raise(value, f"checkpoint {stem}: tensor {name!r}")
-        left = size - f.tell()
-    if left:
-        raise ValueError(f"checkpoint blob has {left / 4:g} trailing floats")
+        size = os.fstat(f.fileno()).st_size      # first, so no manifest allocates past it
+        if size == need:
+            params._lay_out(shapes, "<f4")
+        if size != need or f.readinto(params.flat) != need:
+            raise ValueError(f"checkpoint blob too {'short' if size < need else 'long'}: "
+                             f"{size} bytes, its manifest {need}")
+    for name, value in params.values.items():
+        finite_or_raise(value, f"checkpoint {stem}: tensor {name!r}")
     return params, meta

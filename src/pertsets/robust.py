@@ -123,7 +123,8 @@ def _train_step(h: Classifier, inputs, labels, lr: float):
     def reverse(grads):
         nn.backward(h.net, h.params, acts, g * (1.0 / len(ce)), grads)
 
-    nn.adam_step(h.params, nn.backprop_gradients(h.params, reverse), lr)
+    nn.backprop_gradients(h.params, reverse)
+    nn.adam_step(h.params, lr)
     return float(loss)
 
 

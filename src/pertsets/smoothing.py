@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .cvae import CvaeModel
+from .cvae import Condition, CvaeModel
 from .robust import Classifier, _train_step
 from .specialfn import clopper_pearson_lower, std_normal_quantile
 
@@ -28,15 +28,14 @@ class Certificate:
     p_a: float               # lower confidence bound on the top-class mass
 
 
-def sample_under_noise(h: Classifier, model: CvaeModel, x, n: int, sigma: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Class counts over n decodes of x at latent noise level sigma."""
+def sample_under_noise(h: Classifier, model: CvaeModel, cond: Condition, n: int,
+                       sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Class counts over n decodes at latent noise level sigma, against one
+    example's Condition."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    x = np.asarray(x, dtype=np.float32).reshape(1, -1)
-    cond = model.condition(x)
     counts = np.zeros(h.n_classes, dtype=np.int64)
     done = 0
     while done < n:
@@ -62,8 +61,9 @@ def certify(h: Classifier, model: CvaeModel, x, sigma: float,
     if n0 < 1 or n < 1:
         raise ValueError("need n0 >= 1 and n >= 1")
     rng0, rng1 = rng.spawn(2)
-    guess, _ = _top_two(sample_under_noise(h, model, x, n0, sigma, rng0))
-    counts = sample_under_noise(h, model, x, n, sigma, rng1)
+    cond = model.condition(np.asarray(x, dtype=np.float32).reshape(1, -1))
+    guess, _ = _top_two(sample_under_noise(h, model, cond, n0, sigma, rng0))
+    counts = sample_under_noise(h, model, cond, n, sigma, rng1)
     p_a = clopper_pearson_lower(int(counts[guess]), n, 1.0 - alpha)
     if p_a > 0.5:
         return Certificate(prediction=guess, radius=sigma * std_normal_quantile(p_a), p_a=p_a)

@@ -58,8 +58,8 @@ class TheoryBounds:
 
 def mahalanobis_radius(k: int, alpha: float) -> float:
     """Radius of the ball holding 1 - alpha of a standard k-dim Gaussian."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1) with 1 - alpha < 1, got {alpha}")
     return math.sqrt(chi_square_quantile(1.0 - alpha, k))
 
 

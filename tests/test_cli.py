@@ -374,6 +374,10 @@ def _bad_input_cfg(pipeline, out, stage):
       for mode, extra in (("clean", {}), ("adv", {"eps": 1.0}), ("augment", {"eps": 1.0}))],
     ("train-robust", {"train": {"mode": "noise", "epochs": 1}}, [],
      "config.train.sigma: required key missing"),
+    # an alpha of 2^-54 or less passes (0, 1), but its confidence 1 - alpha
+    # rounds to 1, which has no quantile
+    *[(stage, {"alpha": alpha}, [], "config.alpha: must be in (0, 1) with 1 - x < 1")
+      for stage in ("bounds", "certify") for alpha in (1e-17, 2.0 ** -54)],
 ])
 def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, patch, flags,
                                            field):

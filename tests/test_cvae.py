@@ -322,7 +322,7 @@ def test_pairset_accessors():
 def make_model(m=6, k=3, hidden=10, seed=0, dtype=np.float32):
     model = CvaeModel(m, k, hidden, rng=np.random.default_rng(seed))
     if dtype is not np.float32:
-        model.params.values = {n: v.astype(dtype) for n, v in model.params.values.items()}
+        model.params = nn.ParamSet({n: v.astype(dtype) for n, v in model.params.values.items()})
     return model
 
 
@@ -518,7 +518,7 @@ def test_presplit_checkpoint_loads_and_decodes():
     # written by the concat-decoder code before the first layer was split:
     # same tensor names and shapes, outputs equal up to float32 rounding
     stem = os.path.join(os.path.dirname(__file__), "data", "presplit_cvae", "model")
-    model, _ = load_cvae(stem)
+    model = load_cvae(stem)
     assert model.params.values["decoder/w0"].shape == (4 + 12, 16)
     rng = np.random.default_rng(7)
     z = rng.standard_normal((5, 4)).astype(np.float32)
@@ -598,7 +598,8 @@ def test_model_save_load_roundtrip(tmp_path):
     model = make_model(m=6, k=3, hidden=10, seed=5)
     stem = str(tmp_path / "model")
     model.save(stem, extra_meta={"selected_eps": 1.25})
-    loaded, meta = load_cvae(stem)
+    loaded = load_cvae(stem)
+    meta = nn.load_params(stem)[1]
     assert list(model.meta()) == list(CvaeModel.META)
     assert set(meta) == set(CvaeModel.META) | {"selected_eps"}
     assert meta["selected_eps"] == 1.25
@@ -616,7 +617,7 @@ def test_save_load_save_is_byte_identical(tmp_path, source):
         make_model(m=6, k=3, hidden=10, seed=5).save(stem, extra_meta={"train_pairs": 24})
     else:
         stem = os.path.join(os.path.dirname(__file__), "data", "presplit_cvae", "model")
-    model, meta = load_cvae(stem)
+    model, meta = load_cvae(stem), nn.load_params(stem)[1]
     model.save(str(tmp_path / "b"), extra_meta=meta)
     for suffix in nn.CHECKPOINT_SUFFIXES:
         with open(stem + suffix, "rb") as f:
@@ -627,7 +628,7 @@ def test_model_from_mismatched_params_raises_naming_tensor():
     params = make_model(m=6, k=3, hidden=10, seed=5).params
     with pytest.raises(ValueError, match="'decoder/b0' has shape"):
         CvaeModel(6, 3, 11, params=params)
-    del params.values["prior_mean/w0"]
+    params = nn.ParamSet({n: v for n, v in params.values.items() if n != "prior_mean/w0"})
     with pytest.raises(ValueError, match="'prior_mean/w0' missing"):
         CvaeModel(6, 3, 10, params=params)
 

@@ -1,6 +1,7 @@
 """Contract tests for networks and their reverse pass, Adam, schedules, and
 checkpoints."""
 
+import itertools
 import json
 import math
 import os
@@ -9,8 +10,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import reftape as ref
 from pertsets import nn
@@ -19,11 +18,25 @@ from pertsets.cvae import CvaeModel, elbo_loss
 
 def make_net(name, in_dims, layers, rng, dtype=np.float64):
     net = nn.Network(name, in_dims, layers)
-    params = nn.ParamSet()
-    net.init(params, rng)
+    params = nn.model_params([net], rng=rng)
     if dtype is not np.float32:
-        params.values = {k: v.astype(dtype) for k, v in params.values.items()}
+        params = nn.ParamSet({k: v.astype(dtype) for k, v in params.values.items()})
     return net, params
+
+
+def set_gradients(params, grads):
+    """Write one step's gradients into params.grad, as a graph's reverse
+    pass would, through backprop_gradients."""
+    def reverse(views):
+        for name, g in grads.items():
+            views[name][...] = g
+    return nn.backprop_gradients(params, reverse)
+
+
+def adam_on(params, grads, lr, **kw):
+    """adam_step on the given gradients."""
+    set_gradients(params, grads)
+    nn.adam_step(params, lr, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +98,7 @@ def test_network_validation_errors():
     with pytest.raises(ValueError):
         nn.Network("f", 2, [("dense", 0)])
     net = nn.Network("f", 3, [("dense", 2)])
-    params = nn.ParamSet()
-    net.init(params, np.random.default_rng(0))
+    params = nn.model_params([net], rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="^f: "):
         net.apply(params, np.zeros((1, 4)))
     # inputs are (rows, d): a single (d,) vector is rejected, naming the network
@@ -282,9 +294,10 @@ def test_backward_rejects_non_scalar():
 def test_unused_parameter_gets_zero_gradient():
     rng = np.random.default_rng(0)
     net, params = make_net("g", 2, [("dense", 2)], rng)
-    params.values = {"orphan": np.ones(3, dtype=np.float64), **params.values}
+    params = nn.ParamSet({"orphan": np.ones(3, dtype=np.float64), **params.values})
+    params.grad = np.full_like(params.flat, np.nan)     # a stale step's gradients
     grads = param_grads(net, params, np.ones((1, 2)), np.ones_like)
-    assert list(grads) == list(params.values)
+    assert list(grads) == list(params.values) == ["g/b0", "g/w0", "orphan"]
     np.testing.assert_array_equal(grads["orphan"], np.zeros(3))
     np.testing.assert_array_equal(grads["g/w0"], np.ones((2, 2)))
 
@@ -301,7 +314,7 @@ def test_float32_params_keep_network_outputs_float32():
                 *nn.backprop_gradients(model.params, reverse).values()):
         assert out.dtype == np.float32
     # a float64 graph stays float64
-    model.params.values = {k: v.astype(np.float64) for k, v in model.params.values.items()}
+    model.params = nn.ParamSet({k: v.astype(np.float64) for k, v in model.params.values.items()})
     y64, z64 = y.astype(np.float64), z.astype(np.float64)
     for out in (model.decode(z64, model.condition(y64)), model.encode_prior(y64).std(),
                 model.encode_posterior(y64, y64).logvar):
@@ -386,7 +399,7 @@ def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch
 def test_adam_first_step_is_signed_lr():
     params = nn.ParamSet({"w": np.array([1.0, -2.0, 3.0])})
     g = {"w": np.array([0.3, -0.7, 0.0])}
-    nn.adam_step(params, g, lr=0.05, eps=1e-12)
+    adam_on(params, g, lr=0.05, eps=1e-12)
     # bias-corrected first step is lr * sign(g) up to eps rounding
     np.testing.assert_allclose(params.values["w"], [1.0 - 0.05, -2.0 + 0.05, 3.0], atol=1e-9)
     assert params.step == 1
@@ -394,7 +407,7 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_zero_gradient_keeps_params():
     params = nn.ParamSet({"w": np.array([1.5, 2.5])})
-    nn.adam_step(params, {"w": np.zeros(2)}, lr=0.1)
+    adam_on(params, {"w": np.zeros(2)}, lr=0.1)
     np.testing.assert_array_equal(params.values["w"], [1.5, 2.5])
 
 
@@ -413,81 +426,83 @@ def test_adam_parabola_matches_scalar_oracle():
     params = nn.ParamSet({"w": np.zeros(1)})
     for _ in range(100):
         grad = {"w": 2.0 * (params.values["w"] - 5.0)}
-        nn.adam_step(params, grad, lr=0.1)
+        adam_on(params, grad, lr=0.1)
     assert float(params.values["w"][0]) == pytest.approx(w, abs=1e-9)
     assert abs(float(params.values["w"][0]) - 5.0) < 0.5
     assert params.step == 100
 
 
 def test_adam_contract_errors():
+    # the gradients share the parameters' layout, so none can be missing or
+    # misshapen; a step before any gradient changes nothing
     params = nn.ParamSet({"w": np.zeros(2)})
-    with pytest.raises(ValueError):
-        nn.adam_step(params, {}, lr=0.1)
-    with pytest.raises(ValueError):
-        nn.adam_step(params, {"w": np.zeros(3)}, lr=0.1)
-    # a gradient rejected on a later tensor leaves every tensor untouched
-    params = nn.ParamSet({"a": np.zeros(2), "b": np.zeros(2)})
-    with pytest.raises(ValueError, match="for 'b'"):
-        nn.adam_step(params, {"a": np.ones(2), "b": np.zeros(3)}, lr=0.1)
-    assert params.step == 0 and not params.m
-    np.testing.assert_array_equal(params.values["a"], [0.0, 0.0])
+    with pytest.raises(TypeError):
+        nn.adam_step(params, lr=0.1)
+    assert params.step == 0 and params.m is None and params.v is None
+    np.testing.assert_array_equal(params.values["w"], [0.0, 0.0])
+    # a frozen model carries no gradient or moment buffer; a trained one
+    # carries one of each, in the parameters' layout and dtype
+    assert params.grad is None
+    adam_on(params, {"w": np.ones(2)}, lr=0.1)
+    for state in (params.grad, params.m, params.v):
+        assert state.shape == params.flat.shape and state.dtype == params.flat.dtype
 
 
-def formula_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    # the whole-tensor update formula adam_step computes block by block
-    params.step += 1
-    t = params.step
+def formula_adam_step(values, ms, vs, grads, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    # the whole-tensor update formula, tensor by tensor, on plain arrays
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for name, value in params.values.items():
-        g = grads[name].astype(value.dtype, copy=False)
-        if name not in params.m:
-            params.m[name] = np.zeros_like(value)
-            params.v[name] = np.zeros_like(value)
-        m = params.m[name]
-        v = params.v[name]
+    for name, value in values.items():
+        g, m, v = grads[name], ms[name], vs[name]
         m += (1.0 - beta1) * (g - m)
         v += (1.0 - beta2) * (g * g - v)
         value -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
 
 
-@given(width=st.sampled_from([1, 7, 512, 1000]),
-       rows_at=st.sampled_from([-1, 0, 1, "several"]),
-       dtype=st.sampled_from([np.float32, np.float64]),
-       zero_grad=st.booleans(), seed=st.integers(0, 2 ** 16))
-@settings(max_examples=30, deadline=None)
-def test_adam_blocks_match_the_formula_bit_for_bit(width, rows_at, dtype, zero_grad, seed):
-    # row counts at a block edge (block - 1, block, block + 1) and across
-    # several blocks, next to vectors; one tensor may get a zero gradient
-    block_rows = max(1, nn._BLOCK // width)
-    rows = 3 * block_rows + 5 if rows_at == "several" else max(1, block_rows + rows_at)
-    rng = np.random.default_rng(seed)
-    shapes = {"w": (rows, width), "b": (width,), "c": (rows,)}
-    values = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
-    got, want = nn.ParamSet({n: v.copy() for n, v in values.items()}), nn.ParamSet(values)
-    for step in range(3):
-        grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
-        if zero_grad:
-            grads["w" if step == 1 else "b"][...] = 0
-        nn.adam_step(got, grads, lr=3e-3, beta1=0.8, beta2=0.99)
-        formula_adam_step(want, grads, lr=3e-3, beta1=0.8, beta2=0.99)
-    assert got.step == want.step == 3
-    for state in ("values", "m", "v"):
-        for n in shapes:
-            a, b = getattr(got, state)[n], getattr(want, state)[n]
-            assert a.dtype == b.dtype == dtype
-            assert a.tobytes() == b.tobytes(), (state, n)
+_B = nn._BLOCK
+# tensor shapes by name, so by flat-buffer order, and where the block edges fall
+_ADAM_LAYOUTS = [
+    {"w": (_B // 512, 512)},                            # exactly one block
+    {"w": (3 * _B // 1000 + 5, 1000), "b": (1000,)},    # edges inside a tensor, short last block
+    {"a": (_B - 1,), "b": (7,), "c": ()},               # an edge one element into "b"
+    {"a": (_B,), "b": (7,), "w": (_B // 7 + 1, 7)},     # an edge on the a|b boundary
+    {"a": (_B + 1,), "b": (7,), "e": (0, 3)},           # an edge one element before it
+    {"a": (5,), "w": (2 * _B // 7, 7), "z": (_B - 3,)},  # edges inside "w" and inside "z"
+]
+
+
+def test_adam_blocks_match_the_formula_bit_for_bit():
+    # the flat buffers are walked in blocks of _BLOCK elements: block edges
+    # inside a tensor and on or next to the boundary of two tensors give the
+    # formula's bits for every parameter and moment, in float32 and float64;
+    # one tensor gets a zero gradient on one step
+    rng = np.random.default_rng(23)
+    for shapes, dtype in itertools.product(_ADAM_LAYOUTS, (np.float32, np.float64)):
+        values = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+        got = nn.ParamSet(values)
+        ms = {n: np.zeros_like(v) for n, v in values.items()}
+        vs = {n: np.zeros_like(v) for n, v in values.items()}
+        for step in range(3):
+            grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+            if step == 1:
+                grads[min(shapes)][...] = 0
+            adam_on(got, grads, lr=3e-3, beta1=0.8, beta2=0.99)
+            formula_adam_step(values, ms, vs, grads, step + 1, lr=3e-3, beta1=0.8, beta2=0.99)
+        assert got.step == 3 and got.flat.dtype == dtype
+        for state, want in (("values", values), ("m", ms), ("v", vs)):
+            table = got.values if state == "values" else got.views(getattr(got, state))
+            for n in shapes:
+                assert table[n].tobytes() == want[n].tobytes(), (shapes, dtype, state, n)
 
 
 def test_adam_step_forms_no_full_size_temporary():
     shape = (1568, 784)
     rng = np.random.default_rng(0)
     params = nn.ParamSet({"w": rng.standard_normal(shape, dtype=np.float32)})
-    g = {"w": rng.standard_normal(shape, dtype=np.float32)}
-    nn.adam_step(params, g, lr=1e-3)     # allocates the two moments
-    tracemalloc.start()
+    adam_on(params, {"w": rng.standard_normal(shape, dtype=np.float32)}, lr=1e-3)
+    tracemalloc.start()     # the gradient and moment buffers exist by now
     try:
-        nn.adam_step(params, g, lr=1e-3)
+        nn.adam_step(params, lr=1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -549,11 +564,12 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 
 def test_checkpoint_streams_each_tensor(tmp_path):
-    # every tensor is written as little-endian float32 in name order and read
-    # back into an array of its own: a 0-d, an empty, a transposed float32
-    # and a float64 tensor
+    # every tensor is written as little-endian float32 in name order, and
+    # read back as a view into one flat float32 buffer: a 0-d, an empty, a
+    # transposed float32 and a float64 tensor
     rng = np.random.default_rng(5)
-    values = {"a/s": np.array(2.5, np.float32), "b/w": rng.normal(size=(4, 6)).astype(np.float32).T,
+    values = {"a/s": np.array(2.5, np.float32),
+              "b/w": rng.normal(size=(4, 6)).astype(np.float32).T,
               "c/e": np.zeros((0, 3), np.float32), "d/w": rng.normal(size=(7, 5)),
               "e/b": rng.normal(size=33).astype(np.float32)}
     stem = str(tmp_path / "m")
@@ -562,10 +578,14 @@ def test_checkpoint_streams_each_tensor(tmp_path):
     assert (tmp_path / "m.bin").read_bytes() == want
     loaded, _ = nn.load_params(stem)
     assert list(loaded.values) == sorted(values)
+    assert loaded.flat.dtype == np.float32 and loaded.flat.tobytes() == want
+    assert loaded.flat.flags.owndata and loaded.flat.flags.aligned
     for name, value in loaded.values.items():
         assert value.dtype == np.float32 and value.shape == np.shape(values[name])
-        assert value.flags.owndata and value.flags.c_contiguous and value.flags.aligned
+        assert value.base is loaded.flat and value.flags.c_contiguous
         assert value.tobytes() == np.ascontiguousarray(values[name], dtype="<f4").tobytes()
+    # the float64 set is written from one float32 cast of its buffer
+    assert nn.ParamSet(values).flat.dtype == np.float64
 
 
 def test_checkpoint_load_holds_no_copy_of_the_blob(tmp_path):
@@ -598,11 +618,11 @@ def test_checkpoint_error_cases(tmp_path):
     nn.save_params(params, stem, {})
     with open(stem + ".bin", "ab") as f:
         f.write(b"\x00\x00\x00\x00")
-    with pytest.raises(ValueError, match="1 trailing floats"):
+    with pytest.raises(ValueError, match="too long: 16 bytes, its manifest 12"):
         nn.load_params(stem)
     # a tail shorter than one float, and a blob one float short
     whole = open(stem + ".bin", "rb").read()
-    for blob, match in ((whole[:14], "0.5 trailing floats"), (whole[:8], "too short")):
+    for blob, match in ((whole[:14], "too long: 14 bytes"), (whole[:8], "too short: 8 bytes")):
         with open(stem + ".bin", "wb") as f:
             f.write(blob)
         with pytest.raises(ValueError, match=match):
@@ -640,6 +660,8 @@ _ENTRY_B = '{"name": "b", "shape": [2, 3]}'
     ('{"format": "pertsets-params-v1", "tensors": [7, ' + _ENTRY_B + ']}', None, "malformed"),
     ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": [1]}, '
      '{"name": "a", "shape": [7]}]}', None, "repeated"),
+    ('{"format": "pertsets-params-v1", "tensors": [' + _ENTRY_B + ', '
+     '{"name": "a", "shape": [2]}]}', None, "unsorted"),
     ('{"format": "pertsets-params-v1", "tensors": [{"name": "a", "shape": [1000000000000]}]}',
      None, "too short"),
     (None, "[]", "expected a JSON object"),
@@ -670,13 +692,12 @@ def test_non_finite_tensor_raises_naming_it(tmp_path):
 
 def test_model_params_draws_fresh_or_checks_given():
     nets = [nn.Network("n", 3, [("dense", 2)]), nn.Network("o", [2, 3], [("dense", 4), ("relu",)])]
-    # fresh: each net's init in turn from the one rng
-    want, rng = nn.ParamSet(), np.random.default_rng(9)
-    for net in nets:
-        net.init(want, rng)
+    # fresh: each net's init in turn from the one rng, laid out in name order
+    rng = np.random.default_rng(9)
+    want = {n: v for net in nets for n, v in nn.model_params([net], rng=rng).values.items()}
     fresh = nn.model_params(nets, rng=np.random.default_rng(9))
-    assert list(fresh.values) == list(want.values)
-    for name, value in want.values.items():
+    assert list(fresh.values) == sorted(want) and fresh.flat.dtype == np.float32
+    for name, value in want.items():
         assert fresh.values[name].tobytes() == value.tobytes(), name
     with pytest.raises(ValueError, match="need params or an rng"):
         nn.model_params(nets)
@@ -693,15 +714,15 @@ def test_model_params_draws_fresh_or_checks_given():
 
 def test_init_deterministic_given_seed():
     net = nn.Network("d", 5, [("dense", 4), ("relu",), ("dense", 3)])
-    p1, p2 = nn.ParamSet(), nn.ParamSet()
-    net.init(p1, np.random.default_rng(77))
-    net.init(p2, np.random.default_rng(77))
+    p1 = nn.model_params([net], rng=np.random.default_rng(77))
+    p2 = nn.model_params([net], rng=np.random.default_rng(77))
     for name in p1.values:
         np.testing.assert_array_equal(p1.values[name], p2.values[name])
     bound = math.sqrt(6.0 / (5 + 4))
     w = p1.values["d/w0"]
     assert w.dtype == np.float32
     assert np.abs(w).max() <= bound
+    assert not p1.values["d/b0"].any() and not p1.values["d/b1"].any()
 
 
 @pytest.mark.parametrize("in_dim,out_dim", [(1568, 784), (300, 700), (5, 4), (1, 1 << 17)])
@@ -709,8 +730,7 @@ def test_init_row_blocks_equal_one_float64_draw(in_dim, out_dim):
     # many blocks with a short last one, a few with a short last one, one
     # block, and a row wider than a block
     net = nn.Network("d", in_dim, [("dense", out_dim), ("relu",), ("dense", 3)])
-    params = nn.ParamSet()
-    net.init(params, np.random.default_rng(11))
+    params = nn.model_params([net], rng=np.random.default_rng(11))
     rng = np.random.default_rng(11)
     for name, shape in net.param_shapes().items():
         if len(shape) == 2:

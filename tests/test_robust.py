@@ -1,12 +1,21 @@
 """Tests for latent PGD attacks, training epochs and robust accuracy."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from pertsets import nn
-from pertsets.cvae import CvaeModel, latent_pgd, sample_truncated_ball
+from pertsets.cvae import (
+    CvaeModel,
+    PairSet,
+    TrainConfig,
+    latent_pgd,
+    load_cvae,
+    sample_truncated_ball,
+    train_cvae,
+)
 from pertsets.robust import (
     AttackConfig,
     Classifier,
@@ -84,11 +93,47 @@ def test_classifier_save_load_save_is_byte_identical(tmp_path):
         assert (tmp_path / ("a" + suffix)).read_bytes() == (tmp_path / ("b" + suffix)).read_bytes()
 
 
+def _checkpoint_digest(stem):
+    h = hashlib.sha256()
+    for suffix in (".json", ".bin"):
+        with open(stem + suffix, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+def test_trained_checkpoints_are_frozen(tmp_path):
+    # a tiny train_cvae run, and a tiny classifier adv-trained through that
+    # generator loaded back: every parameter bit and the checkpoint layout
+    # are pinned by the sha256 of the manifest and blob
+    rng = np.random.default_rng(20)
+    y = rng.uniform(0.1, 0.9, size=(40, 10)).astype(np.float32)
+    x = np.clip(y + rng.uniform(-0.1, 0.1, size=(40, 10)).astype(np.float32), 0, 1)
+    cfg = TrainConfig(k=3, hidden=12, epochs=3, batch_size=16, seed=5,
+                      lr=nn.Schedule([0, 3], [0.01, 0.002]),
+                      beta=nn.Schedule([0, 3], [0.0, 0.01]))
+    model, _ = train_cvae(PairSet(x, y), cfg)
+    model.save(str(tmp_path / "cvae"))
+    assert _checkpoint_digest(str(tmp_path / "cvae")) == (
+        "87b98df49031ed3eaadf904db0af091fdc224eb0813f3bfe8a20b432360a5727")
+    frozen = load_cvae(str(tmp_path / "cvae"))
+    h = Classifier(10, 3, (8,), rng=np.random.default_rng(6))
+    labels, fit = np.random.default_rng(7).integers(0, 3, 40), np.random.default_rng(8)
+    for _ in range(2):
+        adv_train_epoch(h, frozen, x, labels, AttackConfig(0.8, steps=3), 5e-3, fit, 16)
+    h.save(str(tmp_path / "clf"))
+    assert _checkpoint_digest(str(tmp_path / "clf")) == (
+        "17d5067ebed04f03ed3a6261cd88794503a1d15150ab5ec71059e918a0973554")
+    # training allocates gradient and moment buffers; the frozen generator
+    # the attacks ran through has none
+    assert all(state is not None for state in (h.params.grad, h.params.m, h.params.v))
+    assert frozen.params.grad is None and frozen.params.m is None
+
+
 def test_classifier_from_mismatched_params_raises_naming_tensor():
     params = rand_clf(hidden=(8,)).params
     with pytest.raises(ValueError, match="'classifier/b0' has shape"):
         Classifier(M, 3, (9,), params=params)
-    params.values["classifier/w2"] = params.values["classifier/w1"]
+    params = nn.ParamSet({**params.values, "classifier/w2": params.values["classifier/w1"]})
     with pytest.raises(ValueError, match="'classifier/w2' is not a parameter"):
         Classifier(M, 3, (8,), params=params)
 
@@ -200,7 +245,7 @@ _ENTRY_POINTS = {
     "robust_accuracy": lambda h, model, x, labels, rng: robust_accuracy(
         h, model, x, labels, AttackConfig(1.0, steps=2)),
     "sample_under_noise": lambda h, model, x, labels, rng: sample_under_noise(
-        h, model, x[0], 5, 0.5, rng),
+        h, model, model.condition(x[:1]), 5, 0.5, rng),
 }
 
 
@@ -317,12 +362,9 @@ def test_epoch_matches_its_reference_loop_bit_for_bit(mode):
         assert epoch(h, model, x, labels, rng, 5) is h
         reference(h_ref, model, x, labels, rng_ref, 5)
     assert h.params.step == h_ref.params.step == 10
-    for table, table_ref in ((h.params.values, h_ref.params.values),
-                             (h.params.m, h_ref.params.m), (h.params.v, h_ref.params.v)):
-        assert sorted(table) == sorted(table_ref)
-        for name in table:
-            assert table[name].dtype == table_ref[name].dtype
-            np.testing.assert_array_equal(table[name], table_ref[name])
+    for state in ("flat", "m", "v"):
+        got, want = getattr(h.params, state), getattr(h_ref.params, state)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), state
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -66,15 +66,16 @@ def threshold_setup(t, m=3):
 
 def test_counts_constant_classifier():
     model, h = rand_model(), const_clf(1)
-    counts = sample_under_noise(h, model, np.full(M, 0.5, np.float32), 50, 1.0,
-                                np.random.default_rng(3))
+    counts = sample_under_noise(h, model, model.condition(np.full((1, M), 0.5, np.float32)), 50,
+                                1.0, np.random.default_rng(3))
     np.testing.assert_array_equal(counts, [0, 50, 0])
 
 
 def test_counts_sigma_zero_is_prior_mean_vote():
     model, h = rand_model(4), rand_clf(5)
     x = np.random.default_rng(6).uniform(0, 1, M).astype(np.float32)
-    counts = sample_under_noise(h, model, x, 17, 0.0, np.random.default_rng(7))
+    counts = sample_under_noise(h, model, model.condition(x[None]), 17, 0.0,
+                                np.random.default_rng(7))
     prior = model.encode_prior(x[None])
     dec = np.asarray(model.decode(np.asarray(prior.mean, np.float64), model.condition(x[None])))
     want = int(h.predict(dec.astype(np.float32))[0])
@@ -86,7 +87,8 @@ def test_counts_match_binomial_dispersion():
     model, h, x = threshold_setup(0.3)
     rng = np.random.default_rng(11)
     n, runs = 200, 40
-    freqs = np.stack([sample_under_noise(h, model, x, n, 0.5, rng) / n
+    cond = model.condition(x[None])
+    freqs = np.stack([sample_under_noise(h, model, cond, n, 0.5, rng) / n
                       for _ in range(runs)])
     p = freqs[:, 0].mean()
     assert 0.6 < p < 0.85
@@ -96,11 +98,11 @@ def test_counts_match_binomial_dispersion():
 
 def test_counts_validation():
     model, h = rand_model(), rand_clf()
-    x = np.full(M, 0.5, np.float32)
+    cond = model.condition(np.full((1, M), 0.5, np.float32))
     with pytest.raises(ValueError):
-        sample_under_noise(h, model, x, 0, 1.0, np.random.default_rng(0))
+        sample_under_noise(h, model, cond, 0, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        sample_under_noise(h, model, x, 5, -1.0, np.random.default_rng(0))
+        sample_under_noise(h, model, cond, 5, -1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +158,8 @@ def test_certified_radius_sound_on_exact_threshold():
     assert violations <= alpha * runs
     # sanity: the true top-class mass matches the threshold geometry
     p_true = std_normal_cdf(t / sigma)
-    counts = sample_under_noise(h, model, x, 4000, sigma, np.random.default_rng(16))
+    counts = sample_under_noise(h, model, model.condition(x.reshape(1, -1)), 4000, sigma,
+                                np.random.default_rng(16))
     assert abs(counts[0] / 4000 - p_true) < 0.03
 
 

@@ -56,8 +56,9 @@ def test_mahalanobis_radius_monotone_in_k():
 
 
 def test_mahalanobis_radius_domain():
-    for alpha in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
+    # 1 - alpha rounds to 1 at and below 2^-54: rejected up front, naming alpha
+    for alpha in (0.0, 1.0, -0.2, 1.5, 1e-17, 2.0 ** -54):
+        with pytest.raises(ValueError, match="^alpha must be in"):
             mahalanobis_radius(3, alpha)
 
 
