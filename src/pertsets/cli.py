@@ -539,6 +539,10 @@ def cmd_eval_set(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 # bounds
 
+# bounds, attack and certify take their pairs in blocks of this many rows:
+# each block is encoded (or attacked) in one call, as eval-set's are
+_BLOCK = 256
+
 
 def cmd_bounds(cfg: dict) -> dict:
     top = Section(cfg)
@@ -554,9 +558,16 @@ def cmd_bounds(cfg: dict) -> dict:
     model, pairs, _ = _stage_inputs(model_dir, data_dir, limit=limit)
 
     children = np.random.SeedSequence(seed).spawn(len(pairs))
-    ests = [theory.estimate_R_K(model, pairs.perturbed[i:i + 1], pairs.conditioned[i:i + 1],
-                                np.random.default_rng(children[i]), samples=samples)
-            for i in range(len(pairs))]
+    ests = []
+    for lo in range(0, len(pairs), _BLOCK):
+        x = pairs.perturbed[lo:lo + _BLOCK]
+        y = pairs.conditioned[lo:lo + _BLOCK]
+        q, cond = model.encode_posterior(x, y), model.condition(y)
+        for j in range(len(x)):
+            one = slice(j, j + 1)
+            ests.append(theory.estimate_R_K(model, x[one], q.rows(one), cond.rows(one),
+                                            np.random.default_rng(children[lo + j]),
+                                            samples=samples))
     bounds = theory.theorem1_bounds(ests, alpha=alpha)
     records = [{"pair": i, "R": est.R, "K_sum": float(est.K.sum()),
                 "r": tb.r, "eps": tb.eps, "delta_per_pixel": tb.delta_per_pixel,
@@ -600,10 +611,9 @@ def cmd_attack(cfg: dict) -> dict:
     model, pairs, h = _stage_inputs(model_dir, data_dir, clf_dir, limit, labeled=True)
 
     rows = []
-    batch = 256
-    for lo in range(0, len(pairs), batch):
-        xb = pairs.conditioned[lo:lo + batch]
-        yb = pairs.labels[lo:lo + batch]
+    for lo in range(0, len(pairs), _BLOCK):
+        xb = pairs.conditioned[lo:lo + _BLOCK]
+        yb = pairs.labels[lo:lo + _BLOCK]
         clean_pred = h.predict(xb)
         adv, _ = latent_pgd_attack(h, model, xb, yb, acfg)
         adv_pred = h.predict(adv)
@@ -714,14 +724,17 @@ def cmd_certify(cfg: dict) -> dict:
     children = np.random.SeedSequence(seed).spawn(len(pairs))
     rows = []
     certified = []
-    for i in range(len(pairs)):
-        cert = smoothing.certify(h, model, pairs.conditioned[i], sigma,
-                                 np.random.default_rng(children[i]),
-                                 n0=n0, n=n, alpha=alpha)
-        abstain = cert.prediction == smoothing.ABSTAIN
-        rows.append((i, cert.prediction, repr(cert.p_a), repr(cert.radius), int(abstain)))
-        if not abstain:
-            certified.append(cert.radius)
+    for lo in range(0, len(pairs), _BLOCK):
+        cond = model.condition(pairs.conditioned[lo:lo + _BLOCK])
+        for j in range(len(cond.y)):
+            cert = smoothing.certify(h, model, cond.rows(slice(j, j + 1)), sigma,
+                                     np.random.default_rng(children[lo + j]),
+                                     n0=n0, n=n, alpha=alpha)
+            abstain = cert.prediction == smoothing.ABSTAIN
+            rows.append((lo + j, cert.prediction, repr(cert.p_a), repr(cert.radius),
+                         int(abstain)))
+            if not abstain:
+                certified.append(cert.radius)
 
     stage = ArtifactDir(out_dir)
     stage.write_json("config.json", resolved)

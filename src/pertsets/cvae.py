@@ -39,6 +39,10 @@ class GaussianDiag:
     def var(self):
         return np.exp(self.logvar)
 
+    def rows(self, index) -> "GaussianDiag":
+        """The rows `index` (a slice or an integer array) picks."""
+        return GaussianDiag(self.mean[index], self.logvar[index])
+
 
 @dataclass
 class Condition:
@@ -53,6 +57,12 @@ class Condition:
     mean: np.ndarray
     std: np.ndarray
     proj: np.ndarray
+
+    def rows(self, index) -> "Condition":
+        """The Condition of the rows `index` (a slice or an integer array)
+        picks, so a block of rows is conditioned once for every subset."""
+        return Condition(self.y[index], self.prior.rows(index), self.mean[index],
+                         self.std[index], self.proj[index])
 
 
 class PairSet:

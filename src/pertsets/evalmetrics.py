@@ -167,10 +167,8 @@ def evaluate_set(model: CvaeModel, pairs: PairSet, eps: float,
         # pgd_ae descends over the first B rows of one search, oae ascends
         # over the second B
         u0 = np.stack([sample_truncated_ball(model.k, eps, 1, r)[0] for r in rngs])
-        twice = lambda a: np.concatenate([a, a])
-        prior2 = GaussianDiag(twice(cond.prior.mean), twice(cond.prior.logvar))
-        cond2 = Condition(twice(y), prior2, twice(cond.mean), twice(cond.std), twice(cond.proj))
-        err, _ = latent_pgd(_recon_objective(model, twice(x), cond2),
+        twice = np.tile(np.arange(B), 2)
+        err, _ = latent_pgd(_recon_objective(model, x[twice], cond.rows(twice)),
                             np.concatenate([u_proj, u0.astype(np.float32)]), eps, steps, step,
                             maximize=np.arange(2 * B) >= B)
         out["pgd_ae"].append(err[:B])

@@ -156,53 +156,95 @@ def std_normal_quantile(p: float) -> float:
 # Regularized lower incomplete gamma and the chi-square family
 
 
+# loop steps the gamma loops take per array pass over their elements
+_STEPS = 16
+
+
 def _lower_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
     """sum_n x^n / (s (s+1) ... (s+n)) for each x, the series behind P(s, x);
-    converges fast for x < s + 1. Each element stops at its own term."""
+    converges fast for x < s + 1. Each element stops at its own term.
+
+    Each pass takes _STEPS terms of every element still summing, as running
+    products of x / (s + n) and running sums (a ufunc's accumulate runs in
+    order), so every term and sum is the one a term-at-a-time loop forms."""
     total = np.full(x.shape, 1.0 / s)
     # the elements still summing: index, argument, last term and sum
     idx, xi, term, acc = np.arange(x.size), x, total.copy(), total.copy()
-    denom = s
-    for _ in range(10000):
-        if not idx.size:
-            break
-        denom += 1.0
-        term *= xi / denom
-        acc += term
-        done = np.abs(term) < np.abs(acc) * 1e-16
-        if done.any():
-            total[idx[done]] = acc[done]
-            left = ~done
-            idx, xi, term, acc = idx[left], xi[left], term[left], acc[left]
+    denom, n = np.array([s]), 0
+    while idx.size and n < 10000:
+        steps = min(_STEPS, 10000 - n)
+        # s + 1, s + 2, ... as a column, each 1.0 added to the one before
+        denoms = _running(np.add, denom, np.ones((steps, 1)))
+        terms = _running(np.multiply, term, xi / denoms)
+        sums = _running(np.add, acc, terms)
+        idx, (xi, term, acc) = _stop_at_first(
+            np.abs(terms) < np.abs(sums) * 1e-16, sums, total, idx, xi, terms[-1], sums[-1])
+        denom, n = denoms[-1], n + steps
     total[idx] = acc
     return total
 
 
+def _running(ufunc, first, rows):
+    """The running results of a binary ufunc down the rows, in order:
+    ufunc(first, rows[0]), then each row with the result before it. Up to
+    128 columns this is one accumulate; wider, accumulate's one inner loop
+    per column costs more than a loop over the rows."""
+    out = np.vstack([first, rows])
+    if out.shape[1] <= 128:
+        return ufunc.accumulate(out, axis=0)[1:]
+    for prev, row in zip(out, out[1:]):
+        ufunc(prev, row, out=row)
+    return out[1:]
+
+
+def _stop_at_first(done, values, out, idx, *state):
+    """Write each element's value at the first pass step `done` marks (rows
+    are steps, columns the elements idx index) into out; returns the index
+    and each state array of the elements no step stopped."""
+    hit = done.any(axis=0)
+    out[idx[hit]] = values[done.argmax(axis=0)[hit], hit]
+    left = ~hit
+    return idx[left], [a[left] for a in state]
+
+
 def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
     """Lentz continued fraction for Q(s, x) before its prefactor, for each x;
-    converges fast for x >= s + 1. Each element stops at its own step."""
+    converges fast for x >= s + 1. Each element stops at its own step.
+
+    Each pass takes _STEPS steps of every element still iterating and keeps
+    each step's b, c, denominator and delta; h is the running product of
+    the deltas (a ufunc's accumulate runs in order). The 1e-300 floor on c
+    and the denominator is applied step by step only in a rerun of a pass
+    where one of them fell below it, so every value is the one a
+    step-at-a-time loop forms."""
     tiny = 1e-300
-    bi = x + 1.0 - s
-    h = 1.0 / bi
+    b = x + 1.0 - s
+    h = 1.0 / b
     # the elements still iterating: index, b, c, d and the running product
     idx, c, d, hi = np.arange(x.size), np.full(x.shape, 1.0 / tiny), h, h.copy()
-    for i in range(1, 10000):
-        if not idx.size:
-            break
-        an = -i * (i - s)
-        bi = bi + 2.0
-        d = an * d + bi
-        d[np.abs(d) < tiny] = tiny
-        c = bi + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delta = d * c
-        hi = hi * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        if done.any():
-            h[idx[done]] = hi[done]
-            left = ~done
-            idx, bi, c, d, hi = idx[left], bi[left], c[left], d[left], hi[left]
+    i = 1
+    while idx.size and i < 10000:
+        steps = min(_STEPS, 10000 - i)
+        bs = _running(np.add, b, np.full((steps, b.size), 2.0))
+        ans = [-(i + j) * ((i + j) - s) for j in range(steps)]
+        for floor in (False, True):
+            dens, cs, deltas = (np.empty_like(bs) for _ in range(3))
+            cj, dj = c, d
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for an, bj, den, cn, delta in zip(ans, bs, dens, cs, deltas):
+                    np.add(np.multiply(an, dj, out=den), bj, out=den)
+                    cj = np.add(bj, np.divide(an, cj, out=cn), out=cn)
+                    if floor:
+                        den[np.abs(den) < tiny] = tiny
+                        cj[np.abs(cj) < tiny] = tiny
+                    dj = np.divide(1.0, den)
+                    np.multiply(dj, cj, out=delta)
+            if floor or not ((np.abs(dens) < tiny).any() or (np.abs(cs) < tiny).any()):
+                break
+        hs = _running(np.multiply, hi, deltas)
+        idx, (b, c, d, hi) = _stop_at_first(np.abs(deltas - 1.0) < 1e-16, hs, h, idx,
+                                            bs[-1], cj, dj, hs[-1])
+        i += steps
     h[idx] = hi
     return h
 
@@ -255,41 +297,48 @@ def chi_square_quantile(p: float, k: int) -> float:
 
     Monotone, and checked against scipy for k up to 784, the widest latent
     the package trains (the mnist-linf profile); `bounds` asks it for
-    k = 784 there. Each pass takes the CDF in one array call at every
-    midpoint the next five halvings could reach, then walks down them: the
-    midpoints, decisions and result of one call per halving, in about a
-    fifth of the calls.
+    k = 784 there. Each pass takes the CDF in one array call at the
+    midpoints of the halvings that would walk toward a guess of the
+    quantile, then follows them until a decision leaves that walk: the
+    midpoints, decisions and result of one call per halving, in a few
+    calls. The first guess is Wilson-Hilferty's, each later one the secant
+    through the bracket's ends.
     """
     if k <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {k}")
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile domain: p={p} not in (0, 1)")
-    hi = k + 20.0 * math.sqrt(k) + 40.0
-    while chi_square_cdf(hi, k) < p:
-        hi *= 2.0
-    lo, steps = 0.0, 0
+    t = 2.0 / (9.0 * k)
+    guess = k * max(0.0, 1.0 - t + std_normal_quantile(p) * math.sqrt(t)) ** 3
+    # each pass also takes the CDF at hi; the first doubles hi while that is
+    # below p, as the plain bisection does before its first halving
+    hi, c_hi = k + 20.0 * math.sqrt(k) + 40.0, None
+    lo, c_lo, steps = 0.0, 0.0, 0
     while True:
-        # midpoints in heap order: node n's bracket halves into those of
-        # nodes 2n + 1 (its low half) and 2n + 2 (its high half)
-        brackets, mids = [(lo, hi)], []
-        while len(mids) < 31:
-            a, b = brackets[len(mids)]
+        mids, a, b = [], lo, hi
+        while len(mids) < 48:
             mids.append(0.5 * (a + b))
-            brackets += [(a, mids[-1]), (mids[-1], b)]
-        cdf = reg_lower_gamma(0.5 * k, 0.5 * np.array(mids)).tolist()
-        node = 0
-        for _ in range(5):
-            mid, c = mids[node], cdf[node]
+            a, b = (mids[-1], b) if mids[-1] < guess else (a, mids[-1])
+        cdf = reg_lower_gamma(0.5 * k, 0.5 * np.array(mids + [hi])).tolist()
+        if c_hi is None:
+            if cdf[-1] < p:
+                hi *= 2.0
+                continue
+            c_hi = cdf[-1]
+        for mid, c in zip(mids, cdf):
             steps += 1
             if abs(c - p) <= 1e-9:
                 return mid
             if c < p:
-                lo, node = mid, 2 * node + 2
+                lo, c_lo = mid, c
             else:
-                hi, node = mid, 2 * node + 1
+                hi, c_hi = mid, c
             if hi - lo <= 1e-15 * max(1.0, hi) or steps == 200:
                 return mid
+            if (c < p) != (mid < guess):
+                break
+        guess = lo + (p - c_lo) / (c_hi - c_lo) * (hi - lo)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvae import CvaeModel
+from .cvae import Condition, CvaeModel, GaussianDiag
 from .specialfn import chi_square_quantile, lambert_w
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -131,18 +131,18 @@ def theorem2_bound(bounds: TheoryBounds) -> float:
     return math.log(bounds.delta_sse) + bounds.ln_h
 
 
-def estimate_R_K(model: CvaeModel, x, y, rng: np.random.Generator,
-                 samples: int = 64) -> ObjectiveEstimate:
-    """Measure (R, K_i) for one pair given as (1, m) rows x (perturbed) and
-    y (conditioned).
+def estimate_R_K(model: CvaeModel, x, q: GaussianDiag, cond: Condition,
+                 rng: np.random.Generator, samples: int = 64) -> ObjectiveEstimate:
+    """Measure (R, K_i) for one pair: x its (1, m) perturbed row, q its
+    posterior and cond its conditioned row's Condition, each one row (a
+    stage encodes a block of pairs at once and passes each pair its rows,
+    GaussianDiag.rows and Condition.rows).
 
     R is a Monte-Carlo mean of -SSE/2 - (m/2) ln 2pi over full posterior
-    samples decoded against y's Condition; K_i comes from the closed-form
-    per-dimension expression against its prior."""
+    samples decoded against cond; K_i comes from the closed-form
+    per-dimension expression against cond's prior."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    q = model.encode_posterior(x, y)
-    cond = model.condition(y)
     p = cond.prior
     noise = rng.standard_normal((samples, model.k)).astype(np.float32)
     z = np.asarray(q.mean) + q.std() * noise

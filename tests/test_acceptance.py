@@ -184,7 +184,8 @@ def test_criterion_3_theorem1_validity(desk):
     n_pairs = 200
     for i in range(n_pairs):
         x, y = test.perturbed[i:i + 1], test.conditioned[i:i + 1]
-        est = theory.estimate_R_K(model, x, y, rng, samples=64)
+        est = theory.estimate_R_K(model, x, model.encode_posterior(x, y), model.condition(y),
+                                  rng, samples=64)
         tb = theory.theorem1_bounds([est], alpha=0.01)[0]
         err = pgd_ae(model, x, y, tb.eps, steps=50)
         ok += (err * m) <= tb.delta_sse
@@ -208,7 +209,8 @@ def test_criterion_4_theorem2_validity(desk):
     n_pairs, n_samples = 100, 500
     for i in range(n_pairs):
         x, y = test.perturbed[i:i + 1], test.conditioned[i:i + 1]
-        est = theory.estimate_R_K(model, x, y, rng, samples=64)
+        est = theory.estimate_R_K(model, x, model.encode_posterior(x, y), model.condition(y),
+                                  rng, samples=64)
         tb = theory.theorem1_bounds([est], alpha=0.01)[0]
         # delta * H overflows float64 for trained models, so compare logs
         ln_bound = theory.theorem2_bound(tb)
@@ -284,10 +286,11 @@ def test_criterion_6_smoothing_soundness(desk):
     # part 1: certified radius vs the known robust radius of the 1-D stub
     t_true, noise_sigma = 0.3, 0.5
     stub_model, stub_h, stub_x = _threshold_setup(t_true)
+    stub_cond = stub_model.condition(stub_x[None])
     children = np.random.SeedSequence(0).spawn(1000)
     violations = 0
     for i in range(1000):
-        cert = smoothing.certify(stub_h, stub_model, stub_x, noise_sigma,
+        cert = smoothing.certify(stub_h, stub_model, stub_cond, noise_sigma,
                                  np.random.default_rng(children[i]),
                                  n0=100, n=10_000, alpha=0.001)
         if cert.prediction != smoothing.ABSTAIN and cert.radius > t_true:
@@ -299,7 +302,7 @@ def test_criterion_6_smoothing_soundness(desk):
     cert_children = np.random.SeedSequence(777).spawn(100)
     non_abstain = 0
     for i in range(100):
-        cert = smoothing.certify(h, model, test.conditioned[i], sigma,
+        cert = smoothing.certify(h, model, model.condition(test.conditioned[i:i + 1]), sigma,
                                  np.random.default_rng(cert_children[i]),
                                  n0=100, n=10_000, alpha=0.001)
         non_abstain += cert.prediction != smoothing.ABSTAIN

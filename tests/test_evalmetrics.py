@@ -313,6 +313,17 @@ def test_evaluate_set_matches_the_two_search_reference(m, k, hidden, n, steps, b
         assert got.records[name].tobytes() == want.records[name].tobytes(), name
     assert got.summary() == want.summary()
     assert (got.records["pgd_ae"] <= got.records["enc_ae"]).all()
+    # the stacked search runs against cond.rows of each row twice; rows takes
+    # a slice or an integer array, each field picked alike
+    cond = model.condition(pairs.conditioned)
+    q = model.encode_posterior(pairs.perturbed, pairs.conditioned)
+    for index in (slice(1, 3), slice(n - 1, n), np.array([2, 0, 2]), np.tile(np.arange(n), 2)):
+        sub, qsub = cond.rows(index), q.rows(index)
+        for field, whole in ((sub.y, cond.y), (sub.prior.mean, cond.prior.mean),
+                             (sub.prior.logvar, cond.prior.logvar), (sub.mean, cond.mean),
+                             (sub.std, cond.std), (sub.proj, cond.proj),
+                             (qsub.mean, q.mean), (qsub.logvar, q.logvar)):
+            assert field.tobytes() == whole[index].tobytes()
 
 
 def test_evaluate_set_block_size_moves_only_the_searches_in_the_last_bit():

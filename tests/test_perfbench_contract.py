@@ -132,3 +132,40 @@ def test_training_chain_counts_the_work_the_benchmark_pins(tmp_path):
                 want[name] += units
     assert want == {"nn.adam_steps": 3 + 2 * 3, "robust.pgd_rows": 2 * 40}
     assert {name: metrics[name] for name in want} == want
+
+
+def test_bounds_and_certify_count_the_work_the_benchmark_pins(tmp_path):
+    # a gen-data -> train-cvae -> train-robust (clean) -> bounds -> certify
+    # chain through cli.main under the tracer: one estimate_R_K call per
+    # pair, n0 + n decodes and one certify call per example, and the by-name
+    # imports the trace wraps, so a block refactor that stacks decodes or
+    # calls across examples fails here and not only in a traced benchmark
+    train, cvae, stages = _upstream(tmp_path)
+    test, clf = str(tmp_path / "data" / "test"), str(tmp_path / "clf")
+    stages += [
+        ("train-robust", {"out_dir": clf, "seed": 3, "model": cvae, "data": train,
+                          "classifier": {"hidden": [8], "n_classes": 2},
+                          "train": {"mode": "clean", "epochs": 1, "batch_size": 16,
+                                    "lr": 1e-3}}),
+        ("bounds", {"out_dir": str(tmp_path / "bounds"), "seed": 4, "model": cvae,
+                    "data": test, "samples": 4, "limit": 9}),
+        ("certify", {"out_dir": str(tmp_path / "certify"), "seed": 5, "model": cvae,
+                     "classifier": clf, "data": test, "sigma": 0.5, "n0": 3, "n": 5,
+                     "limit": 7}),
+    ]
+    tracer = _run_traced(tmp_path, stages)
+    metrics = tracer.metrics({""})
+    work = [workloads.work_of(stage, cfg) for stage, cfg in stages]
+    n_train, n_test = work[0][1] - work[0][2], work[0][2]
+    want = {"theory.estimate_calls": 0, "smoothing.decodes": 0}
+    for w in work:
+        for name, units in workloads.stage_work(w, n_train, n_test).items():
+            if name in want:
+                want[name] += units
+    assert want == {"theory.estimate_calls": 9, "smoothing.decodes": 7 * (3 + 5)}
+    assert {name: metrics[name] for name in want} == want
+    assert metrics["smoothing.certify_calls"] == 7
+    assert metrics["smoothing.sample_calls"] == 2 * 7
+    fired = tracer.fired_sites()
+    for site in ("smoothing.clopper_pearson_lower", "theory.chi_square_quantile"):
+        assert site in fired, site

@@ -122,7 +122,8 @@ def test_top_two_tie_break_lowest_id():
 def test_certify_unanimous_closed_form():
     model, h = rand_model(), const_clf(0)
     x = np.full(M, 0.5, np.float32)
-    cert = certify(h, model, x, 1.0, np.random.default_rng(13), n0=20, n=10_000,
+    cert = certify(h, model, model.condition(x[None]), 1.0, np.random.default_rng(13),
+                   n0=20, n=10_000,
                    alpha=0.001)
     assert cert.prediction == 0
     # all 10^4 votes agree: p_a = 0.001^(1/10000), radius its normal quantile
@@ -135,7 +136,8 @@ def test_certify_unanimous_closed_form():
 
 def test_certify_coin_flip_abstains():
     model, h, x = threshold_setup(0.0)
-    cert = certify(h, model, x, 0.5, np.random.default_rng(14), n0=20, n=400,
+    cert = certify(h, model, model.condition(x[None]), 0.5, np.random.default_rng(14),
+                   n0=20, n=400,
                    alpha=0.05)
     assert cert.prediction == ABSTAIN and cert.radius == 0.0
     assert cert.p_a <= 0.5
@@ -147,9 +149,10 @@ def test_certified_radius_sound_on_exact_threshold():
     t, sigma, alpha = 0.3, 0.5, 0.05
     model, h, x = threshold_setup(t)
     rng = np.random.default_rng(15)
+    cond = model.condition(x[None])
     runs, violations, certified = 1000, 0, 0
     for _ in range(runs):
-        cert = certify(h, model, x, sigma, rng, n0=20, n=300, alpha=alpha)
+        cert = certify(h, model, cond, sigma, rng, n0=20, n=300, alpha=alpha)
         if cert.prediction != ABSTAIN:
             certified += 1
             if cert.radius > t:
@@ -165,11 +168,11 @@ def test_certified_radius_sound_on_exact_threshold():
 
 def test_certify_validation():
     model, h = rand_model(), rand_clf()
-    x = np.full(M, 0.5, np.float32)
+    cond = model.condition(np.full((1, M), 0.5, np.float32))
     with pytest.raises(ValueError):
-        certify(h, model, x, 1.0, np.random.default_rng(0), n0=0)
+        certify(h, model, cond, 1.0, np.random.default_rng(0), n0=0)
     with pytest.raises(ValueError):
-        certify(h, model, x, 1.0, np.random.default_rng(0), n=0)
+        certify(h, model, cond, 1.0, np.random.default_rng(0), n=0)
 
 
 # ---------------------------------------------------------------------------

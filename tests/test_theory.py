@@ -451,16 +451,22 @@ def one_pair(fill=None, seed=2):
     return x, y
 
 
+def estimate(model, x, y, rng, samples=64):
+    """estimate_R_K on one pair, its rows encoded as a one-row block."""
+    return estimate_R_K(model, x, model.encode_posterior(x, y), model.condition(y), rng,
+                        samples=samples)
+
+
 def test_estimate_k_zero_when_heads_tie():
     model = zeroed_model()
-    est = estimate_R_K(model, *one_pair(), np.random.default_rng(0), samples=8)
+    est = estimate(model, *one_pair(), np.random.default_rng(0), samples=8)
     np.testing.assert_allclose(est.K, 0.0, atol=1e-12)
 
 
 def test_estimate_r_at_perfect_reconstruction():
     # constant decoder emits 0.5 exactly; a 0.5-valued pair has zero SSE
     model = zeroed_model()
-    est = estimate_R_K(model, *one_pair(fill=0.5), np.random.default_rng(0))
+    est = estimate(model, *one_pair(fill=0.5), np.random.default_rng(0))
     assert math.isclose(est.R, -0.5 * M * LN_2PI, rel_tol=1e-12)
 
 
@@ -472,7 +478,7 @@ def test_estimate_through_condition_equals_raw_rows(m, k, hidden):
     model = CvaeModel(m, k, hidden, rng=np.random.default_rng(1))
     rng = np.random.default_rng(2)
     x, y = (rng.uniform(0, 1, (1, m)).astype(np.float32) for _ in range(2))
-    est = estimate_R_K(model, x, y, np.random.default_rng(3), samples=64)
+    est = estimate(model, x, y, np.random.default_rng(3), samples=64)
     q, p = model.encode_posterior(x, y), model.encode_prior(y)
     noise = np.random.default_rng(3).standard_normal((64, k)).astype(np.float32)
     out = model.decoder.apply(model.params, [np.asarray(q.mean) + q.std() * noise],
@@ -485,10 +491,40 @@ def test_estimate_through_condition_equals_raw_rows(m, k, hidden):
     assert est.R == R and est.K.tobytes() == K.tobytes()
 
 
+def test_estimate_is_the_same_from_any_block_of_two_or_more_rows():
+    # bounds encodes its pairs in blocks and hands each pair its rows; at
+    # smoke widths a pair's R and K do not depend on how many rows its block
+    # encode took (2, 7 or 256; one row is numpy's gemv path and may differ)
+    m, k, hidden, n = 256, 8, 128, 256
+    model = CvaeModel(m, k, hidden, rng=np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    x, y = (rng.uniform(0, 1, (n, m)).astype(np.float32) for _ in range(2))
+    seeds = np.random.SeedSequence(9).spawn(n)
+    got = {}
+    for block in (2, 7, 256):
+        got[block] = []
+        for lo in range(0, n, block):
+            xb, yb = x[lo:lo + block], y[lo:lo + block]
+            q, cond = model.encode_posterior(xb, yb), model.condition(yb)
+            for j in range(len(xb)):
+                one = slice(j, j + 1)
+                est = estimate_R_K(model, xb[one], q.rows(one), cond.rows(one),
+                                   np.random.default_rng(seeds[lo + j]), samples=16)
+                got[block].append((est.R, est.K.tobytes()))
+    assert got[2] == got[7] == got[256]
+    # a decode against one row's Condition broadcasts that row: the bytes of
+    # decoding against the row repeated once per latent
+    cond = model.condition(y)
+    z = rng.standard_normal((16, k)).astype(np.float32)
+    for i in (0, 5, n - 1):
+        want = model.decode(z, cond.rows(np.full(16, i)))
+        assert model.decode(z, cond.rows(slice(i, i + 1))).tobytes() == want.tobytes()
+
+
 def test_estimate_r_matches_high_sample_oracle():
     model = CvaeModel(M, K_DIM, HID, rng=np.random.default_rng(3))
     x, y = one_pair(seed=4)
-    est = estimate_R_K(model, x, y, np.random.default_rng(5), samples=64)
+    est = estimate(model, x, y, np.random.default_rng(5), samples=64)
 
     # independent high-sample recomputation straight from the model
     rng = np.random.default_rng(6)
