@@ -213,7 +213,7 @@ def sample_truncated_ball(k: int, eps: float, n: int, rng: np.random.Generator) 
     grid, cdf = _chi_ball_cdf(k, float(eps))
     v = rng.uniform(0.0, 1.0, size=n) * cdf[-1]
     radius = np.interp(v, cdf, grid)
-    return (dirs * radius[:, None]).astype(np.float64)
+    return dirs * radius[:, None]
 
 
 @functools.lru_cache(maxsize=64)

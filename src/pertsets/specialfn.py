@@ -2,10 +2,11 @@
 
 Everything here runs in 64-bit floats regardless of what the network side
 uses: these values feed bound computations where 1e-3 of slack matters.
-Lambert W and the regularized lower incomplete gamma take a float or an
-array and iterate every element at once; the normal and chi-square
-functions are scalar, and the binomial bounds work on arrays over the
-outcomes of one binomial.
+Lambert W takes a float or an array and iterates every element at once.
+The regularized lower incomplete gamma takes a float, which runs one scalar
+loop, or an array, which runs elementwise loops with the same bits. The
+normal and chi-square functions are scalar, and the binomial bounds work on
+arrays over the outcomes of one binomial.
 Implementations are self-contained (no scipy at runtime) so the test suite
 can use library routines as genuinely independent oracles.
 """
@@ -156,95 +157,83 @@ def std_normal_quantile(p: float) -> float:
 # Regularized lower incomplete gamma and the chi-square family
 
 
-# loop steps the gamma loops take per array pass over their elements
-_STEPS = 16
-
-
-def _lower_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """sum_n x^n / (s (s+1) ... (s+n)) for each x, the series behind P(s, x);
-    converges fast for x < s + 1. Each element stops at its own term.
-
-    Each pass takes _STEPS terms of every element still summing, as running
-    products of x / (s + n) and running sums (a ufunc's accumulate runs in
-    order), so every term and sum is the one a term-at-a-time loop forms."""
+def _lower_gamma_series(s: float, x):
+    """sum_n x^n / (s (s+1) ... (s+n)), the series behind P(s, x); converges
+    fast for x < s + 1. x is a float, or an array whose elements each stop
+    at their own term."""
+    if isinstance(x, float):
+        term = total = 1.0 / s
+        denom = s
+        for _ in range(10000):
+            denom += 1.0
+            term *= x / denom
+            total += term
+            if abs(term) < abs(total) * 1e-16:
+                break
+        return total
     total = np.full(x.shape, 1.0 / s)
     # the elements still summing: index, argument, last term and sum
     idx, xi, term, acc = np.arange(x.size), x, total.copy(), total.copy()
-    denom, n = np.array([s]), 0
-    while idx.size and n < 10000:
-        steps = min(_STEPS, 10000 - n)
-        # s + 1, s + 2, ... as a column, each 1.0 added to the one before
-        denoms = _running(np.add, denom, np.ones((steps, 1)))
-        terms = _running(np.multiply, term, xi / denoms)
-        sums = _running(np.add, acc, terms)
-        idx, (xi, term, acc) = _stop_at_first(
-            np.abs(terms) < np.abs(sums) * 1e-16, sums, total, idx, xi, terms[-1], sums[-1])
-        denom, n = denoms[-1], n + steps
+    denom = s
+    for _ in range(10000):
+        if not idx.size:
+            break
+        denom += 1.0
+        term *= xi / denom
+        acc += term
+        done = np.abs(term) < np.abs(acc) * 1e-16
+        if done.any():
+            total[idx[done]] = acc[done]
+            left = ~done
+            idx, xi, term, acc = idx[left], xi[left], term[left], acc[left]
     total[idx] = acc
     return total
 
 
-def _running(ufunc, first, rows):
-    """The running results of a binary ufunc down the rows, in order:
-    ufunc(first, rows[0]), then each row with the result before it. Up to
-    128 columns this is one accumulate; wider, accumulate's one inner loop
-    per column costs more than a loop over the rows."""
-    out = np.vstack([first, rows])
-    if out.shape[1] <= 128:
-        return ufunc.accumulate(out, axis=0)[1:]
-    for prev, row in zip(out, out[1:]):
-        ufunc(prev, row, out=row)
-    return out[1:]
-
-
-def _stop_at_first(done, values, out, idx, *state):
-    """Write each element's value at the first pass step `done` marks (rows
-    are steps, columns the elements idx index) into out; returns the index
-    and each state array of the elements no step stopped."""
-    hit = done.any(axis=0)
-    out[idx[hit]] = values[done.argmax(axis=0)[hit], hit]
-    left = ~hit
-    return idx[left], [a[left] for a in state]
-
-
-def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
-    """Lentz continued fraction for Q(s, x) before its prefactor, for each x;
-    converges fast for x >= s + 1. Each element stops at its own step.
-
-    Each pass takes _STEPS steps of every element still iterating and keeps
-    each step's b, c, denominator and delta; h is the running product of
-    the deltas (a ufunc's accumulate runs in order). The 1e-300 floor on c
-    and the denominator is applied step by step only in a rerun of a pass
-    where one of them fell below it, so every value is the one a
-    step-at-a-time loop forms."""
+def _upper_gamma_cf(s: float, x):
+    """Lentz continued fraction for Q(s, x) before its prefactor; converges
+    fast for x >= s + 1. x is a float, or an array whose elements each stop
+    at their own step."""
     tiny = 1e-300
     b = x + 1.0 - s
+    if isinstance(x, float):
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for i in range(1, 10000):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < tiny:
+                d = tiny
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < 1e-16:
+                break
+        return h
     h = 1.0 / b
     # the elements still iterating: index, b, c, d and the running product
     idx, c, d, hi = np.arange(x.size), np.full(x.shape, 1.0 / tiny), h, h.copy()
-    i = 1
-    while idx.size and i < 10000:
-        steps = min(_STEPS, 10000 - i)
-        bs = _running(np.add, b, np.full((steps, b.size), 2.0))
-        ans = [-(i + j) * ((i + j) - s) for j in range(steps)]
-        for floor in (False, True):
-            dens, cs, deltas = (np.empty_like(bs) for _ in range(3))
-            cj, dj = c, d
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for an, bj, den, cn, delta in zip(ans, bs, dens, cs, deltas):
-                    np.add(np.multiply(an, dj, out=den), bj, out=den)
-                    cj = np.add(bj, np.divide(an, cj, out=cn), out=cn)
-                    if floor:
-                        den[np.abs(den) < tiny] = tiny
-                        cj[np.abs(cj) < tiny] = tiny
-                    dj = np.divide(1.0, den)
-                    np.multiply(dj, cj, out=delta)
-            if floor or not ((np.abs(dens) < tiny).any() or (np.abs(cs) < tiny).any()):
-                break
-        hs = _running(np.multiply, hi, deltas)
-        idx, (b, c, d, hi) = _stop_at_first(np.abs(deltas - 1.0) < 1e-16, hs, h, idx,
-                                            bs[-1], cj, dj, hs[-1])
-        i += steps
+    for i in range(1, 10000):
+        if not idx.size:
+            break
+        an = -i * (i - s)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        hi = hi * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            h[idx[done]] = hi[done]
+            left = ~done
+            idx, b, c, d, hi = idx[left], b[left], c[left], d[left], hi[left]
     h[idx] = hi
     return h
 
@@ -254,14 +243,27 @@ def reg_lower_gamma(s: float, x):
 
     x is a float or an array of any shape (a float gives a float, an array
     an array of its shape). The power series (x < s + 1) and the Lentz
-    continued fraction (otherwise) iterate over every element at once, and
-    each element stops on its own. The prefactor exp(-x + s ln x - lgamma(s))
-    is taken per element through `math`, whose exp and log can round
+    continued fraction (otherwise) run as one scalar loop on a float, and
+    as elementwise loops on an array, where each element stops on its own;
+    both give the same bits. The prefactor exp(-x + s ln x - lgamma(s)) is
+    taken per element through `math`, whose exp and log can round
     differently from numpy's vector loops. P(s, inf) is 1.
     """
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"gamma shape s must be finite and positive, got {s}")
+    if np.shape(x) == ():
+        x = float(x)
+        if math.isnan(x):
+            raise ValueError("gamma argument x must not be NaN")
+        if x < 0.0:
+            raise ValueError(f"gamma argument x must be >= 0, got {x}")
+        if x == 0.0 or x == math.inf:
+            return 0.0 if x == 0.0 else 1.0
+        pre = math.exp(-x + s * math.log(x) - math.lgamma(s))
+        if x < s + 1.0:
+            return _lower_gamma_series(s, x) * pre
+        return 1.0 - _upper_gamma_cf(s, x) * pre
     shape = np.shape(x)
     x = np.array(x, dtype=np.float64).reshape(-1)
     if np.isnan(x).any():
@@ -280,7 +282,7 @@ def reg_lower_gamma(s: float, x):
         xs = x[frac]
         out[frac] = [1.0 - h * math.exp(-v + s * math.log(v) - lg)
                      for h, v in zip(_upper_gamma_cf(s, xs).tolist(), xs.tolist())]
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return out.reshape(shape)
 
 
 def chi_square_cdf(x: float, k: int) -> float:
@@ -293,52 +295,34 @@ def chi_square_cdf(x: float, k: int) -> float:
 
 
 def chi_square_quantile(p: float, k: int) -> float:
-    """Inverse chi-square CDF by bisection, bracket resolved to <= 1e-8.
+    """Inverse chi-square CDF by bisection, one CDF call per halving, until
+    the CDF is within 1e-9 of p or the bracket is resolved to 1e-15 of hi.
 
     Monotone, and checked against scipy for k up to 784, the widest latent
     the package trains (the mnist-linf profile); `bounds` asks it for
-    k = 784 there. Each pass takes the CDF in one array call at the
-    midpoints of the halvings that would walk toward a guess of the
-    quantile, then follows them until a decision leaves that walk: the
-    midpoints, decisions and result of one call per halving, in a few
-    calls. The first guess is Wilson-Hilferty's, each later one the secant
-    through the bracket's ends.
+    k = 784 there.
     """
     if k <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {k}")
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile domain: p={p} not in (0, 1)")
-    t = 2.0 / (9.0 * k)
-    guess = k * max(0.0, 1.0 - t + std_normal_quantile(p) * math.sqrt(t)) ** 3
-    # each pass also takes the CDF at hi; the first doubles hi while that is
-    # below p, as the plain bisection does before its first halving
-    hi, c_hi = k + 20.0 * math.sqrt(k) + 40.0, None
-    lo, c_lo, steps = 0.0, 0.0, 0
-    while True:
-        mids, a, b = [], lo, hi
-        while len(mids) < 48:
-            mids.append(0.5 * (a + b))
-            a, b = (mids[-1], b) if mids[-1] < guess else (a, mids[-1])
-        cdf = reg_lower_gamma(0.5 * k, 0.5 * np.array(mids + [hi])).tolist()
-        if c_hi is None:
-            if cdf[-1] < p:
-                hi *= 2.0
-                continue
-            c_hi = cdf[-1]
-        for mid, c in zip(mids, cdf):
-            steps += 1
-            if abs(c - p) <= 1e-9:
-                return mid
-            if c < p:
-                lo, c_lo = mid, c
-            else:
-                hi, c_hi = mid, c
-            if hi - lo <= 1e-15 * max(1.0, hi) or steps == 200:
-                return mid
-            if (c < p) != (mid < guess):
-                break
-        guess = lo + (p - c_lo) / (c_hi - c_lo) * (hi - lo)
+    hi = k + 20.0 * math.sqrt(k) + 40.0
+    while chi_square_cdf(hi, k) < p:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        c = chi_square_cdf(mid, k)
+        if abs(c - p) <= 1e-9:
+            break
+        if c < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(1.0, hi):
+            break
+    return mid
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +348,6 @@ def _log_binom_pmf(table, p: float) -> np.ndarray:
     return out
 
 
-def _binom_upper_tail(k: int, table, p: float) -> float:
-    """P(Binomial(n, p) >= k), summed in log space; table is _log_binom_table(n)."""
-    if k <= 0:
-        return 1.0
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    n, i, log_nck = table
-    lp = _log_binom_pmf((n, i[k:], log_nck[k:]), p)
-    m = lp.max()
-    return float(np.exp(m) * np.exp(lp - m).sum())
-
-
 def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> float:
     """Exact one-sided lower confidence bound for a binomial proportion.
 
@@ -394,11 +364,16 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> flo
     alpha = 1.0 - confidence
     if successes == trials:
         return alpha ** (1.0 / trials)
-    table = _log_binom_table(trials)
+    # the outcomes >= successes of the table: P(Binomial(trials, mid) >=
+    # successes) is their pmf, summed in log space
+    n, i, log_nck = _log_binom_table(trials)
+    tail = (n, i[successes:], log_nck[successes:])
     lo, hi = 0.0, 1.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _binom_upper_tail(successes, table, mid) < alpha:
+        lp = _log_binom_pmf(tail, mid)
+        m = lp.max()
+        if float(np.exp(m) * np.exp(lp - m).sum()) < alpha:
             lo = mid
         else:
             hi = mid

@@ -1,7 +1,7 @@
 """Reference regularized lower incomplete gamma: the per-element scalar loops
-the package once ran for P(s, x), kept as the oracle its array loops are
-pinned to, bit for bit, and the radius table the ball sampler once built
-from them one grid point at a time."""
+for P(s, x), kept as the oracle the package's float and array loops are
+pinned to, bit for bit, the radius table the ball sampler once built from
+them one grid point at a time, and the chi-square quantile's bisection."""
 
 import math
 

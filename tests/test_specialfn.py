@@ -218,8 +218,9 @@ def test_reg_lower_gamma_matches_scipy():
        st.floats(1.0, 1e6))
 def test_reg_lower_gamma_array_matches_the_scalar_reference(s, fractions, far):
     # zero, both sides of the series / continued-fraction switch at s + 1,
-    # the switch itself, and large x: every element gets the bits of the
-    # scalar loops, and a float gets a float
+    # the switch itself, and large x: every element of the array call and
+    # every float call gets the bits of the reference loops, so the array
+    # and float loops cannot drift apart; a float gets a float
     edge = s + 1.0
     xs = np.array([0.0, np.nextafter(edge, 0.0), edge, far * edge, 1e300]
                   + [f * edge for f in fractions] + [(1.0 + 2.0 * f) * edge for f in fractions])
@@ -227,9 +228,9 @@ def test_reg_lower_gamma_array_matches_the_scalar_reference(s, fractions, far):
     want = np.array([refgamma.reg_lower_gamma(s, float(x)) for x in xs])
     assert got.tobytes() == want.tobytes()
     assert reg_lower_gamma(s, xs.reshape(1, -1)).shape == (1, xs.size)
-    for x in xs[:4]:
-        value = reg_lower_gamma(s, float(x))
-        assert type(value) is float and value == refgamma.reg_lower_gamma(s, float(x))
+    for x, element, ref in zip(xs.tolist(), got.tolist(), want.tolist()):
+        value = reg_lower_gamma(s, x)
+        assert type(value) is float and value == element == ref, x
 
 
 def test_reg_lower_gamma_is_one_at_infinity():
@@ -258,7 +259,8 @@ def test_chi_square_quantile_cdf_residual():
 
 @pytest.mark.parametrize("k", [1, 2, 8, 128, 784])
 def test_chi_square_quantile_matches_one_call_per_halving(k):
-    # the five-halvings-per-call walk returns the bits of the plain bisection
+    # the quantile returns the bits of the reference bisection, which takes
+    # one scalar CDF call per halving
     for p in (1e-12, 0.001, 0.05, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-9):
         assert chi_square_quantile(p, k) == refgamma.chi_square_quantile(p, k), (k, p)
 
