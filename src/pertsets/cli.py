@@ -385,7 +385,8 @@ def cmd_gen_data(cfg: dict) -> dict:
 
     ps = top.sub("pairs")
     pkind = ps.take("kind", _choice("linf", "rts"))
-    pairing = ps.take("pairing", _choice("centered", "perturbed_only"), "centered")
+    # one pairing: the conditioned member is the clean source
+    ps.take("pairing", _choice("centered"), "centered")
     if pkind == "linf":
         eps = ps.take("eps", _POSITIVE)
     else:
@@ -431,13 +432,13 @@ def cmd_gen_data(cfg: dict) -> dict:
         data = Dataset(imgs, lbl)
 
     if pkind == "linf":
-        allpairs = gen_linf_pairs(data, eps, rng_pairs, pairing=pairing)
+        allpairs = gen_linf_pairs(data, eps, rng_pairs)
     else:
         try:
             rts.check_fits(data.images.shape[1])
         except ValueError as e:
             raise ConfigError(f"config.pairs.canvas: {e}") from e
-        allpairs = gen_rts_pairs(data, rts, rng_pairs, pairing=pairing)
+        allpairs = gen_rts_pairs(data, rts, rng_pairs)
 
     total = len(allpairs)
     if n_test >= total:
@@ -725,8 +726,9 @@ def cmd_certify(cfg: dict) -> dict:
     rows = []
     certified = []
     for lo in range(0, len(pairs), _BLOCK):
-        cond = model.condition(pairs.conditioned[lo:lo + _BLOCK])
-        for j in range(len(cond.y)):
+        y = pairs.conditioned[lo:lo + _BLOCK]
+        cond = model.condition(y)
+        for j in range(len(y)):
             cert = smoothing.certify(h, model, cond.rows(slice(j, j + 1)), sigma,
                                      np.random.default_rng(children[lo + j]),
                                      n0=n0, n=n, alpha=alpha)
@@ -773,10 +775,6 @@ def _median_latent_norm(eval_dir: str) -> float:
     return float(np.median(norms))
 
 
-def _stage_seeds(seed: int, count: int) -> list:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
-
-
 # Evaluation, bounds, classifier training, attack and certification work
 # shared by the full-scale profiles (mnist-linf and rts).
 _FULL_SCALE = {
@@ -788,20 +786,15 @@ _FULL_SCALE = {
 }
 
 
-def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
-    """Stage configs for one reproduce profile. Paths live under `out`."""
-    seeds = _stage_seeds(seed, 10)
-    p = lambda *parts: os.path.join(out, *parts)
-
+def _profile_spec(profile: str, mnist_dir) -> dict:
+    """The work parameters of each stage of one reproduce profile; paths and
+    seeds are cmd_reproduce's."""
     if profile == "smoke":
         return {
-            "gen": {"out_dir": p("data"), "seed": seeds[0],
-                    "source": {"kind": "synth-shapes", "n": 2000, "size": 12},
-                    "pairs": {"kind": "rts", "rotation": 45.0, "scale": [0.8, 1.2],
-                              "canvas": 16, "pairing": "centered"},
+            "gen": {"source": {"kind": "synth-shapes", "n": 2000, "size": 12},
+                    "pairs": {"kind": "rts", "rotation": 45.0, "scale": [0.8, 1.2], "canvas": 16},
                     "split": {"test": 400}},
-            "train": {"out_dir": p("cvae"), "seed": seeds[1], "data": p("data", "train"),
-                      "model": {"k": 8, "hidden": 128},
+            "train": {"model": {"k": 8, "hidden": 128},
                       "train": {"epochs": 12, "batch_size": 128,
                                 "lr": {"epochs": [0, 3, 12], "values": [0.0, 0.002, 0.0005]},
                                 "beta": {"epochs": [0, 3, 12], "values": [0.0, 0.001, 0.01]}}},
@@ -811,7 +804,6 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
             "robust": {"epochs": 6, "batch_size": 128, "lr": 1e-3, "attack_steps": 7},
             "attack_limit": 400,
             "certify": {"n0": 50, "n": 2000, "alpha": 0.001, "limit": 60},
-            "seeds": seeds,
         }
 
     if profile == "mnist-linf":
@@ -828,14 +820,11 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
         return {
             **_FULL_SCALE,
             "synth_fallback": fallback,
-            "gen": {"out_dir": p("data"), "seed": seeds[0], "source": source,
-                    "pairs": {"kind": "linf", "eps": 0.3, "pairing": "centered"},
+            "gen": {"source": source, "pairs": {"kind": "linf", "eps": 0.3},
                     "split": {"test": 2000}},
-            "train": {"out_dir": p("cvae"), "seed": seeds[1], "data": p("data", "train"),
-                      "model": {"k": 784, "hidden": 784},
+            "train": {"model": {"k": 784, "hidden": 784},
                       "train": {"epochs": 20, "batch_size": 128}},
             "classifier": {"hidden": [200], "n_classes": n_classes},
-            "seeds": seeds,
         }
 
     if profile == "rts":
@@ -845,21 +834,17 @@ def _profile_spec(profile: str, out: str, seed: int, mnist_dir) -> dict:
                 f"({', '.join(sorted(_MNIST_FILES.values()))})")
         return {
             **_FULL_SCALE,
-            "gen": {"out_dir": p("data"), "seed": seeds[0],
-                    "source": {"kind": "idx",
+            "gen": {"source": {"kind": "idx",
                                "images": os.path.join(mnist_dir, _MNIST_FILES["train_images"]),
                                "labels": os.path.join(mnist_dir, _MNIST_FILES["train_labels"])},
-                    "pairs": {"kind": "rts", "rotation": 45.0, "scale": [0.7, 1.3],
-                              "canvas": 42, "pairing": "centered"},
+                    "pairs": {"kind": "rts", "rotation": 45.0, "scale": [0.7, 1.3], "canvas": 42},
                     "split": {"test": 2000}},
-            "train": {"out_dir": p("cvae"), "seed": seeds[1], "data": p("data", "train"),
-                      "model": {"k": 128, "hidden": 784},
+            "train": {"model": {"k": 128, "hidden": 784},
                       "train": {"epochs": 100, "batch_size": 128,
                                 "lr": {"epochs": [0, 40, 100], "values": [0.0, 0.0008, 0.0]},
                                 "beta": {"epochs": [0, 10, 50, 100],
                                          "values": [0.0, 0.01, 1.0, 1.0]}}},
             "classifier": {"hidden": [200], "n_classes": 10},
-            "seeds": seeds,
         }
 
     raise ConfigError(f"unknown profile {profile!r}")
@@ -871,13 +856,15 @@ _TABLE4_REFERENCE = {"enc_ae": 0.31, "pgd_ae": 0.25, "eae": 0.32, "oae": 0.65,
 
 def cmd_reproduce(profile: str, out: str, seed: int, mnist_dir) -> dict:
     _SEED(seed, "--seed")
-    spec = _profile_spec(profile, out, seed, mnist_dir)
-    seeds = spec["seeds"]
+    spec = _profile_spec(profile, mnist_dir)
+    # the run seed expands into one seed per stage
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(10)]
     p = lambda *parts: os.path.join(out, *parts)
     os.makedirs(out, exist_ok=True)
 
-    cmd_gen_data(spec["gen"])
-    cmd_train_cvae(spec["train"])
+    cmd_gen_data({"out_dir": p("data"), "seed": seeds[0], **spec["gen"]})
+    cmd_train_cvae({"out_dir": p("cvae"), "seed": seeds[1], "data": p("data", "train"),
+                    **spec["train"]})
 
     eval_cfg = {"out_dir": p("eval"), "seed": seeds[2], "model": p("cvae"),
                 "data": p("data", "test"), "eps": {"select_from": p("data", "train")},

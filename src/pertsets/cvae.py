@@ -46,23 +46,20 @@ class GaussianDiag:
 
 @dataclass
 class Condition:
-    """Conditioning rows y, from CvaeModel.condition, with what every decode
-    against them shares: the prior GaussianDiag (for kl_diag), its mean and
-    std as arrays, and proj = y @ W0[k:] + b0, the decoder first layer's
-    share of y, so a decode multiplies only the latents by W0[:k]. All are
-    float32 for float32 y; one row of y conditions any number of latents."""
+    """What every decode against conditioning rows y shares, from
+    CvaeModel.condition: the prior p(z|y), its std, and proj = y @ W0[k:] +
+    b0, the decoder first layer's share of y, so a decode multiplies only
+    the latents by W0[:k]. All are float32 for float32 y; one row of y
+    conditions any number of latents."""
 
-    y: np.ndarray
     prior: GaussianDiag
-    mean: np.ndarray
     std: np.ndarray
     proj: np.ndarray
 
     def rows(self, index) -> "Condition":
         """The Condition of the rows `index` (a slice or an integer array)
         picks, so a block of rows is conditioned once for every subset."""
-        return Condition(self.y[index], self.prior.rows(index), self.mean[index],
-                         self.std[index], self.proj[index])
+        return Condition(self.prior.rows(index), self.std[index], self.proj[index])
 
 
 class PairSet:
@@ -139,17 +136,15 @@ class CvaeModel:
         return nn.finite_or_raise(out, "decoded outputs")
 
     def condition(self, y) -> Condition:
-        """y with its prior p(z|y) and first-layer projection, computed once
-        for any number of decodes."""
-        y = np.asarray(y)
+        """The Condition of rows y: their prior p(z|y) and first-layer
+        projection, computed once for any number of decodes."""
         prior = self.encode_prior(y)
-        return Condition(y, prior, np.asarray(prior.mean), prior.std(),
-                         self.decoder.project(self.params, y))
+        return Condition(prior, prior.std(), self.decoder.project(self.params, y))
 
     def decode_u(self, u, cond: Condition, acts: list = None):
         """The perturbation-set map g(u * sigma(y) + mu(y), y) of standardized
         latents u, taken in float32. `acts` keeps what decode_u_grad reads."""
-        return self.decode(np.asarray(u, dtype=np.float32) * cond.std + cond.mean, cond, acts)
+        return self.decode(np.asarray(u, dtype=np.float32) * cond.std + cond.prior.mean, cond, acts)
 
     def decode_u_grad(self, cond: Condition, acts: list, g):
         """The gradient in u of the decode_u(u, cond, acts) call, from g, the
@@ -188,11 +183,6 @@ def _kl_terms(q: GaussianDiag, p: GaussianDiag):
     ratio, dm, inv_var_p = np.exp(dl), q.mean - p.mean, np.exp(-p.logvar)
     kl = ((ratio + (dm * dm) * inv_var_p) + (-dl - 1.0)).sum(axis=-1) * 0.5
     return kl, ratio, dm, inv_var_p
-
-
-def reparameterize(q: GaussianDiag, u):
-    """z = mean + u * std for standard-normal u."""
-    return q.mean + u * np.exp(q.logvar * 0.5)
 
 
 def sample_truncated_ball(k: int, eps: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -48,18 +48,10 @@ class ParamSet:
     view into one flat buffer, `flat`, laid out in that order: the
     checkpoint's byte order. Adam's moments m and v and one step's gradients,
     `grad`, are flat buffers of that layout, allocated by the first step that
-    needs them; `step` counts Adam steps. ParamSet(values) copies the tensors
-    into one buffer of their common dtype."""
+    needs them; `step` counts Adam steps. ParamSet(shapes, dtype) holds zero
+    tensors of those shapes, by name, in that dtype, and no Adam state."""
 
-    def __init__(self, values=None):
-        values = {name: np.asarray(v) for name, v in (values or {}).items()}
-        self._lay_out({name: v.shape for name, v in values.items()},
-                      np.result_type(*values.values()) if values else np.float32)
-        for name, value in values.items():
-            self.values[name][...] = value
-
-    def _lay_out(self, shapes: dict, dtype):
-        # zero tensors of the given shapes and dtype, and no Adam state
+    def __init__(self, shapes: dict, dtype):
         self.shapes = {name: tuple(shapes[name]) for name in sorted(shapes)}
         self.flat = np.zeros(sum(map(math.prod, self.shapes.values())), dtype)
         self.values = self.views(self.flat)
@@ -315,8 +307,7 @@ def model_params(nets, params: ParamSet = None, rng: np.random.Generator = None)
     if params is None:
         if rng is None:
             raise ValueError("need params or an rng to initialize them")
-        params = ParamSet()
-        params._lay_out(shapes, np.float32)
+        params = ParamSet(shapes, np.float32)
         for name, shape in shapes.items():
             if len(shape) == 2:
                 w, bound = params.values[name], math.sqrt(6.0 / (shape[0] + shape[1]))
@@ -458,11 +449,11 @@ def load_params(stem: str) -> tuple[ParamSet, dict]:
                 or shapes and name <= next(reversed(shapes))):
             raise ValueError(f"{stem}.json: malformed, repeated or unsorted entry {entry!r}")
         shapes[name] = shape
-    params, need = ParamSet(), 4 * sum(map(math.prod, shapes.values()))
+    need = 4 * sum(map(math.prod, shapes.values()))
     with open(stem + ".bin", "rb") as f:
         size = os.fstat(f.fileno()).st_size      # first, so no manifest allocates past it
         if size == need:
-            params._lay_out(shapes, "<f4")
+            params = ParamSet(shapes, "<f4")
         if size != need or f.readinto(params.flat) != need:
             raise ValueError(f"checkpoint blob too {'short' if size < need else 'long'}: "
                              f"{size} bytes, its manifest {need}")

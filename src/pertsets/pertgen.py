@@ -36,27 +36,16 @@ class Dataset:
 # l-infinity noise pairs
 
 
-def gen_linf_pairs(data: Dataset, eps: float, rng: np.random.Generator,
-                   pairing: str = "centered") -> PairSet:
+def gen_linf_pairs(data: Dataset, eps: float, rng: np.random.Generator) -> PairSet:
     """Pairs whose perturbed member adds uniform noise in [-eps, eps] per
-    pixel, clamped back to [0, 1].
-
-    pairing "centered": conditioned member is the clean image. pairing
-    "perturbed_only": the conditioned member is itself an independent noisy
-    draw, for corpora where no clean examples exist.
-    """
+    pixel, clamped back to [0, 1]; the conditioned member is the clean
+    image."""
     if eps <= 0:
         raise ValueError(f"noise radius must be positive, got {eps}")
     n, h, w = data.images.shape
     flat = data.images.reshape(n, h * w)
     noisy = np.clip(flat + rng.uniform(-eps, eps, size=flat.shape).astype(np.float32), 0.0, 1.0)
-    if pairing == "centered":
-        cond = flat.copy()
-    elif pairing == "perturbed_only":
-        cond = np.clip(flat + rng.uniform(-eps, eps, size=flat.shape).astype(np.float32), 0.0, 1.0)
-    else:
-        raise ValueError(f"unknown pairing {pairing!r}")
-    return PairSet(noisy, cond, data.labels)
+    return PairSet(noisy, flat.copy(), data.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +168,14 @@ def _sample_transform(side: int, p: RtsParams, rng: np.random.Generator):
     return theta, scale, rng.uniform(lo, hi), rng.uniform(lo, hi)
 
 
-def gen_rts_pairs(data: Dataset, p: RtsParams, rng: np.random.Generator,
-                  pairing: str = "centered") -> PairSet:
+def gen_rts_pairs(data: Dataset, p: RtsParams, rng: np.random.Generator) -> PairSet:
     """Pairs whose perturbed member is a random rotation/translation/scale of
-    the source, rendered into a canvas; the conditioned member is the source
-    centered at scale 1 without rotation (or a second random transform when
-    pairing is "perturbed_only")."""
+    the square source, rendered into a canvas; the conditioned member is the
+    source centered at scale 1 without rotation."""
     n, h, w = data.images.shape
-    if h != w:
-        raise ValueError("rts sources must be square")
-    if pairing not in ("centered", "perturbed_only"):
-        raise ValueError(f"unknown pairing {pairing!r}")
     p.check_fits(h)
-    # every transform first, in per-image order: the perturbed member's, then
-    # under perturbed_only the conditioned member's
-    per_image = 1 if pairing == "centered" else 2
-    draws = np.array([_sample_transform(h, p, rng) for _ in range(n * per_image)])
-    draws = draws.reshape(n, per_image, 4)
+    # every image's transform first, in image order
+    draws = np.array([_sample_transform(h, p, rng) for _ in range(n)]).reshape(n, 4)
     centre = (p.canvas - 1) / 2.0
     centered = _bilinear_taps(h, w, p.canvas, 0.0, 1.0, (centre, centre))
     xs = np.empty((n, p.canvas * p.canvas), dtype=np.float32)
@@ -203,10 +183,9 @@ def gen_rts_pairs(data: Dataset, p: RtsParams, rng: np.random.Generator,
     step = _block_images(xs.shape[1])
     for lo in range(0, n, step):
         src, d = data.images[lo:lo + step], draws[lo:lo + step]
-        warped = [warp_affine(src, p.canvas, t[:, 0], t[:, 1], t[:, 2:]).reshape(len(src), -1)
-                  for t in d.transpose(1, 0, 2)]
-        xs[lo:lo + step] = warped[0]
-        ys[lo:lo + step] = warped[1] if per_image == 2 else _bilinear_sample(src, centered)
+        warped = warp_affine(src, p.canvas, d[:, 0], d[:, 1], d[:, 2:])
+        xs[lo:lo + step] = warped.reshape(len(src), -1)
+        ys[lo:lo + step] = _bilinear_sample(src, centered)
     np.clip(xs, 0.0, 1.0, out=xs)
     np.clip(ys, 0.0, 1.0, out=ys)
     return PairSet(xs, ys, data.labels)

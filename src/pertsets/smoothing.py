@@ -46,24 +46,19 @@ def sample_under_noise(h: Classifier, model: CvaeModel, cond: Condition, n: int,
     return counts
 
 
-def _top_two(counts):
-    """Indices of the two largest counts, ties broken by lowest class id."""
-    order = np.lexsort((np.arange(len(counts)), -np.asarray(counts)))
-    return int(order[0]), int(order[1])
-
-
 def certify(h: Classifier, model: CvaeModel, cond: Condition, sigma: float,
             rng: np.random.Generator, n0: int = 100, n: int = 10_000,
             alpha: float = 0.001) -> Certificate:
     """Guess the top class from n0 samples, then lower-bound its probability
     with n fresh samples; certify radius sigma * quantile(p_a) when
-    p_a > 1/2, otherwise abstain. cond is the example's one-row Condition
-    (Condition.rows of a block's); the two stages use independent streams
-    and decode against it."""
+    p_a > 1/2, otherwise abstain. The guess is the first most-voted class,
+    so a tie goes to the lowest class id. cond is the example's one-row
+    Condition (Condition.rows of a block's); the two stages use independent
+    streams and decode against it."""
     if n0 < 1 or n < 1:
         raise ValueError("need n0 >= 1 and n >= 1")
     rng0, rng1 = rng.spawn(2)
-    guess, _ = _top_two(sample_under_noise(h, model, cond, n0, sigma, rng0))
+    guess = int(np.argmax(sample_under_noise(h, model, cond, n0, sigma, rng0)))
     counts = sample_under_noise(h, model, cond, n, sigma, rng1)
     p_a = clopper_pearson_lower(int(counts[guess]), n, 1.0 - alpha)
     if p_a > 0.5:

@@ -5,8 +5,7 @@ and the stacked search in evaluate_set are pinned to, bit for bit."""
 
 import numpy as np
 
-from pertsets.cvae import (kl_diag, project_ball, reparameterize,
-                           sample_truncated_ball)
+from pertsets.cvae import kl_diag, project_ball, sample_truncated_ball
 from pertsets.evalmetrics import (METRICS, EvalReport, _mse_rows, _pair_seeds,
                                   _recon_objective)
 
@@ -47,8 +46,8 @@ def evaluate_set(model, pairs, eps: float, rng: np.random.Generator, steps: int 
         y = pairs.conditioned[lo:lo + batch_size]
         B = x.shape[0]
         cond = model.condition(y)
-        q = model.encode_posterior(x, cond.y)
-        u_enc = (q.mean - cond.mean) / cond.std
+        q = model.encode_posterior(x, y)
+        u_enc = (q.mean - cond.prior.mean) / cond.std
         out["latent_norm"].append(np.linalg.norm(u_enc.astype(np.float64), axis=1))
         out["kl"].append(kl_diag(q, cond.prior))
 
@@ -62,8 +61,8 @@ def evaluate_set(model, pairs, eps: float, rng: np.random.Generator, steps: int 
         rngs = [np.random.default_rng(s) for s in _pair_seeds(x, y, base)]
 
         noise = np.stack([r.standard_normal(model.k) for r in rngs])
-        z = reparameterize(q, noise)
-        out["recon_err"].append(_mse_rows(model, (z - cond.mean) / cond.std, cond, x))
+        z = q.mean + noise * np.exp(q.logvar * 0.5)
+        out["recon_err"].append(_mse_rows(model, (z - cond.prior.mean) / cond.std, cond, x))
 
         draws = np.stack([sample_truncated_ball(model.k, eps, n_expected, r)
                           for r in rngs])

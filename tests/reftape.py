@@ -339,7 +339,7 @@ def classifier_loss(h, rec, inputs, labels):
 
 def decode_u(model, u, cond):
     """The perturbation-set map of recorded latents u."""
-    z = add(mul(u, cond.std), cond.mean)
+    z = add(mul(u, cond.std), cond.prior.mean)
     return apply(model.decoder, model.params, [z], proj=cond.proj)
 
 

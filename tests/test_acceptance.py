@@ -22,11 +22,12 @@ import time
 import numpy as np
 import pytest
 
+from params import param_set
 from pertsets import cli, robust, smoothing, theory
 from pertsets.cvae import (CvaeModel, GaussianDiag, TrainConfig, kl_diag,
                            sample_truncated_ball, train_cvae)
 from pertsets.evalmetrics import evaluate_set, select_radius
-from pertsets.nn import Network, ParamSet, Schedule, backprop_gradients, backward
+from pertsets.nn import Network, Schedule, backprop_gradients, backward
 from pertsets.pertgen import gen_linf_pairs, synth_shapes
 from pertsets.robust import AttackConfig, Classifier
 from pertsets.specialfn import clopper_pearson_lower, lambert_w, reg_lower_gamma
@@ -345,7 +346,7 @@ def test_criterion_7_numerics_oracles():
     # reverse-pass gradients vs central finite differences
     rng = np.random.default_rng(7)
     net = Network("f", 4, [("dense", 8), ("relu",), ("dense", 3)])
-    params = ParamSet({"f/w0": rng.normal(size=(4, 8)) * 0.5, "f/b0": np.zeros(8),
+    params = param_set({"f/w0": rng.normal(size=(4, 8)) * 0.5, "f/b0": np.zeros(8),
                        "f/w1": rng.normal(size=(8, 3)) * 0.5, "f/b1": np.zeros(3)})
     x = rng.normal(size=(5, 4))
     acts = []

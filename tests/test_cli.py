@@ -1,6 +1,9 @@
+import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import struct
@@ -10,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import pertsets
 from pertsets import cli, cvae, smoothing
 
 
@@ -79,12 +83,16 @@ def test_gen_data_smallest_synth_size_exits_0(tmp_path):
     assert cli._load_pairs(str(tmp_path / "d" / "train")).dim == 64
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as f:
+        return f.read()
+
+
 def test_readme_json_examples_run(tmp_path, monkeypatch):
     # each ```json block in the README is a stage config introduced by a
     # line naming its stage, as in "Example stage config (`gen-data`):"
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as f:
-        text = f.read()
+    text = _readme()
     examples = re.findall(r"\(`([a-z-]+)`\):\n\n```json\n(.*?)^```", text, flags=re.M | re.S)
     assert examples and len(examples) == text.count("```json")
     monkeypatch.chdir(tmp_path)
@@ -92,6 +100,85 @@ def test_readme_json_examples_run(tmp_path, monkeypatch):
         cfg = tmp_path / f"readme{i}.json"
         cfg.write_text(block, encoding="utf-8")
         assert cli.main([stage, "--config", str(cfg)]) == 0, stage
+
+
+# the last part of a backticked dotted name that is a file, not code
+_FILE_SUFFIXES = {"json", "jsonl", "csv", "npy", "bin", "py", "md"}
+
+
+def _code_names(text):
+    """Backticked dotted identifiers in text that name package code: not a
+    file such as `config.json`, nor a config key path such as
+    `config.pairs.eps`."""
+    return {name for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+            if name.split(".")[-1] not in _FILE_SUFFIXES and not name.startswith("config.")}
+
+
+def _resolves(name):
+    """Whether a dotted name resolves against src/pertsets: it starts at the
+    package, one of its modules, or a name a module defines, and each later
+    part is an attribute or a dataclass field."""
+    modules = {info.name: importlib.import_module(f"pertsets.{info.name}")
+               for info in pkgutil.iter_modules(pertsets.__path__)}
+    first, *rest = name.split(".")
+    if first == "pertsets":
+        obj = pertsets
+    elif first in modules:
+        obj = modules[first]
+    else:
+        owners = [getattr(m, first) for m in modules.values() if hasattr(m, first)]
+        if not owners:
+            return False
+        obj = owners[0]
+    for part in rest:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            obj = None      # a field: nothing further resolves on it
+        else:
+            return False
+    return True
+
+
+def test_readme_code_names_resolve():
+    names = _code_names(_readme())
+    assert {"cvae.latent_pgd", "theory.estimate_R_K", "Condition.rows"} <= names
+    assert not [name for name in sorted(names) if not _resolves(name)]
+    for name in ("Condition.prior", "nn.ParamSet.views", "pertsets.cli.main"):
+        assert _resolves(name), name
+    for name in ("Condition.mean", "cvae.reparameterize", "smoothing._top_two", "nn.Nope"):
+        assert not _resolves(name), name
+
+
+def _readme_columns(text, artifact):
+    """The names the bulleted list after the README paragraph that
+    introduces `artifact` (ending in "these keys:" or "these columns:")
+    gives, one per item."""
+    m = re.search(r"`%s`[^\n]*(?:\n[^\n]+)*?:\n\n((?:- .*\n(?: .*\n)*)+)" % re.escape(artifact),
+                  text)
+    assert m, artifact
+    return re.findall(r"^- `(\w+)`", m.group(1), flags=re.M)
+
+
+def test_readme_names_every_report_column(pipeline, tmp_path):
+    # each per-pair report's README list holds exactly its header's columns
+    common = {"seed": 1, "model": str(pipeline / "cvae"),
+              "data": str(pipeline / "data" / "test"), "limit": 2}
+    runs = {"eval.csv": ("eval-set", {"eps": 1.0, "steps": 2, "n_expected": 2}),
+            "bounds.jsonl": ("bounds", {"samples": 4}),
+            "certify.csv": ("certify", {"classifier": str(pipeline / "clf"), "sigma": 0.5,
+                                        "n0": 5, "n": 10})}
+    text = _readme()
+    for artifact, (stage, extra) in runs.items():
+        cfg = {"out_dir": str(tmp_path / stage), **common, **extra}
+        assert cli.main([stage, "--config", write_cfg(tmp_path / f"{stage}.json", cfg)]) == 0
+        with open(tmp_path / stage / artifact, encoding="utf-8") as f:
+            first = f.readline()
+        jsonl = artifact.endswith(".jsonl")
+        header = list(json.loads(first)) if jsonl else first.strip().split(",")
+        documented = _readme_columns(text, artifact)
+        assert len(set(documented)) == len(documented), artifact
+        assert sorted(documented) == sorted(header), artifact
 
 
 def test_gen_data_manifest_hashes_verify(pipeline):
@@ -429,6 +516,19 @@ def test_non_square_rts_source_exits_2(tmp_path, capsys):
     code, err = run_cli(["gen-data", "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
     assert code == 2, err
     assert "config.source.images" in err and "8x6" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", [{"kind": "linf", "eps": 0.3}, {"kind": "rts", "canvas": 16}],
+                         ids=["linf", "rts"])
+def test_perturbed_only_pairing_exits_2(tmp_path, capsys, kind):
+    # every pair is conditioned on its clean source: "centered" is the one pairing
+    cfg = {"out_dir": str(tmp_path / "out"),
+           "source": {"kind": "synth-shapes", "n": 20, "size": 12},
+           "pairs": {**kind, "pairing": "perturbed_only"}, "split": {"test": 2}}
+    code, err = run_cli(["gen-data", "--config", write_cfg(tmp_path / "c.json", cfg)], capsys)
+    assert code == 2, err
+    assert "config.pairs.pairing" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -12,6 +12,7 @@ import pytest
 import refeval as ref_pgd
 import refgamma
 import reftape as ref
+from params import param_set
 from pertsets import nn
 from pertsets.cvae import (
     Condition,
@@ -25,7 +26,6 @@ from pertsets.cvae import (
     latent_pgd,
     load_cvae,
     project_ball,
-    reparameterize,
     sample_truncated_ball,
     train_cvae,
 )
@@ -90,17 +90,24 @@ def test_kl_batched_matches_rowwise():
 
 
 def test_reparameterize_zero_noise_returns_mean():
+    # z = mean + u * std(), as elbo_loss and evaluate_set's recon_err draw it
     g = GaussianDiag(np.array([2.0, -1.0]), np.array([0.7, -0.3]))
-    np.testing.assert_allclose(reparameterize(g, np.zeros(2)), g.mean)
+    assert (g.mean + np.zeros(2) * g.std()).tobytes() == g.mean.tobytes()
 
 
 def test_reparameterize_matches_formula_and_inverts():
+    # std() has the bits of exp(logvar * 0.5), the factor elbo_loss writes
+    # out, in float64 and float32; standardizing a draw gives its noise back
     rng = np.random.default_rng(8)
-    g = GaussianDiag(rng.normal(size=4), rng.uniform(-1, 1, 4))
-    u = rng.normal(size=4)
-    z = reparameterize(g, u)
-    np.testing.assert_allclose(z, g.mean + u * np.exp(0.5 * g.logvar), rtol=1e-12)
-    np.testing.assert_allclose((z - g.mean) / np.exp(0.5 * g.logvar), u, rtol=1e-9, atol=1e-12)
+    for dtype, tol in ((np.float64, 1e-9), (np.float32, 1e-5)):
+        g = GaussianDiag(rng.normal(size=4).astype(dtype), rng.uniform(-1, 1, 4).astype(dtype))
+        std = g.std()
+        assert std.dtype == dtype and std.tobytes() == np.exp(g.logvar * 0.5).tobytes()
+        u = rng.normal(size=4).astype(dtype)
+        z = g.mean + u * std
+        np.testing.assert_allclose(z, g.mean + u * np.exp(0.5 * g.logvar.astype(np.float64)),
+                                   rtol=tol)
+        np.testing.assert_allclose((z - g.mean) / std, u, rtol=tol, atol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +329,7 @@ def test_pairset_accessors():
 def make_model(m=6, k=3, hidden=10, seed=0, dtype=np.float32):
     model = CvaeModel(m, k, hidden, rng=np.random.default_rng(seed))
     if dtype is not np.float32:
-        model.params = nn.ParamSet({n: v.astype(dtype) for n, v in model.params.values.items()})
+        model.params = param_set({n: v.astype(dtype) for n, v in model.params.values.items()})
     return model
 
 
@@ -336,7 +343,7 @@ def test_elbo_beta_zero_is_half_sse():
     assert float(loss) == pytest.approx(0.5 * sse.mean(), rel=1e-6)
     # and reconstruct sse by hand
     q = model.encode_posterior(x, y)
-    z = reparameterize(q, u)
+    z = q.mean + u * q.std()
     g = model.decoder.apply(model.params, [z, y])
     np.testing.assert_allclose(sse, ((x - g) ** 2).sum(axis=1), rtol=1e-5)
 
@@ -388,8 +395,7 @@ def test_decode_u_is_decode_of_standardized_latent():
     u = rng.standard_normal((5, 3)).astype(np.float32)
     cond = model.condition(y)
     prior = model.encode_prior(y)
-    assert cond.mean.dtype == cond.std.dtype == np.float32
-    np.testing.assert_array_equal(cond.mean, prior.mean)
+    assert cond.std.dtype == np.float32
     np.testing.assert_array_equal(cond.std, prior.std())
     # the decoder over both streams adds y's share onto b0 first, as the
     # Condition's cached projection does
@@ -410,7 +416,7 @@ def one_row_and_repeated_decodes(m, k, hidden):
     y = rng.uniform(0, 1, (1, m)).astype(np.float32)
     z = rng.standard_normal((7, k)).astype(np.float32)
     cond = model.condition(y)
-    zu = z * cond.std + cond.mean
+    zu = z * cond.std + cond.prior.mean
     got = np.asarray(model.decode(z, cond))
     got_u = np.asarray(model.decode_u(z, cond))
     assert got_u.tobytes() == np.asarray(model.decode(zu, cond)).tobytes()
@@ -471,7 +477,7 @@ def test_one_row_condition_decode_u_equals_per_row_decodes():
     cond = model.condition(y)
     assert cond.proj.shape == (1, 16) and cond.proj.dtype == np.float32
     got = np.asarray(model.decode_u(u, cond))
-    z = u * cond.std + cond.mean
+    z = u * cond.std + cond.prior.mean
     # the cached projection is the one the two-stream pass computes from
     # the same row
     assert cond.proj.tobytes() == model.decoder.project(model.params, y).tobytes()
@@ -628,7 +634,7 @@ def test_model_from_mismatched_params_raises_naming_tensor():
     params = make_model(m=6, k=3, hidden=10, seed=5).params
     with pytest.raises(ValueError, match="'decoder/b0' has shape"):
         CvaeModel(6, 3, 11, params=params)
-    params = nn.ParamSet({n: v for n, v in params.values.items() if n != "prior_mean/w0"})
+    params = param_set({n: v for n, v in params.values.items() if n != "prior_mean/w0"})
     with pytest.raises(ValueError, match="'prior_mean/w0' missing"):
         CvaeModel(6, 3, 10, params=params)
 

@@ -319,8 +319,8 @@ def test_evaluate_set_matches_the_two_search_reference(m, k, hidden, n, steps, b
     q = model.encode_posterior(pairs.perturbed, pairs.conditioned)
     for index in (slice(1, 3), slice(n - 1, n), np.array([2, 0, 2]), np.tile(np.arange(n), 2)):
         sub, qsub = cond.rows(index), q.rows(index)
-        for field, whole in ((sub.y, cond.y), (sub.prior.mean, cond.prior.mean),
-                             (sub.prior.logvar, cond.prior.logvar), (sub.mean, cond.mean),
+        for field, whole in ((sub.prior.mean, cond.prior.mean),
+                             (sub.prior.logvar, cond.prior.logvar),
                              (sub.std, cond.std), (sub.proj, cond.proj),
                              (qsub.mean, q.mean), (qsub.logvar, q.logvar)):
             assert field.tobytes() == whole[index].tobytes()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reftape as ref
+from params import param_set
 from pertsets import nn
 from pertsets.cvae import CvaeModel, elbo_loss
 
@@ -20,7 +21,7 @@ def make_net(name, in_dims, layers, rng, dtype=np.float64):
     net = nn.Network(name, in_dims, layers)
     params = nn.model_params([net], rng=rng)
     if dtype is not np.float32:
-        params = nn.ParamSet({k: v.astype(dtype) for k, v in params.values.items()})
+        params = param_set({k: v.astype(dtype) for k, v in params.values.items()})
     return net, params
 
 
@@ -45,7 +46,7 @@ def adam_on(params, grads, lr, **kw):
 
 def test_dense_identity():
     net = nn.Network("f", 4, [("dense", 4)])
-    params = nn.ParamSet({"f/w0": np.eye(4, dtype=np.float32),
+    params = param_set({"f/w0": np.eye(4, dtype=np.float32),
                           "f/b0": np.zeros(4, dtype=np.float32)})
     x = np.array([[1.0, -2.0, 3.5, 0.0]], dtype=np.float32)
     np.testing.assert_array_equal(net.apply(params, x), x)
@@ -53,17 +54,17 @@ def test_dense_identity():
 
 def test_relu_forward():
     net = nn.Network("f", 3, [("relu",)])
-    out = net.apply(nn.ParamSet(), np.array([[-1.0, 0.0, 2.0]]))
+    out = net.apply(param_set({}), np.array([[-1.0, 0.0, 2.0]]))
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
 def test_scaled_tanh_range():
     net = nn.Network("f", 1, [("scaled_tanh", -7.0, 0.5)])
     xs = np.linspace(-10, 10, 1001).reshape(-1, 1)
-    out = net.apply(nn.ParamSet(), xs)
+    out = net.apply(param_set({}), xs)
     assert out.min() > -7.0 and out.max() < 0.5
     # midpoint at 0
-    assert net.apply(nn.ParamSet(), np.array([[0.0]]))[0, 0] == pytest.approx((-7.0 + 0.5) / 2)
+    assert net.apply(param_set({}), np.array([[0.0]]))[0, 0] == pytest.approx((-7.0 + 0.5) / 2)
 
 
 def test_first_dense_layer_splits_over_streams():
@@ -233,11 +234,11 @@ def test_scaled_tanh_is_one_node_with_the_chained_arithmetic():
     for lo, hi in ((0.0, 1.0), (math.log(1e-3), math.log(10.0))):
         net = nn.Network("f", 3, [("scaled_tanh", lo, hi)])
         acts = []
-        out = net.apply(nn.ParamSet(), h, acts=acts)
+        out = net.apply(param_set({}), h, acts=acts)
         chained = ref.Var(h)
         want = ref.add(ref.mul(ref.add(tanh(chained), 1.0), 0.5 * (hi - lo)), lo)
         assert out.dtype == np.float32 and out.tobytes() == want.value.tobytes()
-        g = nn.backward(net, nn.ParamSet(), acts, np.ones_like(out), input_grad=True)
+        g = nn.backward(net, param_set({}), acts, np.ones_like(out), input_grad=True)
         ref.backward(ref.sum_all(want))
         assert g.dtype == np.float32 and g.tobytes() == chained.grad.tobytes()
 
@@ -294,7 +295,7 @@ def test_backward_rejects_non_scalar():
 def test_unused_parameter_gets_zero_gradient():
     rng = np.random.default_rng(0)
     net, params = make_net("g", 2, [("dense", 2)], rng)
-    params = nn.ParamSet({"orphan": np.ones(3, dtype=np.float64), **params.values})
+    params = param_set({"orphan": np.ones(3, dtype=np.float64), **params.values})
     params.grad = np.full_like(params.flat, np.nan)     # a stale step's gradients
     grads = param_grads(net, params, np.ones((1, 2)), np.ones_like)
     assert list(grads) == list(params.values) == ["g/b0", "g/w0", "orphan"]
@@ -314,7 +315,7 @@ def test_float32_params_keep_network_outputs_float32():
                 *nn.backprop_gradients(model.params, reverse).values()):
         assert out.dtype == np.float32
     # a float64 graph stays float64
-    model.params = nn.ParamSet({k: v.astype(np.float64) for k, v in model.params.values.items()})
+    model.params = param_set({k: v.astype(np.float64) for k, v in model.params.values.items()})
     y64, z64 = y.astype(np.float64), z.astype(np.float64)
     for out in (model.decode(z64, model.condition(y64)), model.encode_prior(y64).std(),
                 model.encode_posterior(y64, y64).logvar):
@@ -397,7 +398,7 @@ def test_vjp_forms_no_term_for_plain_array_operand(op, frozen_first, monkeypatch
 
 
 def test_adam_first_step_is_signed_lr():
-    params = nn.ParamSet({"w": np.array([1.0, -2.0, 3.0])})
+    params = param_set({"w": np.array([1.0, -2.0, 3.0])})
     g = {"w": np.array([0.3, -0.7, 0.0])}
     adam_on(params, g, lr=0.05, eps=1e-12)
     # bias-corrected first step is lr * sign(g) up to eps rounding
@@ -406,7 +407,7 @@ def test_adam_first_step_is_signed_lr():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = nn.ParamSet({"w": np.array([1.5, 2.5])})
+    params = param_set({"w": np.array([1.5, 2.5])})
     adam_on(params, {"w": np.zeros(2)}, lr=0.1)
     np.testing.assert_array_equal(params.values["w"], [1.5, 2.5])
 
@@ -423,7 +424,7 @@ def test_adam_parabola_matches_scalar_oracle():
     assert w == pytest.approx(5.03900403122392, abs=1e-12)
     assert abs(w - 5.0) < 0.5
 
-    params = nn.ParamSet({"w": np.zeros(1)})
+    params = param_set({"w": np.zeros(1)})
     for _ in range(100):
         grad = {"w": 2.0 * (params.values["w"] - 5.0)}
         adam_on(params, grad, lr=0.1)
@@ -435,7 +436,7 @@ def test_adam_parabola_matches_scalar_oracle():
 def test_adam_contract_errors():
     # the gradients share the parameters' layout, so none can be missing or
     # misshapen; a step before any gradient changes nothing
-    params = nn.ParamSet({"w": np.zeros(2)})
+    params = param_set({"w": np.zeros(2)})
     with pytest.raises(TypeError):
         nn.adam_step(params, lr=0.1)
     assert params.step == 0 and params.m is None and params.v is None
@@ -479,7 +480,7 @@ def test_adam_blocks_match_the_formula_bit_for_bit():
     rng = np.random.default_rng(23)
     for shapes, dtype in itertools.product(_ADAM_LAYOUTS, (np.float32, np.float64)):
         values = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
-        got = nn.ParamSet(values)
+        got = param_set(values)
         ms = {n: np.zeros_like(v) for n, v in values.items()}
         vs = {n: np.zeros_like(v) for n, v in values.items()}
         for step in range(3):
@@ -498,7 +499,7 @@ def test_adam_blocks_match_the_formula_bit_for_bit():
 def test_adam_step_forms_no_full_size_temporary():
     shape = (1568, 784)
     rng = np.random.default_rng(0)
-    params = nn.ParamSet({"w": rng.standard_normal(shape, dtype=np.float32)})
+    params = param_set({"w": rng.standard_normal(shape, dtype=np.float32)})
     adam_on(params, {"w": rng.standard_normal(shape, dtype=np.float32)}, lr=1e-3)
     tracemalloc.start()     # the gradient and moment buffers exist by now
     try:
@@ -573,7 +574,7 @@ def test_checkpoint_streams_each_tensor(tmp_path):
               "c/e": np.zeros((0, 3), np.float32), "d/w": rng.normal(size=(7, 5)),
               "e/b": rng.normal(size=33).astype(np.float32)}
     stem = str(tmp_path / "m")
-    nn.save_params(nn.ParamSet(values), stem, {})
+    nn.save_params(param_set(values), stem, {})
     want = b"".join(np.ascontiguousarray(values[n], dtype="<f4").tobytes() for n in sorted(values))
     assert (tmp_path / "m.bin").read_bytes() == want
     loaded, _ = nn.load_params(stem)
@@ -585,14 +586,14 @@ def test_checkpoint_streams_each_tensor(tmp_path):
         assert value.base is loaded.flat and value.flags.c_contiguous
         assert value.tobytes() == np.ascontiguousarray(values[name], dtype="<f4").tobytes()
     # the float64 set is written from one float32 cast of its buffer
-    assert nn.ParamSet(values).flat.dtype == np.float64
+    assert param_set(values).flat.dtype == np.float64
 
 
 def test_checkpoint_load_holds_no_copy_of_the_blob(tmp_path):
     # loading a 1568x784 float32 checkpoint allocates its tensors and little
     # else: no whole-blob buffer next to them; saving it allocates no copy
     rng = np.random.default_rng(6)
-    params = nn.ParamSet({"w": rng.standard_normal((1568, 784), dtype=np.float32),
+    params = param_set({"w": rng.standard_normal((1568, 784), dtype=np.float32),
                           "b": rng.standard_normal(784, dtype=np.float32)})
     size = sum(v.nbytes for v in params.values.values())
     stem = str(tmp_path / "big")
@@ -613,7 +614,7 @@ def test_checkpoint_load_holds_no_copy_of_the_blob(tmp_path):
 def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(FileNotFoundError):
         nn.load_params(str(tmp_path / "nope"))
-    params = nn.ParamSet({"w": np.ones(3, dtype=np.float32)})
+    params = param_set({"w": np.ones(3, dtype=np.float32)})
     stem = str(tmp_path / "m")
     nn.save_params(params, stem, {})
     with open(stem + ".bin", "ab") as f:
@@ -633,7 +634,7 @@ def _write_checkpoint(tmp_path, manifest=None, meta=None):
     """A saved two-tensor checkpoint whose manifest and meta files are then
     overwritten by the given JSON text, when given."""
     stem = str(tmp_path / "m")
-    nn.save_params(nn.ParamSet({"a": np.ones(2, np.float32), "b": np.zeros((2, 3), np.float32)}),
+    nn.save_params(param_set({"a": np.ones(2, np.float32), "b": np.zeros((2, 3), np.float32)}),
                    stem, {"hidden": 3})
     for suffix, text in ((".json", manifest), (".meta.json", meta)):
         if text is not None:
@@ -709,7 +710,7 @@ def test_model_params_draws_fresh_or_checks_given():
                           ({**good, "n/w0": np.zeros((2, 3), np.float32)},
                            r"'n/w0' has shape \(2, 3\)")):
         with pytest.raises(ValueError, match=match):
-            nn.model_params(nets[:1], nn.ParamSet(values), rng=np.random.default_rng(0))
+            nn.model_params(nets[:1], param_set(values), rng=np.random.default_rng(0))
 
 
 def test_init_deterministic_given_seed():

@@ -44,14 +44,6 @@ def test_linf_bounds_and_clamp():
     np.testing.assert_array_equal(pairs.conditioned, 0.0)
 
 
-def test_linf_perturbed_only_pairing():
-    rng = np.random.default_rng(2)
-    data = Dataset(np.full((5, 6, 6), 0.5, dtype=np.float32))
-    pairs = gen_linf_pairs(data, 0.2, rng, pairing="perturbed_only")
-    assert np.abs(pairs.conditioned - 0.5).max() > 0.0
-    assert np.abs(pairs.conditioned - 0.5).max() <= 0.2 + 1e-6
-
-
 def test_linf_rejects_bad_radius():
     with pytest.raises(ValueError):
         gen_linf_pairs(Dataset(np.zeros((1, 4, 4))), 0.0, np.random.default_rng(0))
@@ -210,7 +202,7 @@ def ref_sample_transform(side, p, rng):
     return theta, scale, center
 
 
-def ref_gen_rts_pairs(data, p, rng, pairing):
+def ref_gen_rts_pairs(data, p, rng):
     n, h, _ = data.images.shape
     xs = np.empty((n, p.canvas * p.canvas), dtype=np.float32)
     ys = np.empty_like(xs)
@@ -219,11 +211,7 @@ def ref_gen_rts_pairs(data, p, rng, pairing):
         theta, scale, center = ref_sample_transform(h, p, rng)
         warped = ref_warp_affine(data.images[i], p.canvas, theta, scale, center)
         xs[i] = np.clip(warped, 0.0, 1.0).reshape(-1)
-        if pairing == "centered":
-            base = ref_warp_affine(data.images[i], p.canvas, 0.0, 1.0, centered)
-        else:
-            theta2, scale2, center2 = ref_sample_transform(h, p, rng)
-            base = ref_warp_affine(data.images[i], p.canvas, theta2, scale2, center2)
+        base = ref_warp_affine(data.images[i], p.canvas, 0.0, 1.0, centered)
         ys[i] = np.clip(base, 0.0, 1.0).reshape(-1)
     return xs, ys
 
@@ -276,16 +264,15 @@ def test_stacked_warp_matches_per_image_reference():
         assert _same_bytes(shared[i], ref_warp_affine(src[i], 15, theta[0], scale[0], center[0]))
 
 
-@pytest.mark.parametrize("pairing", ["centered", "perturbed_only"])
 @pytest.mark.parametrize("side, canvas", [(12, 16), (28, 42)])
-def test_blocked_rts_pairs_match_per_image_reference(pairing, side, canvas):
+def test_blocked_rts_pairs_match_per_image_reference(side, canvas):
     p = RtsParams(rotation=45.0, scale_lo=0.7, scale_hi=1.3, canvas=canvas)
     block = pertgen._block_images(canvas * canvas)
     for n in (1, block - 1, block, block + 1):
         images, labels = ref_synth_shapes(n, side, np.random.default_rng(n))
         got_rng, want_rng = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
-        got = gen_rts_pairs(Dataset(images, labels), p, got_rng, pairing)
-        want_x, want_y = ref_gen_rts_pairs(Dataset(images, labels), p, want_rng, pairing)
+        got = gen_rts_pairs(Dataset(images, labels), p, got_rng)
+        want_x, want_y = ref_gen_rts_pairs(Dataset(images, labels), p, want_rng)
         assert _same_bytes(got.perturbed, want_x), n
         assert _same_bytes(got.conditioned, want_y), n
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -309,8 +296,7 @@ def test_blocked_synth_shapes_match_per_image_reference(size):
 def test_block_size_never_changes_bytes(monkeypatch, block_pixels):
     def generate():
         data = synth_shapes(150, 12, np.random.default_rng(3))
-        pairs = gen_rts_pairs(data, RtsParams(canvas=16, scale_hi=1.2), np.random.default_rng(4),
-                              "perturbed_only")
+        pairs = gen_rts_pairs(data, RtsParams(canvas=16, scale_hi=1.2), np.random.default_rng(4))
         return data.images, pairs.perturbed, pairs.conditioned
 
     default = generate()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from params import param_set
 from pertsets import nn
 from pertsets.cvae import (
     CvaeModel,
@@ -133,7 +134,7 @@ def test_classifier_from_mismatched_params_raises_naming_tensor():
     params = rand_clf(hidden=(8,)).params
     with pytest.raises(ValueError, match="'classifier/b0' has shape"):
         Classifier(M, 3, (9,), params=params)
-    params = nn.ParamSet({**params.values, "classifier/w2": params.values["classifier/w1"]})
+    params = param_set({**params.values, "classifier/w2": params.values["classifier/w1"]})
     with pytest.raises(ValueError, match="'classifier/w2' is not a parameter"):
         Classifier(M, 3, (8,), params=params)
 

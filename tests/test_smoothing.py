@@ -9,7 +9,6 @@ from pertsets.cvae import CvaeModel
 from pertsets.robust import Classifier, clean_train_epoch
 from pertsets.smoothing import (
     ABSTAIN,
-    _top_two,
     certify,
     noise_train_epoch,
     sample_under_noise,
@@ -106,17 +105,35 @@ def test_counts_validation():
 
 
 # ---------------------------------------------------------------------------
-# Top-class selection
-
-
-def test_top_two_tie_break_lowest_id():
-    assert _top_two(np.array([0, 8, 8, 1])) == (1, 2)
-    assert _top_two(np.array([8, 3, 8])) == (0, 2)
-    assert _top_two(np.array([4, 9, 1])) == (1, 0)
-
-
-# ---------------------------------------------------------------------------
 # Certification
+
+
+class VoteStub:
+    """A classifier stand-in: its first predict call returns the votes
+    `first`, and every later call votes `then` on every row."""
+
+    n_classes = 3
+
+    def __init__(self, first, then):
+        self.first, self.then, self.calls = np.asarray(first), then, 0
+
+    def predict(self, x):
+        self.calls += 1
+        if self.calls == 1:
+            assert len(x) == len(self.first)
+            return self.first
+        return np.full(len(x), self.then)
+
+
+def test_certify_tie_goes_to_lowest_class():
+    # the n0 round ties classes 1 and 2, and the n round votes class 1: a
+    # guess of 2 would get p_a 0 and abstain
+    model = rand_model()
+    h = VoteStub([2, 1, 2, 1, 0], then=1)
+    cert = certify(h, model, model.condition(np.full((1, M), 0.5, np.float32)), 1.0,
+                   np.random.default_rng(0), n0=5, n=100, alpha=0.001)
+    assert h.calls == 2
+    assert cert.prediction == 1 and cert.p_a > 0.5
 
 
 def test_certify_unanimous_closed_form():
