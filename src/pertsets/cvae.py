@@ -143,8 +143,11 @@ class CvaeModel:
 
     def decode_u(self, u, cond: Condition, acts: list = None):
         """The perturbation-set map g(u * sigma(y) + mu(y), y) of standardized
-        latents u, taken in float32. `acts` keeps what decode_u_grad reads."""
-        return self.decode(np.asarray(u, dtype=np.float32) * cond.std + cond.prior.mean, cond, acts)
+        latents u, taken in float32. `acts` keeps what decode_u_grad reads.
+        z is formed in one array: a float32 copy of u, scaled and shifted in
+        place (a float64 Condition widens it, as the expression would)."""
+        z = nn.into(np.multiply, np.array(u, dtype=np.float32), cond.std)
+        return self.decode(nn.into(np.add, z, cond.prior.mean), cond, acts)
 
     def decode_u_grad(self, cond: Condition, acts: list, g):
         """The gradient in u of the decode_u(u, cond, acts) call, from g, the

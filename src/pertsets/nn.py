@@ -21,6 +21,14 @@ are weak under NumPy's promotion rules and never widen a float32 array; a
 graph fed float64 arrays stays float64 (the tests drive the same ops that
 way).
 
+Ownership rule: an op overwrites only arrays it created in the same call. A
+dense layer adds its bias or projection into its own product; a relu, and a
+scaled_tanh whose tanh no reverse pass will read, overwrite the dense output
+they follow; the reverse pass multiplies the relu mask and the tanh
+derivative into the gradient it formed itself. No op ever writes into an
+input, a parameter, a saved activation or the caller's gradient, and each
+in-place step gives the bits of its out-of-place form.
+
 A ParamSet keeps the parameters, Adam's moments and one step's gradients
 (`backprop_gradients`) in flat buffers of one layout, the checkpoint's.
 """
@@ -121,27 +129,41 @@ def adam_step(params: ParamSet, lr: float,
 _LAYER_KINDS = ("dense", "relu", "scaled_tanh")
 
 
+def into(op, own, x):
+    """op(own, x) for an array `own` the caller created and an x of its
+    width: written into own when that has the same bits, that is when x is
+    one row or own's rows in own's dtype (op commutes, so own op= x is
+    x op own), else formed as a new array."""
+    if (x.dtype == own.dtype and x.ndim <= own.ndim
+            and x.shape[:-1] in ((), (1,), own.shape[:-1])):
+        return op(own, x, out=own)
+    return op(own, x)
+
+
 def dense(parts, w, b):
     """Dense layer over input streams: sum_i parts[i] @ w[rows_i] + b, where
     stream i feeds the i-th block of rows of w. Shares are added last stream
     first onto b, so b plus the last stream's share is exactly the projection
-    Network.project caches. Rows of w past the streams belong to inputs
-    whose share is already in b."""
+    Network.project caches; each sum is formed in the new product. Rows of w
+    past the streams belong to inputs whose share is already in b."""
     out, end = b, sum(v.shape[-1] for v in parts)
     for v in reversed(parts):
-        out = v @ w[end - v.shape[-1]:end] + out
+        out = into(np.add, v @ w[end - v.shape[-1]:end], out)
         end -= v.shape[-1]
     return out
 
 
-def scaled_tanh(a, lo: float, hi: float):
+def scaled_tanh(a, lo: float, hi: float, overwrite: bool = False):
     """Squash onto (lo, hi): (tanh(a) + 1) * (hi - lo) / 2 + lo. Returns the
-    output and tanh(a), which the reverse pass reads."""
-    t = np.tanh(a)
-    out = (t + 1.0) * (0.5 * (hi - lo))
+    output and tanh(a), which the reverse pass reads. With overwrite, for an
+    `a` the caller created and needs no more, the output is formed in a and
+    no tanh is returned."""
+    t = np.tanh(a, out=a if overwrite else None)
+    out = np.add(t, 1.0, out=t if overwrite else None)
+    out *= 0.5 * (hi - lo)
     if lo != 0.0:
-        out = out + lo
-    return out, t
+        out += lo
+    return out, None if overwrite else t
 
 
 def cross_entropy(logits, labels):
@@ -149,11 +171,12 @@ def cross_entropy(logits, labels):
     gradient in the logits: each row's softmax minus its one-hot label."""
     labels = np.asarray(labels)
     m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    s = e.sum(axis=-1, keepdims=True)
+    grad = logits - m
+    np.exp(grad, out=grad)
+    s = grad.sum(axis=-1, keepdims=True)
     picked = np.take_along_axis(logits, labels[:, None], axis=-1)[:, 0]
     out = (np.log(s[..., 0]) + m[..., 0]) - picked
-    grad = e / s
+    grad /= s
     grad[np.arange(len(grad)), labels] -= 1.0
     return out, grad
 
@@ -236,15 +259,19 @@ class Network:
             inputs = [inputs]
         streams = self._streams(inputs, self.in_dims if proj is None else self.in_dims[:-1])
         h = streams[0]      # several streams only ever meet a dense first layer
+        own = False         # whether h is an array this pass made and kept nowhere
         for i, (layer, names) in enumerate(zip(self.layers, self._dense_names)):
             if names is not None:
                 saved = streams if i == 0 else [h]
                 w, b = (params.values[n] for n in names)
                 h = dense(saved, w, proj if i == 0 and proj is not None else b)
+                own = True
             elif layer[0] == "relu":
-                h = saved = np.maximum(h, 0)
+                h = saved = np.maximum(h, 0, out=h if own else None)
+                own = acts is None
             else:
-                h, saved = scaled_tanh(h, layer[1], layer[2])
+                h, saved = scaled_tanh(h, layer[1], layer[2], own and acts is None)
+                own = True
             if acts is not None:
                 acts.append(saved)
         return h
@@ -259,12 +286,17 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
     gradients: given grads, it raises ValueError. Returns the gradient in the
     first input stream when input_grad, else None: a first dense layer forms
     no product that is not asked for."""
+    own = False         # whether g is an array this pass made
     for i in reversed(range(len(net.layers))):
         layer, names, saved = net.layers[i], net._dense_names[i], acts[i]
         if layer[0] == "relu":
-            g = g * (saved > 0)
+            g = np.multiply(g, saved > 0, out=g if own else None)
+            own = True
         elif layer[0] == "scaled_tanh":
-            g = (g * (0.5 * (layer[2] - layer[1]))) * (1.0 - saved * saved)
+            g = np.multiply(g, 0.5 * (layer[2] - layer[1]), out=g if own else None)
+            own = True
+            d = saved * saved
+            g = into(np.multiply, g, np.subtract(1.0, d, out=d))
         else:
             wname, bname = names
             w = params.values[wname]
@@ -279,6 +311,7 @@ def backward(net: Network, params: ParamSet, acts: list, g, grads: dict = None,
             if i == 0 and not input_grad:
                 return None
             g = g @ w[:saved[0].shape[1]].T
+            own = True
     return g if input_grad else None
 
 

@@ -31,18 +31,22 @@ class Certificate:
 def sample_under_noise(h: Classifier, model: CvaeModel, cond: Condition, n: int,
                        sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Class counts over n decodes at latent noise level sigma, against one
-    example's Condition."""
+    example's Condition. The noise is drawn 512 rows at a time into one
+    buffer, which draws the stream's values in the order that one fresh
+    array per chunk would."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     counts = np.zeros(h.n_classes, dtype=np.int64)
+    noise = np.empty((min(512, n), model.k))
     done = 0
     while done < n:
-        b = min(512, n - done)
-        preds = h.predict(model.decode_u(sigma * rng.standard_normal((b, model.k)), cond))
-        counts += np.bincount(preds, minlength=h.n_classes)
-        done += b
+        u = noise[:min(512, n - done)]
+        rng.standard_normal(out=u)
+        u *= sigma
+        counts += np.bincount(h.predict(model.decode_u(u, cond)), minlength=h.n_classes)
+        done += len(u)
     return counts
 
 

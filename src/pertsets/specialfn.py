@@ -338,8 +338,7 @@ def _log_binom_table(n: int):
 
 
 def _log_binom_pmf(table, p: float) -> np.ndarray:
-    """log pmf of Binomial(n, p) over the outcomes of a _log_binom_table(n),
-    or of a slice of its outcomes and log C(n, i) columns."""
+    """log pmf of Binomial(n, p) over the outcomes of a _log_binom_table(n)."""
     n, i, log_nck = table
     with np.errstate(divide="ignore", invalid="ignore"):
         lp = i * (np.log(p) if p > 0 else -np.inf)
@@ -364,16 +363,24 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float) -> flo
     alpha = 1.0 - confidence
     if successes == trials:
         return alpha ** (1.0 / trials)
-    # the outcomes >= successes of the table: P(Binomial(trials, mid) >=
-    # successes) is their pmf, summed in log space
+    # the outcomes i >= successes of the table: P(Binomial(trials, mid) >=
+    # successes) is their pmf, summed in log space. i, n - i and log C(n, i)
+    # do not depend on mid; mid stays in (0, 1) and i >= 1, so both logs are
+    # finite and no outcome needs _log_binom_pmf's guards: at i = n the
+    # (n - i) term is -0.0, which leaves every sum as the guard's 0.0 does
     n, i, log_nck = _log_binom_table(trials)
-    tail = (n, i[successes:], log_nck[successes:])
+    i, log_nck = i[successes:], log_nck[successes:]
+    n_i = n - i
+    lp, lq = np.empty_like(i), np.empty_like(i)
     lo, hi = 0.0, 1.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        lp = _log_binom_pmf(tail, mid)
+        np.multiply(i, np.log(mid), out=lp)
+        lp += log_nck
+        lp += np.multiply(n_i, np.log1p(-mid), out=lq)
         m = lp.max()
-        if float(np.exp(m) * np.exp(lp - m).sum()) < alpha:
+        lp -= m
+        if float(np.exp(m) * np.exp(lp, out=lp).sum()) < alpha:
             lo = mid
         else:
             hi = mid

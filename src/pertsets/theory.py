@@ -145,14 +145,16 @@ def estimate_R_K(model: CvaeModel, x, q: GaussianDiag, cond: Condition,
         raise ValueError(f"need samples >= 1, got {samples}")
     p = cond.prior
     noise = rng.standard_normal((samples, model.k)).astype(np.float32)
-    z = np.asarray(q.mean) + q.std() * noise
+    q_std = q.std()
+    z = np.asarray(q.mean) + q_std * noise
     out = np.asarray(model.decode(z, cond))
     # R and K in float64 from the float32 network outputs
     diff = out.astype(np.float64) - x
     sse = np.sum(diff * diff, axis=1)
     R = float(np.mean(-0.5 * sse)) - 0.5 * model.m * LN_2PI
 
-    ratio = (q.std()[0].astype(np.float64) / p.std()[0]) ** 2
+    # cond.std is p.std(); p.var() is not its square bit for bit
+    ratio = (q_std[0].astype(np.float64) / cond.std[0]) ** 2
     gap = (np.asarray(q.mean[0], dtype=np.float64) - np.asarray(p.mean[0])) ** 2
     K = ratio + gap / p.var()[0] - 1.0 - np.log(ratio)
     return ObjectiveEstimate(R=R, K=K, m=model.m)

@@ -354,6 +354,139 @@ def test_backward_forms_only_the_products_asked_for(weights, inputs):
     assert _UfuncLog.calls == want
 
 
+# ---------------------------------------------------------------------------
+# Ownership: an op overwrites only what it created
+
+
+# nets whose passes take every in-place branch and every branch that must
+# not be: a two-stream dense layer, a relu on a dense output and one on a
+# relu's (kept as an activation), relu and scaled_tanh on the caller's
+# input, scaled_tanh with and without an offset
+OWNERSHIP_NETS = {
+    "streams": ([3, 4], [("dense", 6), ("relu",), ("relu",), ("dense", 5),
+                         ("scaled_tanh", -1.0, 2.0)]),
+    "trunk": (4, [("dense", 5), ("relu",)]),
+    "relu-first": (4, [("relu",), ("scaled_tanh", 0.0, 1.0)]),
+    "tanh-first": (4, [("scaled_tanh", -1.0, 2.0)]),
+}
+
+
+def byte_copies(*arrays):
+    return [np.array(a).tobytes() for a in arrays]
+
+
+def reference_acts(net, params, streams, proj):
+    """What Network.apply keeps per layer, formed by the reference tape's
+    ops: a dense layer's input streams, a relu's output, a scaled_tanh's
+    tanh."""
+    acts, h = [], list(streams)
+    for i, (layer, names) in enumerate(zip(net.layers, net._dense_names)):
+        if names is not None:
+            acts.append(h if isinstance(h, list) else [h])
+            w, b = (params.values[n] for n in names)
+            h = ref.dense(acts[-1], w, proj if i == 0 and proj is not None else b)
+            continue
+        h = h[0] if isinstance(h, list) else h
+        if layer[0] == "relu":
+            h = ref.relu(h)
+            acts.append(h)
+        else:
+            acts.append(np.tanh(h))
+            h = ref.scaled_tanh(h, layer[1], layer[2])
+    return acts
+
+
+def flat_acts(acts):
+    return [a for act in acts for a in (act if isinstance(act, list) else [act])]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", list(OWNERSHIP_NETS))
+def test_passes_write_only_into_arrays_they_create(kind, dtype):
+    # apply, with and without acts and through a B-row or a one-row proj,
+    # and backward, with and without grads and input_grad, leave every
+    # argument, the parameter buffer and every saved activation as they
+    # were, and give the bits of the reference tape's out-of-place ops
+    rng = np.random.default_rng(21)
+    net, params = make_net("f", *OWNERSHIP_NETS[kind], rng, dtype)
+    rows = 5
+    inputs = [rng.normal(size=(rows, d)).astype(dtype) for d in net.in_dims]
+    calls = [(inputs, None)]
+    if len(inputs) > 1:
+        calls += [(inputs[:-1], net.project(params, inputs[-1])),
+                  (inputs[:-1], net.project(params, inputs[-1][:1])),
+                  ([x[:1] for x in inputs[:-1]], net.project(params, inputs[-1]))]
+    flat = params.flat.tobytes()
+    for streams, proj in calls:
+        args = [*streams] + ([] if proj is None else [proj])
+        before = byte_copies(*args)
+        want = ref.apply(net, params, streams, proj=proj)
+        out = net.apply(params, streams, proj=proj)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        acts = []
+        out = net.apply(params, streams, proj=proj, acts=acts)
+        assert out.tobytes() == want.tobytes()
+        saved = byte_copies(*flat_acts(acts))
+        assert saved == byte_copies(*flat_acts(reference_acts(net, params, streams, proj)))
+        assert byte_copies(*args) == before and params.flat.tobytes() == flat
+        if len(streams[0]) != len(out):
+            continue        # a broadcast forward pass has no reverse pass
+        g = rng.normal(size=out.shape).astype(dtype)
+        g_bytes = g.tobytes()
+        for weights, input_grad in ((True, True), (True, False), (False, True)):
+            if weights and proj is not None:
+                continue    # a pass through proj has no parameter gradients
+            grads = ({n: np.full_like(v, np.nan) for n, v in params.values.items()}
+                     if weights else None)
+            got = nn.backward(net, params, acts, g, grads, input_grad)
+            assert g.tobytes() == g_bytes
+            assert byte_copies(*flat_acts(acts)) == saved
+            assert byte_copies(*args) == before and params.flat.tobytes() == flat
+            rec = ref.Rec(params) if weights else None
+            xs = [ref.Var(x) for x in streams]
+            ref.backward(ref.sum_all(ref.mul(ref.apply(net, params, xs, rec, proj), g)))
+            if input_grad:
+                assert got.dtype == dtype and got.tobytes() == xs[0].grad.tobytes()
+            else:
+                assert got is None
+            if weights:
+                for name, value in rec.grads().items():
+                    assert grads[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_and_decode_u_write_only_into_arrays_they_create(dtype):
+    rng = np.random.default_rng(22)
+    logits = rng.normal(size=(6, 4)).astype(dtype)
+    labels = rng.integers(0, 4, size=6)
+    before = byte_copies(logits, labels)
+    ce, grad = nn.cross_entropy(logits, labels)
+    assert byte_copies(logits, labels) == before
+    var = ref.Var(logits)
+    want = ref.cross_entropy(var, labels)
+    ref.backward(ref.sum_all(want))
+    assert ce.tobytes() == want.value.tobytes() and grad.tobytes() == var.grad.tobytes()
+
+    model = CvaeModel(6, 3, 5, rng=rng)
+    model.params = param_set({k: v.astype(dtype) for k, v in model.params.values.items()})
+    flat = model.params.flat.tobytes()
+    y = rng.uniform(0, 1, (4, 6)).astype(dtype)
+    for cond in (model.condition(y), model.condition(y[:1])):
+        fields = (cond.std, cond.prior.mean, cond.prior.logvar, cond.proj)
+        for u in (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)).astype(np.float32)):
+            before = byte_copies(u, *fields)
+            want = model.decode(np.asarray(u, dtype=np.float32) * cond.std + cond.prior.mean,
+                                cond)
+            acts = []
+            assert model.decode_u(u, cond).tobytes() == want.tobytes()
+            assert model.decode_u(u, cond, acts).tobytes() == want.tobytes()
+            saved = byte_copies(*flat_acts(acts))
+            g = np.ones_like(want)
+            model.decode_u_grad(cond, acts, g)
+            assert byte_copies(*flat_acts(acts)) == saved and g.tobytes() == np.ones_like(g).tobytes()
+            assert byte_copies(u, *fields) == before and model.params.flat.tobytes() == flat
+
+
 def matmul(a, b):
     """A bare product a @ b through the reference tape's dense: one stream,
     no bias."""

@@ -1,6 +1,7 @@
 """Tests for vote counting, certification and the noise back-solve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,65 @@ def test_counts_match_binomial_dispersion():
     assert 0.6 < p < 0.85
     theory = math.sqrt(p * (1 - p) / n)
     assert theory / 3 <= freqs[:, 0].std() <= 3 * theory
+
+
+class Recorder:
+    """A classifier that keeps a copy of every batch it votes on."""
+
+    def __init__(self, h):
+        self.h, self.n_classes, self.seen = h, h.n_classes, []
+
+    def predict(self, x):
+        self.seen.append(np.array(x))
+        return self.h.predict(x)
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
+def test_noise_buffer_draws_what_fresh_chunks_draw(n):
+    # one noise buffer per call gives the batches, counts and final generator
+    # state of drawing a fresh array per 512-row chunk and decoding
+    # u * sigma(y) + mu(y) as one expression
+    model, h, x = threshold_setup(0.3)
+    cond = model.condition(x[None])
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rec = Recorder(h)
+    got = sample_under_noise(rec, model, cond, n, 0.5, got_rng)
+    want, batches = np.zeros(h.n_classes, dtype=np.int64), []
+    for done in range(0, n, 512):
+        u = 0.5 * want_rng.standard_normal((min(512, n - done), model.k))
+        batches.append(np.asarray(model.decode(
+            np.asarray(u, dtype=np.float32) * cond.std + cond.prior.mean, cond)))
+        want += np.bincount(h.predict(batches[-1]), minlength=h.n_classes)
+    assert got.tobytes() == want.tobytes() and (n == 1 or got.min() > 0)
+    assert [b.tobytes() for b in rec.seen] == [b.tobytes() for b in batches]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def traced_peak(call):
+    """Peak traced bytes of one call, after a first call that warms it."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_and_vote_hold_no_temporary_of_the_output_size():
+    # smoke width, 256 rows: a decode holds z, the hidden layer and the
+    # output, which its last layers form in place; a vote adds its float64
+    # noise buffer. 64 KiB more is allowed for numpy's iterator buffers and
+    # small objects; a (rows, m) float32 temporary is 256 KiB.
+    m, k, hidden, rows = 256, 8, 128, 256
+    model = CvaeModel(m, k, hidden, rng=np.random.default_rng(0))
+    h = Classifier(m, 2, (64,), rng=np.random.default_rng(1))
+    cond = model.condition(np.full((1, m), 0.5, np.float32))
+    u = np.random.default_rng(2).standard_normal((rows, k))
+    decode = 4 * rows * (k + hidden + m) + (64 << 10)
+    assert traced_peak(lambda: model.decode_u(u, cond)) < decode
+    assert traced_peak(lambda: sample_under_noise(h, model, cond, rows, 0.5,
+                                                  np.random.default_rng(3))) < decode + 8 * rows * k
 
 
 def test_counts_validation():

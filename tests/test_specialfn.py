@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import special as sps
 from scipy import stats as sstats
 
+import refbinom
 import refgamma
 from pertsets.specialfn import (
     binom_two_sided_pvalue,
@@ -288,6 +289,17 @@ def test_clopper_pearson_against_beta_bisection():
     for k, n, conf in [(7, 10, 0.95), (1, 10, 0.95), (50, 100, 0.999), (9999, 10000, 0.999)]:
         oracle = bisect_beta_quantile(1.0 - conf, k, n - k + 1)
         assert clopper_pearson_lower(k, n, conf) == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 32, 50, 256, 2000, 10000])
+def test_clopper_pearson_equals_the_guarded_loop_bit_for_bit(n):
+    # the loop with i, n - i and log C(n, i) hoisted and no guards gives the
+    # bits of the one that evaluates the guarded log pmf at every halving
+    rng = np.random.default_rng(n)
+    ks = sorted({1, n // 2, n - 1, n, *(int(k) for k in rng.integers(1, n + 1, size=8))})
+    for conf in (0.95, 0.99, 0.999):
+        for k in ks:
+            assert clopper_pearson_lower(k, n, conf) == refbinom.clopper_pearson_lower(k, n, conf)
 
 
 def test_clopper_pearson_zero_and_monotone():
