@@ -2,18 +2,21 @@
 
 Subcommands cover the full flow: pair generation, generator training, set
 evaluation, certified bounds, latent attacks, robust classifier training,
-and randomized-smoothing certification. Each stage reads one JSON config and
-writes its artifacts into an output directory together with config.json,
-the config that reruns it (every key it read, defaults filled in), and a
-manifest of content hashes, so every directory is self-describing and
-re-runnable: `pertsets <stage> --config <dir>/config.json` writes the same
-bytes again.
+and randomized-smoothing certification. A stage opens its JSON config with
+`_stage_config` (out_dir, then seed) and, its work done, writes one output
+directory: its own files, then `ArtifactDir.finish` writes config.json (the
+config that reruns it: every key it read, defaults filled in), summary.json
+when the stage has a summary, and a manifest.json of content hashes. The
+stage returns what its summary.json holds (None when it writes none). Every
+directory is self-describing and re-runnable: `pertsets <stage> --config
+<dir>/config.json` writes the same bytes again.
 
 Conventions:
-  - exit 0 success, 2 invalid config (field-level message), 3 missing or bad
-    input artifact, 4 numerical failure: a non-finite training loss (message
-    names the epoch), checkpoint tensor or pixel, or forward-pass overflow
-    into non-finite logits or decoded outputs
+  - exit 0 success, 2 invalid config (field-level message; an out_dir that
+    names a file or lies under one), 3 missing or bad input artifact (an
+    array of the wrong kind, such as float labels), 4 numerical failure: a
+    non-finite training loss (message names the epoch), checkpoint tensor or
+    pixel, or forward-pass overflow into non-finite logits or decoded outputs
   - CSV reports: header row, UTF-8, '\\n' line endings, full-precision floats
   - JSON reports: pretty-printed, sorted keys, trailing newline; non-finite
     floats serialized as the strings "inf"/"-inf"/"nan" (strict JSON has no
@@ -122,10 +125,16 @@ class ArtifactDir:
             self.file(stem + suffix)
         return os.path.join(self.path, stem)
 
-    def finish(self):
+    def finish(self, config: dict, summary: dict = None):
+        """Close the stage: config.json, summary.json when the stage has a
+        summary, then the manifest. Returns the summary."""
+        self.write_json("config.json", config)
+        if summary is not None:
+            self.write_json("summary.json", summary)
         manifest = {"files": {n: _sha256(os.path.join(self.path, n))
                               for n in sorted(self.files)}}
         nn.write_json(os.path.join(self.path, "manifest.json"), manifest)
+        return summary
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +163,17 @@ def _as_float(v, where):
 def _as_str(v, where):
     if not isinstance(v, str):
         raise ConfigError(f"{where}: expected a string, got {v!r}")
+    return v
+
+
+def _as_out_dir(v, where):
+    """A path that is a directory or can be made one: its nearest existing
+    ancestor, or itself, is a directory."""
+    probe = os.path.abspath(_as_str(v, where))
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (v and os.path.isdir(probe)):
+        raise ConfigError(f"{where}: {v!r} is not a directory and cannot be made one")
     return v
 
 
@@ -249,6 +269,12 @@ def _parse_schedule(top: Section, key: str, default: nn.Schedule) -> nn.Schedule
         raise ConfigError(f"{s.where}: {e}") from e
 
 
+def _stage_config(cfg: dict):
+    """(Section, out_dir, seed) of a stage config; out_dir is checked first."""
+    top = Section(cfg)
+    return top, top.take("out_dir", _as_out_dir), top.take("seed", _SEED, 0)
+
+
 # ---------------------------------------------------------------------------
 # Pair-set artifacts
 
@@ -283,15 +309,18 @@ def _load_array(path: str, dtype) -> np.ndarray:
     if not os.path.isfile(path):
         raise MissingArtifactError(f"missing file: {path}")
     try:
-        return np.load(path).astype(dtype, copy=False)
-    except (OSError, EOFError, TypeError, ValueError) as e:
+        arr = np.load(path)
+        if np.can_cast(arr.dtype, dtype, "same_kind"):
+            return arr.astype(dtype, copy=False)
+    except (AttributeError, OSError, EOFError, TypeError, ValueError) as e:  # .npz has no dtype
         raise MissingArtifactError(f"unreadable array {path}: {e}") from e
+    raise MissingArtifactError(f"{path}: array of dtype {arr.dtype}, expected {np.dtype(dtype)}")
 
 
 def _load_pairs(dirpath: str) -> PairSet:
     """Read a pair set and check it: a JSON object as meta, two equal (N, m)
-    arrays of pixels in [0, 1] with N > 0, and N labels >= 0 when the meta
-    declares them (else exit 3); NaN or inf pixels exit 4."""
+    real arrays of pixels in [0, 1] with N > 0, and N integer labels >= 0
+    when the meta declares them (else exit 3); NaN or inf pixels exit 4."""
     if not os.path.isdir(dirpath):
         raise MissingArtifactError(f"missing pair-set directory: {dirpath}")
     try:
@@ -367,10 +396,8 @@ def _stage_inputs(model_dir: str, data_dir: str, clf_dir: str = None, limit: int
 # gen-data
 
 
-def cmd_gen_data(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _SEED, 0)
+def cmd_gen_data(cfg: dict) -> None:
+    top, out_dir, seed = _stage_config(cfg)
 
     src = top.sub("source")
     kind = src.take("kind", _choice("synth-shapes", "idx"))
@@ -448,25 +475,21 @@ def cmd_gen_data(cfg: dict) -> dict:
     test = allpairs.subset(slice(total - n_test, total))
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     for name, subset in (("train", train), ("test", test)):
         for f in _save_pairs(os.path.join(out_dir, name), subset,
                              {"pairs": resolved["pairs"], "seed": seed, "split": name}):
             stage.file(os.path.join(name, f))
-    stage.finish()
     log.info("gen-data: %d train / %d test pairs of dim %d -> %s",
              len(train), len(test), train.dim, out_dir)
-    return resolved
+    return stage.finish(resolved)
 
 
 # ---------------------------------------------------------------------------
 # train-cvae
 
 
-def cmd_train_cvae(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _SEED, 0)
+def cmd_train_cvae(cfg: dict) -> None:
+    top, out_dir, seed = _stage_config(cfg)
     data_dir = top.take("data", _as_str)
 
     ms = top.sub("model")
@@ -488,12 +511,10 @@ def cmd_train_cvae(cfg: dict) -> dict:
                                                    seed=seed))
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     model.save(stage.checkpoint("model"), extra_meta={"train_pairs": len(pairs)})
     stage.write_json("history.json", {"epochs": history})
-    stage.finish()
     log.info("train-cvae: %d epochs on %d pairs -> %s", epochs, len(pairs), out_dir)
-    return {"out_dir": out_dir}
+    return stage.finish(resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +522,7 @@ def cmd_train_cvae(cfg: dict) -> dict:
 
 
 def cmd_eval_set(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _SEED, 0)
+    top, out_dir, seed = _stage_config(cfg)
     model_dir = top.take("model", _as_str)
     data_dir = top.take("data", _as_str)
     eps = top.take("eps", _number_or_section(_POSITIVE))
@@ -529,12 +548,9 @@ def cmd_eval_set(cfg: dict) -> dict:
     report = evaluate_set(model, pairs, eps, rng, steps=steps, n_expected=n_expected)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     report.to_csv(stage.file("eval.csv"))
-    stage.write_json("summary.json", report.summary())
-    stage.finish()
     log.info("eval-set: %d pairs at eps %.4g -> %s", len(pairs), eps, out_dir)
-    return report.summary()
+    return stage.finish(resolved, report.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +562,7 @@ _BLOCK = 256
 
 
 def cmd_bounds(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _SEED, 0)
+    top, out_dir, seed = _stage_config(cfg)
     model_dir = top.take("model", _as_str)
     data_dir = top.take("data", _as_str)
     alpha = top.take("alpha", _FRACTION, 0.01)
@@ -577,16 +591,13 @@ def cmd_bounds(cfg: dict) -> dict:
                for i, (est, tb) in enumerate(zip(ests, bounds))]
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     stage.write_jsonl("bounds.jsonl", records)
-    agg = {"pairs": len(records), "alpha": alpha,
-           "mean_eps": float(np.mean([r["eps"] for r in records])),
-           "mean_delta_per_pixel": float(np.mean([r["delta_per_pixel"] for r in records])),
-           "mean_r": float(np.mean([r["r"] for r in records]))}
-    stage.write_json("summary.json", agg)
-    stage.finish()
     log.info("bounds: %d pairs at alpha %.3g -> %s", len(records), alpha, out_dir)
-    return agg
+    return stage.finish(resolved, {
+        "pairs": len(records), "alpha": alpha,
+        "mean_eps": float(np.mean([r["eps"] for r in records])),
+        "mean_delta_per_pixel": float(np.mean([r["delta_per_pixel"] for r in records])),
+        "mean_r": float(np.mean([r["r"] for r in records]))})
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +605,9 @@ def cmd_bounds(cfg: dict) -> dict:
 
 
 def cmd_attack(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
     # every stage accepts the run seed (--seed, reproduce); the attack is
     # deterministic, so its config.json leaves it out
-    top.take("seed", _SEED, 0)
+    top, out_dir, _ = _stage_config(cfg)
     model_dir = top.take("model", _as_str)
     clf_dir = top.take("classifier", _as_str)
     data_dir = top.take("data", _as_str)
@@ -626,17 +635,14 @@ def cmd_attack(cfg: dict) -> dict:
     perturbed_acc = robust.accuracy(h, pairs.perturbed, pairs.labels)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     stage.write_csv("attack.csv", ("example", "label", "clean_pred", "adv_pred"), rows)
     agg = {"examples": len(rows), "eps": acfg.eps, "steps": acfg.steps,
            "accuracy": float(clean_ok.mean()),
            "robust_accuracy": float((clean_ok & adv_ok).mean()),
            "perturbed_accuracy": perturbed_acc}
-    stage.write_json("summary.json", agg)
-    stage.finish()
     log.info("attack: robust acc %.3f / clean %.3f on %d examples -> %s",
              agg["robust_accuracy"], agg["accuracy"], len(rows), out_dir)
-    return agg
+    return stage.finish(resolved, agg)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +650,7 @@ def cmd_attack(cfg: dict) -> dict:
 
 
 def cmd_train_robust(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _SEED, 0)
+    top, out_dir, seed = _stage_config(cfg)
     model_dir = top.take("model", _as_str)
     data_dir = top.take("data", _as_str)
 
@@ -674,13 +678,10 @@ def cmd_train_robust(cfg: dict) -> dict:
                           f"holds label {pairs.labels.max()}")
 
     ss = np.random.SeedSequence(seed).spawn(2)
-    h = Classifier(model.m, n_classes, hidden=tuple(hidden),
-                   rng=np.random.default_rng(ss[0]))
+    h = Classifier(model.m, n_classes, hidden=tuple(hidden), rng=np.random.default_rng(ss[0]))
     rng = np.random.default_rng(ss[1])
     x, labels = pairs.conditioned, pairs.labels
-    acfg = None
-    if mode == "adv":
-        acfg = AttackConfig(eps=eps, steps=attack_steps)
+    acfg = AttackConfig(eps=eps, steps=attack_steps) if mode == "adv" else None
     for _ in range(epochs):
         if mode == "adv":
             robust.adv_train_epoch(h, model, x, labels, acfg, lr, rng, batch_size)
@@ -693,13 +694,9 @@ def cmd_train_robust(cfg: dict) -> dict:
     train_acc = robust.accuracy(h, x, labels)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     h.save(stage.checkpoint("classifier"))
-    stage.write_json("summary.json", {"mode": mode, "epochs": epochs,
-                                      "train_accuracy": train_acc})
-    stage.finish()
     log.info("train-robust[%s]: train acc %.3f -> %s", mode, train_acc, out_dir)
-    return {"out_dir": out_dir, "train_accuracy": train_acc}
+    return stage.finish(resolved, {"mode": mode, "epochs": epochs, "train_accuracy": train_acc})
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +704,7 @@ def cmd_train_robust(cfg: dict) -> dict:
 
 
 def cmd_certify(cfg: dict) -> dict:
-    top = Section(cfg)
-    out_dir = top.take("out_dir", _as_str)
-    seed = top.take("seed", _SEED, 0)
+    top, out_dir, seed = _stage_config(cfg)
     model_dir = top.take("model", _as_str)
     clf_dir = top.take("classifier", _as_str)
     data_dir = top.take("data", _as_str)
@@ -723,8 +718,7 @@ def cmd_certify(cfg: dict) -> dict:
     model, pairs, h = _stage_inputs(model_dir, data_dir, clf_dir, limit)
 
     children = np.random.SeedSequence(seed).spawn(len(pairs))
-    rows = []
-    certified = []
+    rows, certified = [], []
     for lo in range(0, len(pairs), _BLOCK):
         y = pairs.conditioned[lo:lo + _BLOCK]
         cond = model.condition(y)
@@ -733,22 +727,18 @@ def cmd_certify(cfg: dict) -> dict:
                                      np.random.default_rng(children[lo + j]),
                                      n0=n0, n=n, alpha=alpha)
             abstain = cert.prediction == smoothing.ABSTAIN
-            rows.append((lo + j, cert.prediction, repr(cert.p_a), repr(cert.radius),
-                         int(abstain)))
+            rows.append((lo + j, cert.prediction, repr(cert.p_a), repr(cert.radius), int(abstain)))
             if not abstain:
                 certified.append(cert.radius)
 
     stage = ArtifactDir(out_dir)
-    stage.write_json("config.json", resolved)
     stage.write_csv("certify.csv", ("example", "guess", "p_a", "radius", "abstain"), rows)
     agg = {"examples": len(rows), "sigma": sigma, "n0": n0, "n": n, "alpha": alpha,
-           "non_abstain_rate": float(len(certified) / len(rows)) if rows else 0.0,
+           "non_abstain_rate": float(len(certified) / len(rows)),
            "mean_certified_radius": float(np.mean(certified)) if certified else 0.0}
-    stage.write_json("summary.json", agg)
-    stage.finish()
     log.info("certify: non-abstain %.3f at sigma %.4g -> %s",
              agg["non_abstain_rate"], sigma, out_dir)
-    return agg
+    return stage.finish(resolved, agg)
 
 
 # ---------------------------------------------------------------------------
@@ -856,11 +846,11 @@ _TABLE4_REFERENCE = {"enc_ae": 0.31, "pgd_ae": 0.25, "eae": 0.32, "oae": 0.65,
 
 def cmd_reproduce(profile: str, out: str, seed: int, mnist_dir) -> dict:
     _SEED(seed, "--seed")
+    _as_out_dir(out, "--out")
     spec = _profile_spec(profile, mnist_dir)
     # the run seed expands into one seed per stage
-    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(10)]
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(9)]
     p = lambda *parts: os.path.join(out, *parts)
-    os.makedirs(out, exist_ok=True)
 
     cmd_gen_data({"out_dir": p("data"), "seed": seeds[0], **spec["gen"]})
     cmd_train_cvae({"out_dir": p("cvae"), "seed": seeds[1], "data": p("data", "train"),

@@ -223,7 +223,6 @@ class Network:
                 if not lo < hi:
                     raise ValueError(f"{name}: scaled_tanh needs lo < hi, got ({lo}, {hi})")
             self._dense_names.append(names)
-        self.out_dim = width
 
     def param_shapes(self) -> dict:
         return dict(self._shapes)

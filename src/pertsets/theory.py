@@ -146,8 +146,8 @@ def estimate_R_K(model: CvaeModel, x, q: GaussianDiag, cond: Condition,
     p = cond.prior
     noise = rng.standard_normal((samples, model.k)).astype(np.float32)
     q_std = q.std()
-    z = np.asarray(q.mean) + q_std * noise
-    out = np.asarray(model.decode(z, cond))
+    z = q.mean + q_std * noise
+    out = model.decode(z, cond)
     # R and K in float64 from the float32 network outputs
     diff = out.astype(np.float64) - x
     sse = np.sum(diff * diff, axis=1)
@@ -155,6 +155,6 @@ def estimate_R_K(model: CvaeModel, x, q: GaussianDiag, cond: Condition,
 
     # cond.std is p.std(); p.var() is not its square bit for bit
     ratio = (q_std[0].astype(np.float64) / cond.std[0]) ** 2
-    gap = (np.asarray(q.mean[0], dtype=np.float64) - np.asarray(p.mean[0])) ** 2
+    gap = (q.mean[0].astype(np.float64) - p.mean[0]) ** 2
     K = ratio + gap / p.var()[0] - 1.0 - np.log(ratio)
     return ObjectiveEstimate(R=R, K=K, m=model.m)

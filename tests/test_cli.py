@@ -373,6 +373,16 @@ def test_attack_requires_labels(pipeline, tmp_path, capsys):
     assert "labels" in err
 
 
+@pytest.mark.parametrize("stage", list(cli._COMMANDS))
+def test_stage_returns_what_its_summary_json_holds(pipeline, tmp_path, stage):
+    summary = cli._COMMANDS[stage](_bad_input_cfg(pipeline, tmp_path / "out", stage))
+    path = tmp_path / "out" / "summary.json"
+    if stage in ("gen-data", "train-cvae"):
+        assert summary is None and not path.exists()
+    else:
+        assert summary == json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_config_json_records_defaults(pipeline, tmp_path):
     # config.json holds every key a stage read, defaults filled in, and no
     # other: an absent optional key (limit) stays absent; train-robust
@@ -477,6 +487,25 @@ def test_out_of_range_exits_2_naming_field(pipeline, tmp_path, capsys, stage, pa
     assert code == 2, err
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("stage", [*cli._COMMANDS, "reproduce"])
+@pytest.mark.parametrize("case", ["file", "under-file", "empty"])
+def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, stage, case):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"keep")
+    out = {"file": str(taken), "under-file": str(taken / "sub"), "empty": ""}[case]
+    if stage == "reproduce":
+        argv, key = ["reproduce", "--profile", "smoke", "--out", out], "--out"
+    else:   # out_dir is checked before any other key, so it may stand alone
+        argv = [stage, "--config", write_cfg(tmp_path / "c.json", {"out_dir": out})]
+        key = "config.out_dir"
+    code, err = run_cli(argv, capsys)
+    assert code == 2, err
+    assert f"{key}: {out!r} is not a directory" in err and "Traceback" not in err
+    assert taken.read_bytes() == b"keep"
+    # no directory was made
+    assert {p.name for p in tmp_path.iterdir()} <= {"taken", "c.json"}
 
 
 def _write_idx(path, magic, dims, n_bytes):
@@ -611,6 +640,18 @@ def test_load_pairs_validation(tmp_path):
         cli._load_pairs(pair_dir("length", [0.5], [0.5, 0.5]))
     pairs = cli._load_pairs(pair_dir("ok", [0.0, 1.0], [0.5, 0.5], labels=[1]))
     assert pairs.labels.tolist() == [1]
+    # an array of another kind is refused, not truncated or cast to garbage
+    for name, labels in (("float-labels", [1.7]), ("nan-labels", [np.nan])):
+        with pytest.raises(cli.MissingArtifactError, match="labels.npy: array of dtype float64"):
+            cli._load_pairs(pair_dir(name, [0.5, 0.5], [0.5, 0.5], labels=labels))
+    complex_dir = pair_dir("complex", [0.5, 0.5], [0.5, 0.5])
+    np.save(os.path.join(complex_dir, "perturbed.npy"), np.full((1, 2), 0.5, np.complex64))
+    with pytest.raises(cli.MissingArtifactError, match="perturbed.npy: array of dtype complex64"):
+        cli._load_pairs(complex_dir)
+    with open(os.path.join(complex_dir, "perturbed.npy"), "wb") as f:   # an archive, not an array
+        np.savez(f, x=np.full((1, 2), 0.5, np.float32))
+    with pytest.raises(cli.MissingArtifactError, match="unreadable array .*perturbed.npy"):
+        cli._load_pairs(complex_dir)
 
 
 def _tampered_pairs(pipeline, dst, case):

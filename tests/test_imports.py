@@ -1,12 +1,13 @@
 """Static checks on the package sources: every import is of the standard
 library, numpy or the package itself, every top-level import is used,
 no two modules define the same top-level function or class, every
-top-level function or class is named somewhere in the package, and every
-top-level assignment is read somewhere in it. No linter ships with the test
-dependencies, and a module that stops using an import (json, once
-checkpoints moved behind nn) leaves it behind silently, as a helper copied
-into a second module, one that its last caller stopped calling, or a
-constant whose last reader went does."""
+top-level function or class is named somewhere in the package, every
+top-level assignment is read somewhere in it, and every CLI stage opens its
+config and closes its directory the one way cli.py provides. No linter
+ships with the test dependencies, and a module that stops using an import
+(json, once checkpoints moved behind nn) leaves it behind silently, as a
+helper copied into a second module, one that its last caller stopped
+calling, or a constant whose last reader went does."""
 
 import ast
 import collections
@@ -166,3 +167,42 @@ def test_checker_finds_an_unread_assignment():
 def test_every_top_level_assignment_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unread_assignments(sources) == []
+
+
+def stage_protocol_faults(source: str) -> list:
+    """How the cli source strays from its one way to declare a stage: a
+    "config.json" or "summary.json" constant outside class ArtifactDir, or a
+    function of _COMMANDS that does not call _stage_config and a `finish`
+    exactly once each."""
+    tree = ast.parse(source)
+    inside = {id(sub) for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "ArtifactDir"
+              for sub in ast.walk(node)}
+    faults = [f"{sub.value} on line {sub.lineno}" for sub in ast.walk(tree)
+              if isinstance(sub, ast.Constant) and sub.value in ("config.json", "summary.json")
+              and id(sub) not in inside]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_COMMANDS"])
+    for name in (v.id for v in table.values):
+        calls = [sub.func for sub in ast.walk(funcs[name]) if isinstance(sub, ast.Call)]
+        opened = sum(isinstance(f, ast.Name) and f.id == "_stage_config" for f in calls)
+        closed = sum(isinstance(f, ast.Attribute) and f.attr == "finish" for f in calls)
+        if (opened, closed) != (1, 1):
+            faults.append(f"{name} calls _stage_config {opened} and finish {closed} times")
+    return faults
+
+
+def test_checker_finds_a_stage_off_the_protocol():
+    source = ('class ArtifactDir:\n    def finish(self, c):\n        write("config.json")\n'
+              'def cmd_a(cfg):\n    top = _stage_config(cfg)\n    return stage.finish(top)\n'
+              'def cmd_b(cfg):\n    write("summary.json")\n    stage.finish({})\n'
+              'def cmd_c(cfg):\n    _stage_config(cfg)\n    _stage_config(cfg)\n'
+              '_COMMANDS = {"a": cmd_a, "b": cmd_b, "c": cmd_c}\n')
+    assert stage_protocol_faults(source) == [
+        "summary.json on line 8", "cmd_b calls _stage_config 0 and finish 1 times",
+        "cmd_c calls _stage_config 2 and finish 0 times"]
+
+
+def test_every_stage_opens_and_closes_through_the_protocol():
+    assert stage_protocol_faults((SRC / "cli.py").read_text(encoding="utf-8")) == []
